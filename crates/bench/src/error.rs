@@ -32,6 +32,14 @@ pub enum CompileError {
     Verify(VerifyError),
     /// Inline IR text failed to parse.
     Parse(ParseError),
+    /// The compile's deadline (see [`Pipeline::with_deadline`]) had passed
+    /// when it reached a stage boundary.
+    ///
+    /// [`Pipeline::with_deadline`]: crate::Pipeline::with_deadline
+    Deadline {
+        /// The stage that was about to start.
+        stage: &'static str,
+    },
     /// A stage bailed out for a reason of its own.
     Stage {
         /// The stage that bailed.
@@ -54,6 +62,7 @@ impl CompileError {
             CompileError::Diff(_) => "diff",
             CompileError::Verify(_) => "verify",
             CompileError::Parse(_) => "parse",
+            CompileError::Deadline { .. } => "deadline",
             CompileError::Stage { .. } => "stage",
         }
     }
@@ -61,7 +70,9 @@ impl CompileError {
     /// The pipeline stage the error is attributed to, when known.
     pub fn stage(&self) -> Option<&'static str> {
         match self {
-            CompileError::Trap { stage, .. } | CompileError::Stage { stage, .. } => Some(stage),
+            CompileError::Trap { stage, .. }
+            | CompileError::Deadline { stage }
+            | CompileError::Stage { stage, .. } => Some(stage),
             _ => None,
         }
     }
@@ -87,6 +98,7 @@ impl fmt::Display for CompileError {
             CompileError::Diff(e) => write!(f, "equivalence check failed: {e}"),
             CompileError::Verify(e) => write!(f, "verification failed: {e}"),
             CompileError::Parse(e) => write!(f, "IR parse failed: {e}"),
+            CompileError::Deadline { stage } => write!(f, "[{stage}] deadline exceeded"),
             CompileError::Stage { stage, message } => write!(f, "[{stage}] {message}"),
         }
     }

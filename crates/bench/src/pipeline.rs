@@ -15,6 +15,12 @@
 //! upstream artifacts — the ablation driver compiles each workload's
 //! baseline once across its ten configurations.
 //!
+//! [`Pipeline::with_deadline`] makes a compile cooperative: each cached
+//! stage checks the deadline on entry and fails with
+//! [`CompileError::Deadline`] once it has passed. A running stage is never
+//! interrupted, so a deadline fires at the next stage boundary, and since
+//! errors are never cached an expired compile leaves no trace in the cache.
+//!
 //! The FRP stage is deliberately *not* memoized: `frp_convert` preserves
 //! operation ids so the baseline's profile stays valid for the ICBM
 //! heuristics, and serving its output from a cache (whose artifacts may
@@ -119,11 +125,13 @@ struct Ctx<'a> {
     hits: u64,
     misses: u64,
     input_hash: u64,
+    deadline: Option<Instant>,
 }
 
 /// Consults the cache (when both a cache and a key are present), running
 /// `compute` on miss. On a hit, one timing entry named `stage_name` records
 /// the lookup; on a miss `compute` records its own (finer-grained) entries.
+/// Fails without touching the cache once the compile's deadline has passed.
 fn run_stage(
     ctx: &mut Ctx<'_>,
     key: Option<CacheKey>,
@@ -132,6 +140,9 @@ fn run_stage(
     ops_before: usize,
     compute: impl FnOnce(&mut PassTimings) -> Result<StageArtifact, CompileError>,
 ) -> Result<Arc<StageArtifact>, CompileError> {
+    if ctx.deadline.is_some_and(|d| Instant::now() >= d) {
+        return Err(CompileError::Deadline { stage: stage_name });
+    }
     let (Some(cache), Some(key)) = (ctx.cache, key) else {
         return compute(&mut ctx.timings).map(Arc::new);
     };
@@ -224,6 +235,7 @@ impl<'a> Pipeline<'a> {
                 hits: 0,
                 misses: 0,
                 input_hash: training.content_hash(),
+                deadline: None,
             },
         }
     }
@@ -231,6 +243,13 @@ impl<'a> Pipeline<'a> {
     /// Serves stage artifacts from `cache`, computing only on miss.
     pub fn with_cache(mut self, cache: &'a CompileCache) -> Pipeline<'a> {
         self.ctx.cache = Some(cache);
+        self
+    }
+
+    /// Fails the compile with [`CompileError::Deadline`] at the first
+    /// stage boundary reached at or after `deadline`.
+    pub fn with_deadline(mut self, deadline: Instant) -> Pipeline<'a> {
+        self.ctx.deadline = Some(deadline);
         self
     }
 
@@ -507,6 +526,28 @@ mod tests {
         assert_eq!(staged.opt_counts, mono.opt_counts);
         // Without a cache attached there are no cache interactions.
         assert_eq!((staged.cache_hits, staged.cache_misses), (0, 0));
+    }
+
+    #[test]
+    fn expired_deadline_fails_before_the_first_stage_and_caches_nothing() {
+        let w = epic_workloads::by_name("strcpy").unwrap();
+        let cfg = PipelineConfig::default();
+        let cache = CompileCache::new();
+        let e = Pipeline::new(&w, &cfg)
+            .with_cache(&cache)
+            .with_deadline(Instant::now())
+            .if_convert()
+            .and_then(|s| s.meld())
+            .and_then(|s| s.superblock())
+            .err()
+            .expect("an expired deadline must fail the first cached stage");
+        assert_eq!(e, CompileError::Deadline { stage: stage::SUPERBLOCK });
+        assert_eq!(e.kind(), "deadline");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0), "{stats:?}");
+        // The same key compiles normally once no deadline applies.
+        let c = crate::compile::compile_cached(&w, &cfg, &cache).unwrap();
+        assert_eq!((c.cache_hits, c.cache_misses), (0, 3));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! * the compile cache mirrors its hit/miss/eviction/disk counters into
 //!   `compile_cache_*_total` counters,
 //! * ICBM opens sub-spans for its speculate/restructure/motion/dce phases,
-//! * the batch server tallies `serve_*` counters, keeps the
-//!   `serve_detached_workers` gauge live, and answers `{"op":"metrics"}`
-//!   requests with a registry snapshot.
+//! * the batch server tallies `serve_*` counters (sheds, read pauses,
+//!   worker panics), keeps the `serve_event_queue_depth` gauge live, and
+//!   answers `{"op":"metrics"}` requests with a registry snapshot.
 //!
 //! Metric updates are relaxed atomics (counters are sharded across cache
 //! lines); tracing costs one atomic load per span while disabled. See

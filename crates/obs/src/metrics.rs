@@ -65,7 +65,7 @@ impl Counter {
     }
 }
 
-/// An instantaneous signed value (e.g. currently-detached worker threads).
+/// An instantaneous signed value (e.g. compile jobs currently queued).
 #[derive(Default)]
 pub struct Gauge(AtomicI64);
 

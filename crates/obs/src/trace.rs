@@ -9,9 +9,9 @@
 //!
 //! Every event carries the calling thread's *trace id* (see
 //! [`TraceIdGuard`]): the batch-compile server assigns one id per request
-//! and propagates it into detached worker threads, so all spans of one
-//! request — across pipeline, cache and ICBM sub-phases — share an id and
-//! can be grouped in the viewer.
+//! on the worker that serves it, so all spans of one request — across
+//! pipeline, cache and ICBM sub-phases — share an id and can be grouped in
+//! the viewer.
 //!
 //! [`Tracer::export_chrome_json`] renders the collected events as a JSON
 //! object loadable by `chrome://tracing` / Perfetto.

@@ -8,19 +8,20 @@
 //! Generates a seeded, fully deterministic stream of mixed requests —
 //! suite workloads (all three shape tiers), config overrides, inline IR,
 //! `check:true` probes, control ops, malformed lines, blank lines — and
-//! replays it through **both** servers:
+//! replays it through the event server over real TCP connections,
+//! including two torture clients (a slow reader that sips 512-byte
+//! chunks, and a writer that sends one byte per syscall), recording
+//! p50/p99/p999 request latency from the `epic-obs` histograms.
 //!
-//! 1. the event-driven server (serve v2) over real TCP connections,
-//!    including two torture clients (a slow reader that sips 512-byte
-//!    chunks, and a writer that sends one byte per syscall), recording
-//!    p50/p99/p999 request latency from the `epic-obs` histograms;
-//! 2. the v1 blocking server in-process, as the reference.
-//!
-//! Every v2 reply must be **byte-identical to v1** up to its `"cache"`
-//! key (the suffix carries run-specific wall-clock and trace ids) and
-//! arrive **in request order** on its connection. A separate pass replays
-//! one substream twice against tight admission caps and checks the shed
-//! id sets match exactly (deterministic load shedding).
+//! Every reply must arrive **in request order** on its connection, and
+//! the digest of all stable reply prefixes (up to the `"cache"` key,
+//! metrics replies skipped; see `epic_serve::proto::reply_digest`) must
+//! equal the committed golden digest for the stream's shape. The summary
+//! prints the digest, so a deliberate reply change shows the new value to
+//! commit. The torture clients' replies are also compared one by one with
+//! the same streams served by a single-worker server. A separate pass
+//! replays one substream twice against tight admission caps and checks
+//! the shed id sets match exactly (deterministic load shedding).
 //!
 //! The default run writes `BENCH_serve_pr7.json`; `--quick` runs a small
 //! smoke sweep (used by `just serve-bench`) that asserts the same
@@ -36,7 +37,13 @@ use epic_bench::timing::json_string;
 use epic_bench::CompileCache;
 use epic_obs::MetricsRegistry;
 use epic_serve::event::{READ_PAUSES_COUNTER, SHED_COUNTER};
-use epic_serve::{serve, EventOptions, EventServer, ServerOptions, ShapeTable, Tier};
+use epic_serve::proto::reply_digest;
+use epic_serve::{EventOptions, EventServer, ShapeTable, Tier};
+
+/// Golden reply digests per stream shape `(requests, connections)`,
+/// captured from the replies of the server this one replaced.
+const GOLDEN: &[(usize, usize, &str)] =
+    &[(4_000, 8, "90273e11da42603b"), (100_000, 8, "85e8cf484cc95886")];
 
 /// Deterministic 64-bit LCG (MMIX constants); the whole stream derives
 /// from one seed.
@@ -148,12 +155,6 @@ fn build_stream(mix: &Mix, seed: u64, n: usize) -> (String, usize) {
     (out, replies)
 }
 
-/// Everything before the reply's `"cache"` key: a pure function of the
-/// request (the suffix is wall-clock and trace id).
-fn stable_prefix(line: &str) -> &str {
-    line.split(",\"cache\":").next().unwrap()
-}
-
 /// How a client reads its connection: realistically, in tiny sips with
 /// pauses (forcing server-side backpressure), or writing one byte per
 /// syscall.
@@ -204,38 +205,19 @@ fn replay(addr: SocketAddr, stream: String, torture: Torture) -> Vec<String> {
     replies
 }
 
-/// Runs the same substream through the in-process v1 server.
-fn v1_replies(stream: &str, cache: &Arc<CompileCache>) -> Vec<String> {
-    let mut out: Vec<u8> = Vec::new();
-    let opts = ServerOptions { threads: 2, ..ServerOptions::default() };
-    serve(BufReader::new(stream.as_bytes()), &mut out, Arc::clone(cache), &opts)
-        .expect("v1 serve");
-    String::from_utf8(out).unwrap().lines().map(str::to_string).collect()
-}
-
-/// Compares one connection's v2 replies against the v1 reference.
-/// Returns the number of compared (non-control) replies.
-fn compare(conn_label: usize, got: &[String], expect: &[String]) -> usize {
-    assert_eq!(
-        got.len(),
-        expect.len(),
-        "conn {conn_label}: reply count diverged (v2 {} vs v1 {})",
-        got.len(),
-        expect.len()
-    );
-    let mut compared = 0;
-    for (i, (g, e)) in got.iter().zip(expect).enumerate() {
-        if g.contains("\"metrics\"") && e.contains("\"metrics\"") {
-            continue; // live registry snapshots legitimately differ
-        }
-        assert_eq!(
-            stable_prefix(g),
-            stable_prefix(e),
-            "conn {conn_label} reply {i}: v2 diverged from v1"
-        );
-        compared += 1;
-    }
-    compared
+/// Runs `streams` through a fresh single-worker event server, one plain
+/// client at a time: the reference the torture clients must match.
+fn reference_replies(streams: &[&str], force_poll: bool) -> Vec<Vec<String>> {
+    let opts = EventOptions { workers: 1, force_poll, ..EventOptions::default() };
+    let server = EventServer::bind("127.0.0.1:0", Arc::new(CompileCache::new()), opts)
+        .expect("bind reference server");
+    let addr = server.local_addr().expect("local_addr");
+    let shutdown = server.shutdown_handle();
+    let thread = std::thread::spawn(move || server.run().expect("event loop"));
+    let replies = streams.iter().map(|s| replay(addr, s.to_string(), Torture::None)).collect();
+    shutdown.shutdown();
+    thread.join().expect("reference server thread");
+    replies
 }
 
 /// Ids of replies shed with an `overloaded` error.
@@ -328,12 +310,11 @@ fn main() {
     total += torture_n;
     streams.push((s, r, Torture::ByteWriter));
 
-    // --- Pass 1: serve v2 over TCP --------------------------------------
+    // --- Pass 1: the event server over TCP -----------------------------
     let opts = EventOptions {
         workers,
         force_poll,
         max_inflight: usize::MAX,
-        max_detached: usize::MAX,
         ..EventOptions::default()
     };
     let cache = Arc::new(CompileCache::new());
@@ -351,7 +332,8 @@ fn main() {
             std::thread::spawn(move || replay(addr, s, torture))
         })
         .collect();
-    let v2: Vec<Vec<String>> = client_threads.into_iter().map(|t| t.join().expect("client")).collect();
+    let replies: Vec<Vec<String>> =
+        client_threads.into_iter().map(|t| t.join().expect("client")).collect();
     let wall_s = t0.elapsed().as_secs_f64();
     let latency = hist_json("serve_request_us");
     let tier_latency: Vec<String> = Tier::ALL
@@ -365,7 +347,7 @@ fn main() {
     shutdown.shutdown();
     let metrics = server_thread.join().expect("server thread");
     eprintln!(
-        "loadgen: v2 answered {} requests in {:.1}s ({:.0} req/s, {} backend)",
+        "loadgen: answered {} requests in {:.1}s ({:.0} req/s, {} backend)",
         metrics.requests,
         wall_s,
         metrics.requests as f64 / wall_s,
@@ -373,7 +355,7 @@ fn main() {
     );
 
     // Ordering + completeness before anything else.
-    for (c, ((_, expected_replies, _), got)) in streams.iter().zip(&v2).enumerate() {
+    for (c, ((_, expected_replies, _), got)) in streams.iter().zip(&replies).enumerate() {
         assert_eq!(
             got.len(),
             *expected_replies,
@@ -382,14 +364,28 @@ fn main() {
         );
     }
 
-    // --- Pass 2: the v1 reference, in-process ---------------------------
-    let v1_cache = Arc::new(CompileCache::new());
-    let mut compared = 0;
-    for (c, ((stream, _, _), got)) in streams.iter().zip(&v2).enumerate() {
-        let expect = v1_replies(stream, &v1_cache);
-        compared += compare(c, got, &expect);
+    // --- Pass 2: golden digest, and torture clients vs one worker ------
+    let digest = reply_digest(replies.iter().flatten().map(String::as_str));
+    eprintln!("loadgen: reply digest {digest}");
+    match GOLDEN.iter().find(|g| (g.0, g.1) == (requests, connections)) {
+        Some(&(_, _, golden)) => assert_eq!(
+            digest, golden,
+            "replies diverged from the golden digest (new digest {digest})"
+        ),
+        None => eprintln!("loadgen: no golden digest for this stream shape"),
     }
-    eprintln!("loadgen: {compared} replies byte-identical to v1 (prefix up to \"cache\")");
+    let torture: Vec<usize> = (connections..clients).collect();
+    let tortured: Vec<&str> = torture.iter().map(|&c| streams[c].0.as_str()).collect();
+    for (&c, expect) in torture.iter().zip(reference_replies(&tortured, force_poll)) {
+        let got = &replies[c];
+        assert_eq!(got.len(), expect.len(), "conn {c}: reply count diverged");
+        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+            // Digesting one reply compares stable prefixes and lets the
+            // live snapshots of metrics replies differ.
+            let same = reply_digest([g.as_str()]) == reply_digest([e.as_str()]);
+            assert!(same, "conn {c} reply {i} diverged from the single-worker server");
+        }
+    }
 
     // --- Pass 3: deterministic shedding ---------------------------------
     let shed_opts = EventOptions {
@@ -397,7 +393,6 @@ fn main() {
         force_poll,
         shed_window: 8,
         shed_caps: [8, 8, 1],
-        max_detached: usize::MAX,
         ..EventOptions::default()
     };
     let cache = Arc::new(CompileCache::new());
@@ -439,11 +434,11 @@ fn main() {
     let json = format!(
         "{{\n  \"snapshot\": \"serve_pr7\",\n  \"requests\": {total},\n  \"replies\": {compared_total},\n  \
          \"connections\": {clients},\n  \"workers\": {workers_n},\n  \"backend\": \"{backend}\",\n  \
-         \"wall_s\": {wall_s:.3},\n  \"byte_identical_vs_v1\": true,\n  \"in_order\": true,\n  \
+         \"wall_s\": {wall_s:.3},\n  \"reply_digest\": \"{digest}\",\n  \"in_order\": true,\n  \
          \"shed_deterministic\": true,\n  \"shed_replay_sheds\": {sheds},\n  \
          \"read_pauses\": {pauses},\n  \"shed_totals\": {{{shed_counts}}},\n  \
          \"latency_us\": {latency},\n  \"tier_latency_us\": {{{tiers}}}\n}}\n",
-        compared_total = v2.iter().map(Vec::len).sum::<usize>(),
+        compared_total = replies.iter().map(Vec::len).sum::<usize>(),
         workers_n = if workers == 0 {
             std::thread::available_parallelism().map_or(4, |n| n.get())
         } else {

@@ -1,47 +1,49 @@
 //! The batch-compile service front-end.
 //!
 //! ```text
-//! serve [--threads N] [--timeout-ms N] [--max-detached N]
-//!       [--heartbeat-ms N] [--tcp ADDR]
-//!       [--event] [--workers N] [--max-inflight N]
-//!       [--shed-window N] [--shed-caps S,M,L] [--conn-buffer BYTES] [--sndbuf BYTES] [--poll]
+//! serve [--tcp ADDR] [--workers N] [--timeout-ms N] [--heartbeat-ms N]
+//!       [--max-inflight N] [--shed-window N] [--shed-caps S,M,L]
+//!       [--conn-buffer BYTES] [--sndbuf BYTES] [--poll]
 //! ```
 //!
-//! By default the server reads newline-delimited JSON requests from stdin
-//! and answers on stdout, one response line per request, in request order;
-//! EOF shuts it down and prints the run's metrics (request counts, cache
-//! counters, latencies) as JSON on stderr. `--heartbeat-ms N` additionally
-//! reports those tallies live every `N` ms while the batch runs, and a
-//! `{"op":"metrics"}` request line fetches them in-band (see
-//! `epic_serve::proto`). `--max-detached N` caps the compile threads that
-//! timed-out requests may leave running (default 64); at the cap, budgeted
-//! requests get an `overloaded` error. With `--tcp ADDR` it listens on
-//! `ADDR` (e.g. `127.0.0.1:7777`) instead and serves each connection on
-//! its own thread with the same protocol, reporting per-connection metrics
-//! on stderr as connections close.
+//! One event-driven server answers every request: an epoll/poll event loop
+//! multiplexing connections with non-blocking I/O, compile work on a fixed
+//! pool of `--workers N` threads (default: one per core) routed by target
+//! fingerprint, per-connection write backpressure (`--conn-buffer BYTES`
+//! high-water mark), and layered admission control — a deterministic
+//! per-connection sliding window (`--shed-window N` requests, per-tier caps
+//! `--shed-caps S,M,L` for small/medium/large shape clusters) plus a global
+//! `--max-inflight N` backstop. Shed requests get a structured
+//! `overloaded` error reply. `--poll` forces the portable poll(2) backend
+//! even where epoll exists.
 //!
-//! `--tcp ADDR --event` selects the **event-driven server** (serve v2):
-//! one epoll/poll event loop multiplexing every connection with
-//! non-blocking I/O, compile work on a fixed pool of `--workers N`
-//! threads routed by target fingerprint, per-connection write
-//! backpressure (`--conn-buffer BYTES` high-water mark), and layered
-//! admission control — a deterministic per-connection sliding window
-//! (`--shed-window N` requests, per-tier caps `--shed-caps S,M,L` for
-//! small/medium/large shape clusters) plus a global `--max-inflight N`
-//! backstop. Shed requests get a structured `overloaded` error reply.
-//! `--poll` forces the portable poll(2) backend even where epoll exists.
+//! By default the server reads newline-delimited JSON requests from stdin
+//! and answers on stdout, one response line per request, in request order:
+//! stdin is pumped into the event loop as one loopback connection (stdin
+//! may be a pipe or a regular file), and EOF shuts the server down and
+//! prints the run's metrics (request counts, cache counters, latencies) as
+//! JSON on stderr. A stdin batch is not shed by the `--max-inflight`
+//! backstop unless that flag is given. With `--tcp ADDR` it listens on
+//! `ADDR` (e.g. `127.0.0.1:7777`) instead, reporting per-connection
+//! metrics on stderr as connections close.
+//!
+//! `--timeout-ms N` is the budget of requests that set no `timeout_ms`; a
+//! request past its budget stops at the next pipeline stage boundary and
+//! answers a `timeout` error. `--heartbeat-ms N` reports the server-wide
+//! tallies on stderr every `N` ms, and a `{"op":"metrics"}` request line
+//! fetches a connection's tallies in-band (see `epic_serve::proto`).
 //!
 //! All connections (and all requests within a batch) share one
 //! [`CompileCache`]; set `EPIC_CACHE_DIR` to also persist stage artifacts
 //! across server restarts. See `epic_serve::proto` for the wire format.
 
-use std::io::{BufReader, Write};
-use std::net::TcpListener;
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
 use std::process::exit;
 use std::sync::Arc;
 
 use epic_bench::CompileCache;
-use epic_serve::{serve, EventOptions, EventServer, ServerOptions};
+use epic_serve::{EventOptions, EventServer};
 
 fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let i = args.iter().position(|a| a == flag)?;
@@ -71,140 +73,98 @@ fn parse_or_die<T: std::str::FromStr>(v: &str, flag: &str) -> T {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let threads =
-        take_value_flag(&mut args, "--threads").map_or(0, |v| parse_or_die(&v, "--threads"));
-    let default_timeout_ms =
-        take_value_flag(&mut args, "--timeout-ms").map(|v| parse_or_die(&v, "--timeout-ms"));
-    let max_detached =
-        take_value_flag(&mut args, "--max-detached").map(|v| parse_or_die(&v, "--max-detached"));
-    let heartbeat_ms =
-        take_value_flag(&mut args, "--heartbeat-ms").map(|v| parse_or_die(&v, "--heartbeat-ms"));
+    let mut opts = EventOptions::default();
+    let int_flag = |args: &mut Vec<String>, flag: &str| {
+        take_value_flag(args, flag).map(|v| parse_or_die::<u64>(&v, flag))
+    };
+    opts.default_timeout_ms = int_flag(&mut args, "--timeout-ms");
+    opts.heartbeat_ms = int_flag(&mut args, "--heartbeat-ms");
     let tcp = take_value_flag(&mut args, "--tcp");
-    let event = take_bool_flag(&mut args, "--event");
-    let workers =
-        take_value_flag(&mut args, "--workers").map_or(0, |v| parse_or_die(&v, "--workers"));
-    let max_inflight =
-        take_value_flag(&mut args, "--max-inflight").map(|v| parse_or_die(&v, "--max-inflight"));
-    let shed_window =
-        take_value_flag(&mut args, "--shed-window").map(|v| parse_or_die(&v, "--shed-window"));
-    let shed_caps = take_value_flag(&mut args, "--shed-caps").map(|v| {
+    if let Some(n) = int_flag(&mut args, "--workers") {
+        opts.workers = n as usize;
+    }
+    // A stdin batch is not load: unless asked, its lines are never shed
+    // by the global backstop.
+    opts.max_inflight = match int_flag(&mut args, "--max-inflight") {
+        Some(n) => n as usize,
+        None if tcp.is_none() => usize::MAX,
+        None => opts.max_inflight,
+    };
+    if let Some(n) = int_flag(&mut args, "--shed-window") {
+        opts.shed_window = n as usize;
+    }
+    if let Some(v) = take_value_flag(&mut args, "--shed-caps") {
         let parts: Vec<usize> = v.split(',').map(|p| parse_or_die(p, "--shed-caps")).collect();
         if parts.len() != 3 {
             eprintln!("--shed-caps needs three comma-separated integers (small,medium,large)");
             exit(2);
         }
-        [parts[0], parts[1], parts[2]]
-    });
-    let conn_buffer =
-        take_value_flag(&mut args, "--conn-buffer").map(|v| parse_or_die(&v, "--conn-buffer"));
-    let sndbuf = take_value_flag(&mut args, "--sndbuf").map(|v| parse_or_die(&v, "--sndbuf"));
-    let force_poll = take_bool_flag(&mut args, "--poll");
+        opts.shed_caps = [parts[0], parts[1], parts[2]];
+    }
+    if let Some(n) = int_flag(&mut args, "--conn-buffer") {
+        opts.conn_buffer = n as usize;
+    }
+    opts.sndbuf = int_flag(&mut args, "--sndbuf").map(|n| n as usize);
+    opts.force_poll = take_bool_flag(&mut args, "--poll");
     if let Some(unknown) = args.first() {
         eprintln!("unknown argument: {unknown}");
         eprintln!(
-            "usage: serve [--threads N] [--timeout-ms N] [--max-detached N] \
-             [--heartbeat-ms N] [--tcp ADDR] [--event] [--workers N] \
+            "usage: serve [--tcp ADDR] [--workers N] [--timeout-ms N] [--heartbeat-ms N] \
              [--max-inflight N] [--shed-window N] [--shed-caps S,M,L] \
              [--conn-buffer BYTES] [--sndbuf BYTES] [--poll]"
         );
         exit(2);
     }
 
-    let mut opts = ServerOptions { threads, default_timeout_ms, ..ServerOptions::default() };
-    if let Some(cap) = max_detached {
-        opts.max_detached = cap;
-    }
-    opts.heartbeat_ms = heartbeat_ms;
     let cache = Arc::new(CompileCache::from_env());
-
-    let Some(addr) = tcp else {
-        if event {
-            eprintln!("serve: --event requires --tcp ADDR");
-            exit(2);
-        }
-        // StdinLock is not Send (the reader runs on its own thread), so
-        // wrap the handle instead of locking it.
-        let stdin = BufReader::new(std::io::stdin());
-        let stdout = std::io::stdout();
-        match serve(stdin, stdout.lock(), cache, &opts) {
-            Ok(metrics) => eprintln!("serve: {}", metrics.to_json()),
-            Err(e) => {
-                eprintln!("serve: I/O error: {e}");
-                exit(1);
-            }
-        }
-        return;
-    };
-
-    if event {
-        let mut ev_opts = EventOptions {
-            workers,
-            default_timeout_ms,
-            force_poll,
-            ..EventOptions::default()
-        };
-        if let Some(cap) = max_detached {
-            ev_opts.max_detached = cap;
-        }
-        if let Some(n) = max_inflight {
-            ev_opts.max_inflight = n;
-        }
-        if let Some(n) = shed_window {
-            ev_opts.shed_window = n;
-        }
-        if let Some(caps) = shed_caps {
-            ev_opts.shed_caps = caps;
-        }
-        if let Some(n) = conn_buffer {
-            ev_opts.conn_buffer = n;
-        }
-        ev_opts.sndbuf = sndbuf;
-        let server = EventServer::bind(&addr, cache, ev_opts).unwrap_or_else(|e| {
-            eprintln!("serve: cannot listen on {addr}: {e}");
-            exit(1);
-        });
-        let backend = if server.is_poll_fallback() { "poll" } else { "epoll" };
-        eprintln!("serve: event server ({backend}) listening on {addr}");
-        match server.run() {
-            Ok(metrics) => eprintln!("serve: {}", metrics.to_json()),
-            Err(e) => {
-                eprintln!("serve: event loop failed: {e}");
-                exit(1);
-            }
-        }
-        return;
-    }
-
-    let listener = TcpListener::bind(&addr).unwrap_or_else(|e| {
+    let addr = tcp.as_deref().unwrap_or("127.0.0.1:0");
+    let server = EventServer::bind(addr, cache, opts).unwrap_or_else(|e| {
         eprintln!("serve: cannot listen on {addr}: {e}");
         exit(1);
     });
-    eprintln!("serve: listening on {addr}");
-    for conn in listener.incoming() {
-        let stream = match conn {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("serve: accept failed: {e}");
-                continue;
-            }
-        };
-        let peer = stream.peer_addr().map_or_else(|_| "?".into(), |p| p.to_string());
-        let cache = Arc::clone(&cache);
-        let opts = opts.clone();
+    if tcp.is_some() {
+        let backend = if server.is_poll_fallback() { "poll" } else { "epoll" };
+        eprintln!("serve: event server ({backend}) listening on {addr}");
+        report(server.run());
+        return;
+    }
+
+    // stdin/stdout: one loopback connection. A pump thread copies stdin
+    // into it (blocking reads, so a regular file works too) and
+    // half-closes; the server drains every reply and closes, which ends
+    // the copy to stdout.
+    let local = server.local_addr().unwrap_or_else(|e| {
+        eprintln!("serve: {e}");
+        exit(1);
+    });
+    let shutdown = server.shutdown_handle();
+    let event_loop = std::thread::spawn(move || server.run());
+    let result = TcpStream::connect(local).and_then(|conn| {
+        let pump_conn = conn.try_clone()?;
         std::thread::spawn(move || {
-            let reader = match stream.try_clone() {
-                Ok(r) => BufReader::new(r),
-                Err(e) => {
-                    eprintln!("serve: [{peer}] clone failed: {e}");
-                    return;
-                }
-            };
-            let mut writer = stream;
-            match serve(reader, &mut writer, cache, &opts) {
-                Ok(metrics) => eprintln!("serve: [{peer}] {}", metrics.to_json()),
-                Err(e) => eprintln!("serve: [{peer}] I/O error: {e}"),
-            }
-            let _ = writer.flush();
+            let _ = std::io::copy(&mut std::io::stdin().lock(), &mut &pump_conn);
+            let _ = pump_conn.shutdown(Shutdown::Write);
         });
+        let mut stdout = std::io::stdout().lock();
+        std::io::copy(&mut &conn, &mut stdout)?;
+        stdout.flush()
+    });
+    shutdown.shutdown();
+    let metrics = event_loop.join().expect("event loop thread");
+    if let Err(e) = result {
+        eprintln!("serve: I/O error: {e}");
+        exit(1);
+    }
+    report(metrics);
+}
+
+/// Prints the server-wide tallies on stderr, or the loop's failure.
+fn report(metrics: std::io::Result<epic_serve::ServerMetrics>) {
+    match metrics {
+        Ok(m) => eprintln!("serve: {}", m.to_json()),
+        Err(e) => {
+            eprintln!("serve: event loop failed: {e}");
+            exit(1);
+        }
     }
 }

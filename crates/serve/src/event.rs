@@ -1,14 +1,21 @@
-//! The event-driven compile server (serve v2).
+//! The event-driven compile server — the crate's only server.
 //!
 //! One event-loop thread multiplexes every TCP connection through a
 //! [`Poller`] (epoll on Linux, poll(2) fallback): non-blocking accept,
-//! read, and write, with a per-connection state machine. Compile work
-//! never runs on the loop — requests are dispatched to a **fixed worker
-//! pool**, routed by the target's structural fingerprint (the same FNV
-//! mix the [`CompileCache`] shards by), so a hot workload's probes stay
-//! on one worker and its cache shard stays core-local. Workers push
-//! completions onto a queue and wake the loop through the poller's
-//! self-pipe.
+//! read, and write, with a per-connection state machine. The `serve`
+//! binary's stdin/stdout mode is one more loopback connection, pumped by
+//! the binary. Compile work never runs on the loop — requests are
+//! dispatched to a **fixed worker pool**, routed by the target's
+//! structural fingerprint (the same FNV mix the [`CompileCache`] shards
+//! by), so a hot workload's probes stay on one worker and its cache shard
+//! stays core-local. Workers push completions onto a queue and wake the
+//! loop through the poller's self-pipe.
+//!
+//! A worker runs each request behind a panic boundary: a panicking pass
+//! answers `{"ok":false,"error":{"kind":"internal",...}}` (counted in
+//! `serve_panics_total`) and the worker keeps serving its shard. Request
+//! timeouts are cooperative deadlines checked at pipeline stage
+//! boundaries, so no thread is ever left behind.
 //!
 //! ## Ordering and backpressure
 //!
@@ -19,11 +26,12 @@
 //! (its socket stays open, its submitted work finishes) until the buffer
 //! drains below half — so a slow reader bounds its own memory instead of
 //! growing the server's. Half-closed sockets (client shut down its write
-//! side) still receive every reply already in flight.
+//! side) still receive every reply already in flight, and a final line
+//! without a trailing newline is still answered.
 //!
 //! ## Admission and load shedding
 //!
-//! Three layers, cheapest first:
+//! Two layers, cheapest first:
 //! 1. **Deterministic shape admission** ([`crate::shape`]): requests are
 //!    classified into shape clusters (op count, branch height, config
 //!    hash) before any parse; each connection has a sliding window with
@@ -32,20 +40,20 @@
 //! 2. **Global in-flight backstop** (`max_inflight`): when the worker
 //!    queues hold that many unfinished compiles, further compile requests
 //!    are shed (non-deterministic by design — it reacts to actual load).
-//! 3. **Detached-thread cap** (`max_detached`, shared with v1): bounds
-//!    threads left behind by expired per-request timeout budgets.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use epic_bench::{route_fingerprint, CompileCache};
 use epic_obs::{metric_name, Counter, Gauge, Histogram, MetricsRegistry};
 
-use crate::exec::{process, LiveMetrics, Outcome, ServerMetrics, DETACHED_WORKERS_GAUGE};
+use crate::exec::{process, LiveMetrics, Outcome, ServerMetrics, REQUEST_LATENCY_HISTOGRAM};
 use crate::poller::{Event, Interest, Poller, WakeHandle};
 use crate::proto::{parse_control, peek_id, render_metrics, ControlOp};
 use crate::shape::{Admission, ShapeTable, Tier};
@@ -59,6 +67,8 @@ pub const READ_PAUSES_COUNTER: &str = "serve_read_pauses_total";
 /// Base name of the per-tier shed counters
 /// (`serve_shed_total{tier="small"|"medium"|"large"}`).
 pub const SHED_COUNTER: &str = "serve_shed_total";
+/// Registry name of the counter of requests whose worker panicked.
+pub const PANICS_COUNTER: &str = "serve_panics_total";
 
 /// Tuning knobs for one [`EventServer`].
 #[derive(Clone, Debug)]
@@ -67,9 +77,6 @@ pub struct EventOptions {
     pub workers: usize,
     /// Budget applied to requests that don't set their own `timeout_ms`.
     pub default_timeout_ms: Option<u64>,
-    /// Cap on concurrently-abandoned budget threads (see
-    /// [`crate::ServerOptions::max_detached`]).
-    pub max_detached: usize,
     /// Global backstop: compile requests arriving while this many are
     /// queued or running are shed with an `overloaded` reply. Load-
     /// dependent, hence non-deterministic; set it high when replaying
@@ -91,6 +98,9 @@ pub struct EventOptions {
     pub sndbuf: Option<usize>,
     /// Force the poll(2) backend even where epoll is available.
     pub force_poll: bool,
+    /// Period of the live server-wide metrics heartbeat on stderr; `None`
+    /// disables it.
+    pub heartbeat_ms: Option<u64>,
 }
 
 impl Default for EventOptions {
@@ -98,13 +108,13 @@ impl Default for EventOptions {
         EventOptions {
             workers: 0,
             default_timeout_ms: None,
-            max_detached: 64,
             max_inflight: 1024,
             shed_window: 64,
             shed_caps: [64, 64, 64],
             conn_buffer: 256 * 1024,
             sndbuf: None,
             force_poll: false,
+            heartbeat_ms: None,
         }
     }
 }
@@ -156,7 +166,7 @@ enum PendingReply {
     /// A finished (or immediately-failed) compile outcome.
     Done(Outcome),
     /// A control op, rendered when its turn comes so its snapshot covers
-    /// exactly the requests answered before it (v1 semantics).
+    /// exactly the requests answered before it.
     Control(ControlOp),
 }
 
@@ -223,7 +233,6 @@ struct Ctx {
     shed_counters: [Arc<Counter>; 3],
     tier_hists: [Arc<Histogram>; 3],
     latency_hist: Arc<Histogram>,
-    detached_gauge: Arc<Gauge>,
 }
 
 /// The event-driven compile server. [`bind`](EventServer::bind) it, grab
@@ -278,9 +287,8 @@ impl EventServer {
             shed_counters: Tier::ALL.map(|t| {
                 registry.counter(&metric_name(SHED_COUNTER, &[("tier", t.name())]))
             }),
-            tier_hists: Tier::ALL.map(|t| tier_metric(crate::exec::REQUEST_LATENCY_HISTOGRAM, t)),
-            latency_hist: registry.histogram(crate::exec::REQUEST_LATENCY_HISTOGRAM),
-            detached_gauge: registry.gauge(DETACHED_WORKERS_GAUGE),
+            tier_hists: Tier::ALL.map(|t| tier_metric(REQUEST_LATENCY_HISTOGRAM, t)),
+            latency_hist: registry.histogram(REQUEST_LATENCY_HISTOGRAM),
             opts,
         };
         Ok(EventServer {
@@ -314,7 +322,7 @@ impl EventServer {
 
     /// Runs the loop until [`ShutdownHandle::shutdown`]. Returns the
     /// server-wide tallies (per-connection tallies are reported on stderr
-    /// as connections close, mirroring the v1 TCP front-end).
+    /// as connections close).
     ///
     /// # Errors
     ///
@@ -322,31 +330,33 @@ impl EventServer {
     /// that connection and per-request failures become `{"ok":false}`
     /// replies.
     pub fn run(mut self) -> io::Result<ServerMetrics> {
-        let wake = self.poller.wake_handle();
+        let panics = MetricsRegistry::global().counter(PANICS_COUNTER);
         let workers: Vec<std::thread::JoinHandle<()>> = self
             .receivers
             .drain(..)
             .map(|rx| {
                 let cache = Arc::clone(&self.ctx.cache);
                 let completions = Arc::clone(&self.completions);
-                let default_timeout = self.ctx.opts.default_timeout_ms;
-                let max_detached = self.ctx.opts.max_detached;
+                let wake = self.poller.wake_handle();
+                let panics = Arc::clone(&panics);
+                let timeout = self.ctx.opts.default_timeout_ms;
                 std::thread::spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let outcome = process(&job.line, &cache, default_timeout, max_detached);
-                        completions.lock().expect("completion queue poisoned").push_back(
-                            Completion {
-                                token: job.token,
-                                seq: job.seq,
-                                tier: job.tier,
-                                outcome,
-                            },
-                        );
-                        wake.wake();
-                    }
+                    work(rx, &completions, &wake, &panics, |line| process(line, &cache, timeout))
                 })
             })
             .collect();
+        // The heartbeat thread sleeps on a channel so dropping `stop`
+        // wakes it for good.
+        let (stop, stopped) = mpsc::channel::<()>();
+        if let Some(ms) = self.ctx.opts.heartbeat_ms {
+            let live = Arc::clone(&self.ctx.global_live);
+            let period = Duration::from_millis(ms.max(1));
+            std::thread::spawn(move || {
+                while stopped.recv_timeout(period) == Err(mpsc::RecvTimeoutError::Timeout) {
+                    eprintln!("serve: heartbeat {{\"metrics\":{}}}", live.snapshot().to_json());
+                }
+            });
+        }
 
         let mut conns: HashMap<usize, Conn> = HashMap::new();
         let mut next_token = LISTENER_TOKEN + 1;
@@ -416,12 +426,40 @@ impl EventServer {
                 }
             }
         };
+        drop(stop);
         drop(self.ctx.senders); // workers drain their queues and exit
         for w in workers {
             let _ = w.join();
         }
         loop_result?;
         Ok(self.ctx.global_live.snapshot())
+    }
+}
+
+/// One worker: runs each job's line through `run` behind a panic boundary
+/// and queues the completion. A panic becomes an `internal` error reply,
+/// so the connection's reorder map never waits on a lost reply and this
+/// worker keeps serving its shard.
+fn work(
+    rx: mpsc::Receiver<Job>,
+    completions: &Mutex<VecDeque<Completion>>,
+    wake: &WakeHandle,
+    panics: &Counter,
+    run: impl Fn(&str) -> Outcome,
+) {
+    while let Ok(job) = rx.recv() {
+        let outcome = catch_unwind(AssertUnwindSafe(|| run(&job.line))).unwrap_or_else(|p| {
+            panics.inc();
+            let msg = p
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| p.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".into());
+            Outcome::error_line(peek_id(&job.line), &ServeError::Internal(msg))
+        });
+        let done = Completion { token: job.token, seq: job.seq, tier: job.tier, outcome };
+        completions.lock().expect("completion queue poisoned").push_back(done);
+        wake.wake();
     }
 }
 
@@ -504,7 +542,8 @@ fn read_ready(conn: &mut Conn, token: usize, ctx: &Ctx, inflight_total: &mut usi
     consume_lines(conn, token, ctx, inflight_total);
 }
 
-/// Splits `inbuf` at newlines and handles each complete line.
+/// Splits `inbuf` at newlines and handles each complete line; after EOF a
+/// non-empty unterminated tail is the final line.
 fn consume_lines(conn: &mut Conn, token: usize, ctx: &Ctx, inflight_total: &mut usize) {
     let mut start = 0;
     while let Some(nl) = conn.inbuf[start..].iter().position(|&b| b == b'\n') {
@@ -518,12 +557,15 @@ fn consume_lines(conn: &mut Conn, token: usize, ctx: &Ctx, inflight_total: &mut 
         handle_line(conn, token, &line, ctx, inflight_total);
     }
     conn.inbuf.drain(..start);
+    if conn.read_closed && !conn.inbuf.is_empty() {
+        let line = std::mem::take(&mut conn.inbuf);
+        handle_line(conn, token, &line, ctx, inflight_total);
+    }
 }
 
 /// Classifies, admits, and routes one request line — or produces its
-/// immediate reply. Mirrors v1 line semantics exactly: blank lines are
-/// skipped, invalid UTF-8 answers an `io` error and keeps the stream
-/// alive, control ops render in reply order.
+/// immediate reply. Blank lines are skipped, invalid UTF-8 answers an `io`
+/// error and keeps the stream alive, control ops render in reply order.
 fn handle_line(
     conn: &mut Conn,
     token: usize,
@@ -532,7 +574,7 @@ fn handle_line(
     inflight_total: &mut usize,
 ) {
     let Ok(line) = std::str::from_utf8(raw) else {
-        // Same wording the v1 reader's BufRead::lines error carries.
+        // The wording `BufRead::lines` uses for the same failure.
         let e = ServeError::Io("stream did not contain valid UTF-8".into());
         let seq = conn.next_seq;
         conn.next_seq += 1;
@@ -540,7 +582,7 @@ fn handle_line(
         return;
     };
     if line.trim().is_empty() {
-        return; // no reply slot, exactly like the v1 reader
+        return; // no reply slot
     }
     let seq = conn.next_seq;
     conn.next_seq += 1;
@@ -629,7 +671,6 @@ fn advance(conn: &mut Conn, ctx: &Ctx) {
                 let line = render_metrics(
                     id,
                     &conn.live.snapshot().to_json(),
-                    ctx.detached_gauge.value(),
                     &MetricsRegistry::global().snapshot().to_json(),
                 );
                 conn.outbuf.extend_from_slice(line.as_bytes());
@@ -649,5 +690,38 @@ fn advance(conn: &mut Conn, ctx: &Ctx) {
         ctx.pause_counter.inc();
     } else if conn.paused && conn.queued_out() <= ctx.opts.conn_buffer / 2 {
         conn.paused = false;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_job_answers_internal_and_the_worker_survives() {
+        let (tx, rx) = mpsc::channel();
+        for (seq, line) in ["{\"id\":7,\"workload\":\"boom\"}", "{\"id\":8}"].iter().enumerate() {
+            let job = Job { token: 1, seq: seq as u64, line: line.to_string(), tier: Tier::Small };
+            tx.send(job).unwrap();
+        }
+        drop(tx);
+        let completions = Mutex::new(VecDeque::new());
+        let poller = Poller::new(false).unwrap();
+        let panics = Counter::new();
+        work(rx, &completions, &poller.wake_handle(), &panics, |line| {
+            if line.contains("boom") {
+                panic!("pass exploded");
+            }
+            Outcome::error_line(Some(8), &ServeError::Protocol("fine".into()))
+        });
+        let done: Vec<Completion> = completions.into_inner().unwrap().into();
+        assert_eq!(done.len(), 2, "both jobs complete; the worker outlived the panic");
+        assert_eq!(panics.value(), 1);
+        let first = &done[0].outcome.line;
+        let internal = "{\"id\":7,\"ok\":false,\"error\":{\"kind\":\"internal\"";
+        assert!(first.starts_with(internal), "{first}");
+        assert!(first.contains("pass exploded"), "{first}");
+        assert_eq!(done[1].seq, 1);
+        assert!(done[1].outcome.line.contains("fine"), "{}", done[1].outcome.line);
     }
 }

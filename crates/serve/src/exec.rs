@@ -1,36 +1,28 @@
-//! Request execution shared by both server front-ends.
+//! Per-request execution for the event server's workers.
 //!
-//! The thread-per-batch [`server`](crate::server) loop and the
-//! event-driven [`event`](crate::event) server run the same pipeline per
-//! request: parse, compile through the shared
-//! [`CompileCache`](epic_bench::CompileCache), optionally diff-test and
-//! schedule-check, and render exactly one reply line. This module owns
-//! that per-request path — including the detached-thread timeout budget
-//! and its gauge accounting — so the two front-ends cannot drift apart in
-//! reply wording or accounting semantics.
+//! Parse one request line, compile it through the shared
+//! [`CompileCache`](epic_bench::CompileCache) under the request's
+//! deadline, optionally diff-test and schedule-check, and render exactly
+//! one reply line plus the tallies the connection keeps.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use epic_bench::{check_equivalence, check_pair_schedules, compile_cached, CompileCache, Pipeline};
+use epic_bench::{check_pair_schedules, CompileCache, CompileError, Pipeline};
 use epic_interp::diff_test;
-use epic_obs::{MetricsRegistry, Span, TraceIdGuard};
+use epic_obs::{Span, TraceIdGuard};
 
-use crate::proto::{render_err, render_ok, result_json, ControlOp, Request, Target};
+use crate::proto::{render_err, render_ok, result_json, Request, Target};
 use crate::ServeError;
 
-/// Registry name of the gauge counting currently-abandoned compile threads.
-pub const DETACHED_WORKERS_GAUGE: &str = "serve_detached_workers";
 /// Registry name of the per-request latency histogram (microseconds).
 pub const REQUEST_LATENCY_HISTOGRAM: &str = "serve_request_us";
 
-/// What one serve loop did, reported once at shutdown (and live, to
-/// `{"op":"metrics"}` control requests and the stderr heartbeat). Control
-/// requests themselves are not counted: the tallies cover compile
-/// requests only, so a metrics reply reconciles exactly with the final
-/// report.
+/// What the server (or one connection) did, reported at shutdown and on
+/// connection close, and live to `{"op":"metrics"}` control requests and
+/// the stderr heartbeat. Control requests themselves are not counted: the
+/// tallies cover compile requests only, so a metrics reply reconciles
+/// exactly with the final report.
 #[derive(Clone, Debug, Default)]
 pub struct ServerMetrics {
     /// Request lines answered.
@@ -70,7 +62,7 @@ impl ServerMetrics {
     }
 }
 
-/// The writer's tallies behind atomics, so heartbeat threads, in-band
+/// The tallies behind atomics, so the heartbeat thread, in-band
 /// `{"op":"metrics"}` renderers, and the event loop can snapshot them
 /// while requests are still in flight. Latencies are stored as integer
 /// microseconds; [`ServerMetrics`] gets them back as milliseconds.
@@ -131,110 +123,49 @@ fn check_machines() -> [epic_machine::Machine; 2] {
     [epic_machine::Machine::wide(), epic_machine::Machine::sequential()]
 }
 
-/// Runs the pipeline for one request. Owns everything it touches so it can
-/// be shipped to a detached thread when a timeout budget applies.
-fn execute(req: &Request, cache: &CompileCache) -> Result<Summary, ServeError> {
-    match &req.target {
-        Target::Workload(name) => {
-            let w = epic_workloads::by_name(name)
-                .ok_or_else(|| ServeError::UnknownWorkload(name.clone()))?;
-            let c = compile_cached(&w, &req.cfg, cache)?;
-            if req.check {
-                check_equivalence(&w, &c).map_err(epic_bench::CompileError::Diff)?;
-                check_pair_schedules(w.name, &c, &check_machines())
-                    .map_err(ServeError::Schedule)?;
-            }
-            Ok(Summary {
-                result: result_json(w.name, &c, req.emit_ir),
-                hits: c.cache_hits,
-                misses: c.cache_misses,
-            })
-        }
-        Target::Inline(t) => {
-            let c = Pipeline::for_function(&t.name, &t.func, &t.input, t.unroll, &req.cfg)
-                .with_cache(cache)
-                .if_convert()?
-                .meld()?
-                .superblock()?
-                .unroll()?
-                .frp()?
-                .icbm()?;
-            if req.check {
-                diff_test(&t.func, &c.baseline, &t.input)
-                    .map_err(epic_bench::CompileError::Diff)?;
-                diff_test(&t.func, &c.optimized, &t.input)
-                    .map_err(epic_bench::CompileError::Diff)?;
-                check_pair_schedules(&t.name, &c, &check_machines())
-                    .map_err(ServeError::Schedule)?;
-            }
-            Ok(Summary {
-                result: result_json(&t.name, &c, req.emit_ir),
-                hits: c.cache_hits,
-                misses: c.cache_misses,
-            })
-        }
-    }
-}
-
-/// Lifecycle of one budgeted compile thread, tracked so the
-/// [`DETACHED_WORKERS_GAUGE`] balances exactly: whichever side observes
-/// both transitions (the timeout seeing `RUNNING`, or the compile thread
-/// seeing `ABANDONED`) adjusts the gauge, so a finish racing the timeout
-/// can neither leak an increment nor decrement twice.
-const STATE_RUNNING: u8 = 0;
-const STATE_DONE: u8 = 1;
-const STATE_ABANDONED: u8 = 2;
-
-/// `execute` under a wall-clock budget: the compile runs on a detached
-/// thread and an expired budget abandons it (it keeps warming the cache).
-/// Abandoned threads are counted on the [`DETACHED_WORKERS_GAUGE`]; at
-/// `max_detached` of them the request is refused outright with
-/// [`ServeError::Overloaded`] rather than spawning another.
-fn execute_with_budget(
-    req: Request,
-    cache: &Arc<CompileCache>,
-    budget_ms: Option<u64>,
-    max_detached: usize,
+/// Runs the pipeline for one request. A suite workload and inline IR go
+/// through the same stage chain; `check:true` diff-tests a workload on its
+/// training and evaluation inputs, inline IR on its one input. A passed
+/// `deadline` fails the compile at the next stage boundary, or just before
+/// validation.
+fn execute(
+    req: &Request,
+    cache: &CompileCache,
+    deadline: Option<Instant>,
 ) -> Result<Summary, ServeError> {
-    let Some(ms) = budget_ms else {
-        return execute(&req, cache);
+    let w;
+    let (name, func, training, evaluation, unroll) = match &req.target {
+        Target::Workload(name) => {
+            w = epic_workloads::by_name(name)
+                .ok_or_else(|| ServeError::UnknownWorkload(name.clone()))?;
+            (w.name, &w.func, &w.training, w.evaluation.as_slice(), w.unroll)
+        }
+        Target::Inline(t) => (t.name.as_str(), &t.func, &t.input, &[][..], t.unroll),
     };
-    let detached = MetricsRegistry::global().gauge(DETACHED_WORKERS_GAUGE);
-    if detached.value() >= max_detached as i64 {
-        return Err(ServeError::Overloaded(max_detached));
+    let mut pipeline =
+        Pipeline::for_function(name, func, training, unroll, &req.cfg).with_cache(cache);
+    if let Some(d) = deadline {
+        pipeline = pipeline.with_deadline(d);
     }
-    let (tx, rx) = mpsc::channel();
-    let cache = Arc::clone(cache);
-    let state = Arc::new(AtomicU8::new(STATE_RUNNING));
-    let trace_id = epic_obs::current_trace_id();
-    let thread_state = Arc::clone(&state);
-    let thread_detached = Arc::clone(&detached);
-    std::thread::spawn(move || {
-        // Propagate the request's trace id so spans recorded by the
-        // (possibly abandoned) compile still group under the request.
-        let _g = trace_id.map(TraceIdGuard::set);
-        // The receiver is gone iff the budget already expired; the result
-        // is then simply dropped along with this thread.
-        let _ = tx.send(execute(&req, &cache));
-        if thread_state.swap(STATE_DONE, Ordering::AcqRel) == STATE_ABANDONED {
-            thread_detached.add(-1);
+    let c = pipeline.if_convert()?.meld()?.superblock()?.unroll()?.frp()?.icbm()?;
+    if req.check {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(CompileError::Deadline { stage: "check" }.into());
         }
-    });
-    match rx.recv_timeout(Duration::from_millis(ms)) {
-        Ok(res) => res,
-        Err(_) => {
-            if state.swap(STATE_ABANDONED, Ordering::AcqRel) == STATE_RUNNING {
-                detached.add(1);
-            }
-            Err(ServeError::Timeout(ms))
+        for input in std::iter::once(training).chain(evaluation) {
+            diff_test(func, &c.baseline, input).map_err(CompileError::Diff)?;
+            diff_test(func, &c.optimized, input).map_err(CompileError::Diff)?;
         }
+        check_pair_schedules(name, &c, &check_machines()).map_err(ServeError::Schedule)?;
     }
+    Ok(Summary {
+        result: result_json(name, &c, req.emit_ir),
+        hits: c.cache_hits,
+        misses: c.cache_misses,
+    })
 }
 
-/// One response line plus the accounting the writer tallies. A control
-/// request's outcome carries no line: the writer renders it in-place when
-/// its turn in the response order comes up, so the reported tallies cover
-/// exactly the requests answered before it.
+/// One reply line plus the accounting the connection tallies.
 pub(crate) struct Outcome {
     pub(crate) line: String,
     pub(crate) ok: bool,
@@ -242,26 +173,12 @@ pub(crate) struct Outcome {
     pub(crate) hits: u64,
     pub(crate) misses: u64,
     pub(crate) ms: f64,
-    pub(crate) control: Option<ControlOp>,
 }
 
 impl Outcome {
-    /// A control request, deferred to the writer (not tallied).
-    pub(crate) fn control(op: ControlOp) -> Outcome {
-        Outcome {
-            line: String::new(),
-            ok: true,
-            timed_out: false,
-            hits: 0,
-            misses: 0,
-            ms: 0.0,
-            control: Some(op),
-        }
-    }
-
     /// An error outcome produced outside `process` (reader failures,
-    /// malformed control requests, admission sheds) — no compile ran, so
-    /// no latency.
+    /// malformed control requests, admission sheds, worker panics) — no
+    /// compile ran, so no latency.
     pub(crate) fn error_line(id: Option<u64>, e: &ServeError) -> Outcome {
         Outcome {
             line: render_err(id, e, 0, 0, 0.0, epic_obs::next_trace_id()),
@@ -270,35 +187,40 @@ impl Outcome {
             hits: 0,
             misses: 0,
             ms: 0.0,
-            control: None,
         }
     }
 }
 
 /// Parses and executes one compile-request line end to end, producing the
 /// reply line plus its accounting. Every failure mode degrades to an
-/// `{"ok":false,...}` line; nothing escapes.
+/// `{"ok":false,...}` line; nothing escapes. A request's `timeout_ms` (or
+/// `default_timeout_ms`) becomes its compile deadline.
 pub(crate) fn process(
     line: &str,
-    cache: &Arc<CompileCache>,
+    cache: &CompileCache,
     default_timeout_ms: Option<u64>,
-    max_detached: usize,
 ) -> Outcome {
     // One trace id per request: every span recorded while serving it —
-    // pipeline stages, cache probes, ICBM sub-phases, even on an abandoned
-    // budget thread — carries this id, and the reply echoes it.
+    // pipeline stages, cache probes, ICBM sub-phases — carries this id,
+    // and the reply echoes it.
     let trace_id = epic_obs::next_trace_id();
     let _id_guard = TraceIdGuard::set(trace_id);
     let _span = Span::enter("serve.request", "serve");
     let t0 = Instant::now();
     let (id, res) = match Request::parse(line) {
         // Parse-stage failures (malformed fields, bad knobs) still echo a
-        // plainly-present id, matching the event server's shed/error path.
+        // plainly-present id, matching the shed/error path.
         Err(e) => (crate::proto::peek_id(line), Err(e)),
         Ok(req) => {
-            let id = req.id;
             let budget = req.timeout_ms.or(default_timeout_ms);
-            (id, execute_with_budget(req, cache, budget, max_detached))
+            let deadline = budget.and_then(|ms| t0.checked_add(Duration::from_millis(ms)));
+            let res = match execute(&req, cache, deadline) {
+                Err(ServeError::Compile(CompileError::Deadline { .. })) => {
+                    Err(ServeError::Timeout(budget.unwrap_or_default()))
+                }
+                res => res,
+            };
+            (req.id, res)
         }
     };
     let ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -310,7 +232,6 @@ pub(crate) fn process(
             hits: s.hits,
             misses: s.misses,
             ms,
-            control: None,
         },
         Err(e) => Outcome {
             line: render_err(id, &e, 0, 0, ms, trace_id),
@@ -319,7 +240,6 @@ pub(crate) fn process(
             hits: 0,
             misses: 0,
             ms,
-            control: None,
         },
     }
 }

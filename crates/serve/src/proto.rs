@@ -21,7 +21,9 @@
 //! `meld` group enables the instruction-melding pass, and the `machine`
 //! group reaches the front-end cost model through
 //! `"frontend.mispredict_penalty"` / `"frontend.fetch_width"`),
-//! `"timeout_ms"`, `"check"` (differentially
+//! `"timeout_ms"` (a wall-clock budget, checked at each pipeline stage
+//! boundary: an expired request stops before its next stage and answers a
+//! `timeout` error), `"check"` (differentially
 //! test the compiled pair before answering), `"emit_ir"` (include the
 //! compiled IR text in the result).
 //!
@@ -50,7 +52,7 @@
 //!
 //! ```json
 //! {"id":9,"ok":true,"metrics":{"requests":...,"ok":...,...},
-//!  "detached_workers":0,"registry":{"compile_cache_hits_total":{...},...}}
+//!  "registry":{"compile_cache_hits_total":{...},...}}
 //! ```
 //!
 //! Because the reply is rendered by the writer when its turn in the
@@ -402,19 +404,33 @@ pub fn render_err(
 /// Renders the reply to a `{"op":"metrics"}` control request.
 /// `metrics_json` is the server's live tally object and `registry_json`
 /// the process-wide registry snapshot (both already rendered).
-pub fn render_metrics(
-    id: Option<u64>,
-    metrics_json: &str,
-    detached_workers: i64,
-    registry_json: &str,
-) -> String {
+pub fn render_metrics(id: Option<u64>, metrics_json: &str, registry_json: &str) -> String {
     format!(
-        "{{\"id\":{},\"ok\":true,\"metrics\":{},\"detached_workers\":{},\"registry\":{}}}",
+        "{{\"id\":{},\"ok\":true,\"metrics\":{},\"registry\":{}}}",
         id_json(id),
         metrics_json,
-        detached_workers,
         registry_json
     )
+}
+
+/// Everything before a reply's `"cache"` key: a pure function of the
+/// request (the suffix carries cache counters, wall-clock `ms` and the
+/// run-specific `trace_id`).
+pub fn stable_prefix(reply: &str) -> &str {
+    reply.split(",\"cache\":").next().unwrap_or(reply)
+}
+
+/// Order-sensitive FNV-1a digest (16 hex digits) of the stable prefixes of
+/// `replies`, skipping `{"op":"metrics"}` replies (live snapshots). A
+/// replayed stream's digest is compared against a committed golden value.
+pub fn reply_digest<'a>(replies: impl IntoIterator<Item = &'a str>) -> String {
+    let mut h = epic_ir::Fnv64::new();
+    for r in replies {
+        if !r.contains(",\"ok\":true,\"metrics\":") {
+            h.write_str(stable_prefix(r));
+        }
+    }
+    format!("{:016x}", h.finish())
 }
 
 #[cfg(test)]
@@ -565,13 +581,13 @@ mod tests {
         assert_eq!(id, None);
         assert_eq!(e.kind(), "protocol");
 
-        let line = render_metrics(Some(4), "{\"requests\":2}", 1, "{}");
+        let line = render_metrics(Some(4), "{\"requests\":2}", "{}");
         let j = Json::parse(&line).unwrap();
         assert_eq!(j.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
             j.get("metrics").and_then(|m| m.get("requests")).and_then(Json::as_u64),
             Some(2)
         );
-        assert_eq!(j.get("detached_workers").and_then(Json::as_i64), Some(1));
+        assert!(j.get("registry").is_some(), "{line}");
     }
 }

@@ -12,7 +12,7 @@ use epic_bench::Json;
 #[test]
 fn metrics_heartbeat_and_io_errors_through_the_binary() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args(["--threads", "1", "--heartbeat-ms", "25"])
+        .args(["--workers", "1", "--heartbeat-ms", "25"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())

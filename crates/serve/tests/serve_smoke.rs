@@ -3,7 +3,7 @@
 //! Feeds the same mixed batch twice through one process: the second pass
 //! must be answered entirely from the warm compile cache (`"misses":0` on
 //! every line) with responses byte-identical to the first pass once the
-//! cache counters are stripped.
+//! cache counters are stripped. Stdin may also be a regular file.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -46,7 +46,7 @@ fn batch_twice_through_one_server_hits_cache_everywhere() {
     // (concurrent misses on one key are legal and covered by the lib
     // tests); the reorder buffer and the pool itself are exercised there.
     let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .arg("--threads")
+        .arg("--workers")
         .arg("1")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -144,4 +144,26 @@ fn inline_ir_round_trips_through_the_binary() {
         .and_then(Json::as_str)
         .expect("baseline ir");
     epic_ir::parse_function(base_ir).expect("compiled baseline reparses");
+}
+
+#[test]
+fn regular_file_stdin_is_served() {
+    // A regular file cannot be registered with epoll; the binary pumps it
+    // into the event loop instead. The last line has no trailing newline.
+    let dir = std::env::temp_dir().join(format!("epic-serve-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("batch.ndjson");
+    std::fs::write(&path, "{\"id\":1,\"workload\":\"strcpy\"}\n{\"id\":2,\"workload\":\"wc\"}")
+        .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .stdin(std::fs::File::open(&path).unwrap())
+        .output()
+        .expect("run serve");
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(out.status.success(), "serve failed: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "stdout:\n{stdout}");
+    assert!(lines[0].starts_with("{\"id\":1,\"ok\":true"), "{}", lines[0]);
+    assert!(lines[1].starts_with("{\"id\":2,\"ok\":true"), "{}", lines[1]);
 }

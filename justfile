@@ -1,7 +1,7 @@
 # Project task runner. `just --list` shows recipes.
 
 # Full pre-merge gate: release build, tests, clippy clean, fuzz corpus,
-# batch-server smoke, event-server load smoke, observability smoke,
+# compile-server smoke, event-server load smoke, observability smoke,
 # schedule validation, perf gate.
 bench-check: fuzz-smoke riscfe-check serve-smoke serve-bench obs-smoke sched-check perf-check tune-smoke
     cargo build --release
@@ -20,17 +20,22 @@ sched-check:
     cargo test --release -q -p epic-schedcheck
     cargo test --release -q -p epic-bench --test sched_validation --test sched_properties
 
-# End-to-end smoke of the batch-compile server: feeds a mixed batch twice
-# through the real binary and requires the second pass to be answered
-# entirely from the compile cache, byte-identical to the first.
+# End-to-end smoke of the compile server: feeds a mixed batch twice
+# through the real binary's stdin and requires the second pass to be
+# answered entirely from the compile cache, byte-identical to the first;
+# also serves a regular file on stdin. Then the event-server edge cases:
+# every protocol path against a golden reply digest, backpressure,
+# half-closes, torture clients, panics, and deterministic shedding.
 serve-smoke:
     cargo test --release -q -p epic-serve --test serve_smoke
     cargo test --release -q -p epic-serve --test event_edge
 
 # Event-server load smoke: replays a deterministic mixed stream through
 # the epoll server (plus slow-reader and byte-per-syscall torture
-# clients), requires every reply byte-identical to the v1 server and in
-# order, deterministic shed sets across replays, and a sane p99.
+# clients), requires the replies' digest to equal the committed golden
+# digest, every reply in order, the torture clients to match a
+# single-worker server, deterministic shed sets across replays, and a
+# sane p99.
 serve-bench:
     cargo run --release -q -p epic-serve --bin loadgen -- --quick
 
