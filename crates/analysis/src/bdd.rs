@@ -5,7 +5,7 @@
 //! their guarding predicates are provably disjoint (paper §3), predicate
 //! speculation needs "will this promoted write clobber a live value"
 //! queries, and the ICBM suitability proof is about predicate implication.
-//! Elcor used the predicate query system of [JS96]; we replace it with an
+//! Elcor used the predicate query system of \[JS96\]; we replace it with an
 //! exact BDD over branch-condition variables, which is simpler to test.
 //!
 //! The manager hash-conses nodes, so equality of [`Bdd`] handles is

@@ -8,7 +8,7 @@
 //!   It is conservative with respect to predication: a guarded definition
 //!   does not kill.
 //! * [`RegionLiveness`] — the predicate-aware *liveness expressions* of
-//!   [JS96] that the paper's predicate speculation pass needs (§5.1): for
+//!   \[JS96\] that the paper's predicate speculation pass needs (§5.1): for
 //!   every operation, the boolean condition (as a [`Bdd`] over the region's
 //!   condition variables) under which each register is live just **below**
 //!   the operation. Promoting an operation's guard from `p` to `true` is
@@ -18,7 +18,7 @@
 //! Internally the global analysis runs on dense [`BitSet`]s indexed by
 //! register/predicate number and per-layout-position arrays — the public
 //! `HashMap`/`HashSet` result shape is materialized once at the end. The
-//! pre-bitset implementation survives verbatim in [`reference`] as the
+//! pre-bitset implementation survives verbatim in [`reference`](mod@reference) as the
 //! differential oracle; the `liveness_matches_reference` tests here and the
 //! workload-scale oracle tests in `epic-bench` compare the two.
 

@@ -1,4 +1,5 @@
-//! Writes a harness-performance snapshot (`BENCH_pr6.json` by default):
+//! Writes a harness-performance snapshot (`BENCH_table2.json` by default,
+//! `BENCH_table2_large.json` with `--large`):
 //! serial `table2` wall clock (min of three runs), a 1/2/4/8 thread sweep
 //! of the parallel path (min of three runs each), the host's core count,
 //! per-stage geomean wall times, and per-workload pass timings.
@@ -273,7 +274,7 @@ fn main() {
             "--check" => {
                 let path = match args.peek() {
                     Some(p) if !p.starts_with("--") => args.next().unwrap(),
-                    _ => "BENCH_pr6.json".to_string(),
+                    _ => "BENCH_table2.json".to_string(),
                 };
                 check = Some(path);
             }
@@ -300,8 +301,8 @@ fn main() {
             return;
         }
     }
-    let out =
-        out.unwrap_or_else(|| if large { "BENCH_pr10.json" } else { "BENCH_pr6.json" }.to_string());
+    let default_out = if large { "BENCH_table2_large.json" } else { "BENCH_table2.json" };
+    let out = out.unwrap_or_else(|| default_out.to_string());
 
     let serial_rows = table2_serial(&workloads, &cfg);
     let mut sweep: Vec<(usize, f64)> = Vec::new();

@@ -1,6 +1,6 @@
 //! Decomposition of the speedup: how much comes from FRP conversion alone
 //! (branches become independent and can overlap in the schedule), versus
-//! the *redundant* full-CPR scheme of [SK95] (every branch re-guarded by a
+//! the *redundant* full-CPR scheme of \[SK95\] (every branch re-guarded by a
 //! fresh height-reduced FRP, quadratic compares, nothing moved off-trace),
 //! versus the full ICBM transformation (branches collapse into a bypass).
 //!

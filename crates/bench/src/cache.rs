@@ -612,7 +612,7 @@ fn stats_from_json(j: &Json) -> Result<IcbmStats, String> {
 /// On-disk artifact format version. Stamped into every serialized entry
 /// and checked on load: an artifact written by a different schema (or one
 /// predating the stamp, which carried silently-incompatible payloads
-/// across releases) is rejected — and, via [`CompileCache::disk_load`]'s
+/// across releases) is rejected — and, via `CompileCache::disk_load`'s
 /// corrupt-entry handling, deleted — instead of being deserialized into
 /// the wrong shape.
 pub const FORMAT_VERSION: u64 = 1;

@@ -5,7 +5,7 @@
 //! code to which FRP conversion and the ICBM schema are applied."
 //!
 //! [`compile`] is a thin wrapper over the staged
-//! [`Pipeline`](crate::pipeline::Pipeline) API; [`compile_cached`] is the
+//! [`Pipeline`] API; [`compile_cached`] is the
 //! same flow with a [`CompileCache`] attached, so repeated or
 //! config-overlapping compilations reuse stage artifacts instead of
 //! recomputing them.

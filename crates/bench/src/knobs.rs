@@ -1,43 +1,52 @@
-//! The typed knob registry: one config surface over the whole pipeline.
+//! The knob table: one row per tunable, and everything else derived from it.
 //!
 //! Every tunable the repro exposes — superblock formation
 //! ([`epic_regions::TraceConfig`]), if-conversion ([`IfConvertConfig`]),
 //! instruction melding ([`MeldConfig`]), the ICBM heuristics
 //! ([`control_cpr::CprConfig`]) and the target machine shape and front end
-//! ([`epic_machine::Machine`], [`epic_machine::Frontend`]) — is described
-//! here as a [`KnobSpec`]:
-//! a dotted name (`cpr.exit_weight_threshold`), a typed kind with its
-//! legal range, the paper default, and a small grid of search choices.
-//! [`KnobSpace::new`] reads the defaults from the real config structs
-//! (`PipelineConfig::default()`, `Machine::medium()`), so the registry can
-//! never drift from the code it describes.
+//! ([`epic_machine::Machine`], [`epic_machine::Frontend`]) — is one row of
+//! [`KNOBS`]: a dotted name (`cpr.exit_weight_threshold`), a typed kind with
+//! its legal range, a small grid of search choices, the compile stages whose
+//! cache key hashes the knob, the optional stage it switches on, and
+//! `get`/`set` accessors on one flat settings value. Everything else is
+//! derived from that table:
+//!
+//! * [`KnobSpace::new`] reads each paper default with `get` on the paper
+//!   config (`PipelineConfig::default()`, `Machine::medium()`);
+//! * [`ConfigDelta::apply`] is a loop over `set`;
+//! * [`PipelineConfig::stage_hash`], the config part of every stage's
+//!   compile-cache key, absorbs exactly the knobs whose row lists that
+//!   stage, and [`TunedConfig::full_hash`] adds the [`MACHINE`] knobs;
+//! * the serve wire groups (`{"cpr":{...}}`) and the tuner's gates (dead
+//!   genes behind an off pass) come from the names and switches.
+//!
+//! Adding a knob = one row in [`KNOBS`] + the struct field it reads and
+//! writes; its cache keys, defaults, wire name and search gene follow.
 //!
 //! A [`ConfigDelta`] is a validated set of named knob assignments. It is
 //! the one currency shared by everything that manipulates configurations:
-//!
-//! * the `epic-tune` search driver samples and mutates deltas,
-//! * the serve override path parses client JSON into a delta (rejecting
-//!   unknown or out-of-range knobs by name),
-//! * the fuzzer's config sampling draws knob values through the same
-//!   validation,
-//! * and [`ConfigDelta::apply`] turns a delta into a concrete
-//!   [`TunedConfig`] whose [`PipelineConfig`] feeds the existing
-//!   `config_hash` (and therefore the compile cache) unchanged.
+//! the `epic-tune` search driver samples and mutates deltas, the serve
+//! override path parses client JSON into one (rejecting unknown or
+//! out-of-range knobs by name), and the fuzzer's config sampling draws knob
+//! values through the same validation.
 //!
 //! Deltas render to flat JSON (`{"cpr.speculate":false}`) and parse back
 //! losslessly; infinite thresholds (the §4.1 "uniform" ablation) are
 //! encoded as the string `"inf"` since JSON has no infinity literal.
 
 use std::fmt;
+use std::ops::Deref;
 use std::sync::OnceLock;
 
+use control_cpr::CprConfig;
 use epic_ir::{combine_hashes, Fnv64};
 use epic_machine::{Frontend, Latencies, Machine, Widths};
-use epic_regions::{IfConvertConfig, MeldConfig};
+use epic_regions::{IfConvertConfig, MeldConfig, TraceConfig};
 
 use crate::compile::PipelineConfig;
 use crate::json::Json;
 use crate::timing::json_string;
+use crate::timing::stage::{ICBM, IF_CONVERT, MELD, SUPERBLOCK, UNROLL};
 
 /// One typed knob value.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,9 +66,7 @@ impl KnobValue {
     pub fn to_json(&self) -> String {
         match *self {
             KnobValue::F64(v) if v.is_infinite() => "\"inf\"".to_string(),
-            KnobValue::F64(v) => format!("{v:?}"),
-            KnobValue::U64(v) => v.to_string(),
-            KnobValue::Bool(v) => v.to_string(),
+            _ => self.to_string(),
         }
     }
 }
@@ -107,20 +114,155 @@ impl KnobKind {
     }
 }
 
-/// One knob: its dotted name, type/range, paper default, and the discrete
-/// grid the tuner samples from. The grid always contains the default.
+/// The stage key of the evaluation machine: not a compile stage, so only
+/// [`TunedConfig::full_hash`] (the tuner's dedupe key) hashes these knobs.
+pub const MACHINE: &str = "machine";
+
+/// One row of [`KNOBS`].
 #[derive(Clone, Copy, Debug)]
-pub struct KnobSpec {
+pub struct Knob {
     /// Dotted name, `<group>.<field>` (e.g. `cpr.max_branches`).
     pub name: &'static str,
     /// Type and legal range.
     pub kind: KnobKind,
-    /// The paper-default value (read from the live config structs).
-    pub default: KnobValue,
     /// Discrete search grid for the tuner's samplers.
     pub choices: &'static [KnobValue],
     /// One-line description.
     pub doc: &'static str,
+    /// The stages whose cache key hashes this knob
+    /// ([`crate::timing::stage`] names, or [`MACHINE`]).
+    pub stages: &'static [&'static str],
+    /// The optional stage this switch turns on. While it is off, the knobs
+    /// that stage hashes are dead.
+    pub switches: Option<&'static str>,
+    get: fn(&Settings) -> KnobValue,
+    set: fn(&mut Settings, KnobValue),
+}
+
+impl Knob {
+    /// The wire group, the name's first segment (`cpr` for `cpr.enable`).
+    fn group(&self) -> &'static str {
+        self.name.split_once('.').map_or(self.name, |(group, _)| group)
+    }
+
+    /// True for the evaluation-machine knobs, which no compile stage reads.
+    pub fn is_machine(&self) -> bool {
+        self.stages == [MACHINE]
+    }
+}
+
+/// A registry row plus its paper default, read with the row's `get` on the
+/// paper config. The grid always contains the default.
+#[derive(Clone, Copy, Debug)]
+pub struct KnobSpec {
+    knob: &'static Knob,
+    /// The paper-default value.
+    pub default: KnobValue,
+}
+
+impl Deref for KnobSpec {
+    type Target = Knob;
+
+    fn deref(&self) -> &Knob {
+        self.knob
+    }
+}
+
+/// Every knob's value in one flat place: the pipeline config with each
+/// optional pass unfolded into an on/off switch plus its parameters (kept
+/// while the pass is off), and the machine shape.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Settings {
+    trace: TraceConfig,
+    cpr: CprConfig,
+    if_convert_on: bool,
+    if_convert: IfConvertConfig,
+    meld_on: bool,
+    meld: MeldConfig,
+    widths: Widths,
+    latencies: Latencies,
+    frontend: Frontend,
+}
+
+impl Settings {
+    /// The settings of pipeline config `p` evaluated on `machine`.
+    pub(crate) fn new(p: &PipelineConfig, machine: &Machine) -> Settings {
+        Settings {
+            trace: p.trace,
+            cpr: p.cpr,
+            if_convert_on: p.if_convert.is_some(),
+            if_convert: p.if_convert.unwrap_or_default(),
+            meld_on: p.meld.is_some(),
+            meld: p.meld.unwrap_or_default(),
+            // No knob admits a zero width, so a machine without widths
+            // cannot collide with one that has them.
+            widths: machine.widths().unwrap_or(Widths { int: 0, float: 0, mem: 0, branch: 0 }),
+            latencies: machine.latencies(),
+            frontend: machine.frontend(),
+        }
+    }
+
+    /// Hash of `prefix`, then of every knob whose row lists `stage`, in
+    /// table order: floats as their bits, integers as u64, bools as u8.
+    pub(crate) fn stage_hash(&self, stage: &str, prefix: &[u64]) -> u64 {
+        let mut h = Fnv64::new();
+        for &p in prefix {
+            h.write_u64(p);
+        }
+        for knob in KNOBS.iter().filter(|k| k.stages.contains(&stage)) {
+            match (knob.get)(self) {
+                KnobValue::F64(v) => h.write_u64(v.to_bits()),
+                KnobValue::U64(v) => h.write_u64(v),
+                KnobValue::Bool(v) => h.write_u8(v as u8),
+            }
+        }
+        h.finish()
+    }
+}
+
+/// A config field a knob reads and writes, and the [`KnobValue`] variant
+/// it travels as.
+trait Field: Copy {
+    fn knob(self) -> KnobValue;
+    fn from_knob(v: KnobValue) -> Self;
+}
+
+macro_rules! field {
+    ($($t:ty => $variant:ident($wide:ty)),*) => {$(
+        impl Field for $t {
+            fn knob(self) -> KnobValue {
+                KnobValue::$variant(self as $wide)
+            }
+            fn from_knob(v: KnobValue) -> $t {
+                match v {
+                    KnobValue::$variant(x) => x as $t,
+                    _ => unreachable!("validated against the knob's kind"),
+                }
+            }
+        }
+    )*};
+}
+
+field!(f64 => F64(f64), u64 => U64(u64), usize => U64(u64), u32 => U64(u64), bool => Bool(bool));
+
+/// One [`KNOBS`] row: name, kind, grid, `[stages]` (`=> switched stage`),
+/// the [`Settings`] field, doc.
+macro_rules! knob {
+    ($name:literal, $kind:ident $(($min:expr, $max:expr))?, $choices:expr,
+     [$($stage:ident),*] $(=> $switches:ident)?, $($field:ident).+, $doc:literal) => {
+        Knob {
+            name: $name,
+            kind: KnobKind::$kind $({ min: $min, max: $max })?,
+            choices: $choices,
+            doc: $doc,
+            stages: &[$($stage),*],
+            switches: knob!(@switch $($switches)?),
+            get: |s| s.$($field).+.knob(),
+            set: |s, v| s.$($field).+ = Field::from_knob(v),
+        }
+    };
+    (@switch) => { None };
+    (@switch $stage:ident) => { Some($stage) };
 }
 
 const INF: f64 = f64::INFINITY;
@@ -177,9 +319,73 @@ const LAT_LOAD: &[KnobValue] = &[KnobValue::U64(1), KnobValue::U64(2), KnobValue
 const FRONTEND_GRID: &[KnobValue] =
     &[KnobValue::U64(0), KnobValue::U64(2), KnobValue::U64(4), KnobValue::U64(8)];
 
-/// The registry of every knob, in canonical order. Construct once (or use
+
+/// The knob table, in canonical order. A stage's cache key absorbs its
+/// knobs in this order, so reordering rows changes cache keys.
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = &[
+    knob!("trace.min_prob", F64(0.0, 1.0), TRACE_MIN_PROB, [SUPERBLOCK], trace.min_prob,
+        "minimum fall-through probability to extend a trace"),
+    knob!("trace.max_ops", U64(1, 100_000), TRACE_MAX_OPS, [SUPERBLOCK], trace.max_ops,
+        "maximum operations in one superblock"),
+    knob!("trace.min_count", U64(0, 1 << 32), SMALL_COUNTS, [SUPERBLOCK, UNROLL], trace.min_count,
+        "minimum dynamic entry count to seed or join a trace"),
+    knob!("cpr.enable", Bool, BOOLS, [ICBM], cpr.enable,
+        "run the ICBM control-CPR transformation (off isolates melding)"),
+    knob!("cpr.exit_weight_threshold", F64(0.0, INF), EXIT_WEIGHT, [ICBM],
+        cpr.exit_weight_threshold,
+        "cumulative exit-probability cutoff ending a CPR block (\u{a7}5.2)"),
+    knob!("cpr.predict_taken_threshold", F64(0.0, INF), PREDICT_TAKEN, [ICBM],
+        cpr.predict_taken_threshold,
+        "taken-probability cutoff for the likely-taken variation (\u{a7}5.3)"),
+    knob!("cpr.min_entry_count", U64(0, 1 << 32), SMALL_COUNTS, [ICBM], cpr.min_entry_count,
+        "hyperblocks entered fewer times are left untouched"),
+    knob!("cpr.max_branches", U64(1, u64::MAX), MAX_BRANCHES, [ICBM], cpr.max_branches,
+        "blocking cap on branches per CPR block (\u{a7}4.1)"),
+    knob!("cpr.speculate", Bool, BOOLS, [ICBM], cpr.speculate,
+        "run predicate speculation before matching (\u{a7}5.1)"),
+    knob!("cpr.enable_taken_variation", Bool, BOOLS, [ICBM], cpr.enable_taken_variation,
+        "enable the taken variation for likely-taken branches (\u{a7}5.3)"),
+    knob!("if_convert.enable", Bool, BOOLS, [] => IF_CONVERT, if_convert_on,
+        "run traditional if-conversion before region formation"),
+    knob!("if_convert.min_taken", F64(0.0, 1.0), IC_MIN_TAKEN, [IF_CONVERT], if_convert.min_taken,
+        "convert only branches at least this likely taken"),
+    knob!("if_convert.max_taken", F64(0.0, 1.0), IC_MAX_TAKEN, [IF_CONVERT], if_convert.max_taken,
+        "convert only branches at most this likely taken"),
+    knob!("if_convert.max_ops", U64(0, 100_000), IC_MAX_OPS, [IF_CONVERT], if_convert.max_ops,
+        "maximum side-block size to if-convert"),
+    knob!("meld.enable", Bool, BOOLS, [] => MELD, meld_on,
+        "meld short full diamonds into predicated straight-line code"),
+    knob!("meld.min_taken", F64(0.0, 1.0), IC_MIN_TAKEN, [MELD], meld.min_taken,
+        "meld only branches at least this likely taken"),
+    knob!("meld.max_taken", F64(0.0, 1.0), IC_MAX_TAKEN, [MELD], meld.max_taken,
+        "meld only branches at most this likely taken"),
+    knob!("meld.max_ops", U64(0, 100_000), IC_MAX_OPS, [MELD], meld.max_ops,
+        "maximum side-block size to meld"),
+    knob!("machine.int_width", U64(1, 128), WIDTHS_INT, [MACHINE], widths.int,
+        "integer issue width (I)"),
+    knob!("machine.float_width", U64(1, 128), WIDTHS_SMALL, [MACHINE], widths.float,
+        "floating-point issue width (F)"),
+    knob!("machine.mem_width", U64(1, 128), WIDTHS_SMALL, [MACHINE], widths.mem,
+        "memory issue width (M)"),
+    knob!("machine.branch_width", U64(1, 128), WIDTHS_SMALL, [MACHINE], widths.branch,
+        "branch issue width (B)"),
+    knob!("machine.branch_latency", U64(1, 16), LAT_BRANCH, [MACHINE], latencies.branch,
+        "exposed branch latency (\u{a7}3)"),
+    knob!("machine.load_latency", U64(1, 16), LAT_LOAD, [MACHINE], latencies.load,
+        "memory load latency"),
+    knob!("machine.frontend.mispredict_penalty", U64(0, 1024), FRONTEND_GRID, [MACHINE],
+        frontend.mispredict_penalty,
+        "extra cycles per taken control transfer (0 = paper's ideal front end)"),
+    knob!("machine.frontend.fetch_width", U64(0, 128), FRONTEND_GRID, [MACHINE],
+        frontend.fetch_width,
+        "operations fetched per cycle (0 = unlimited, the paper's setting)"),
+];
+
+/// The registry of every knob, in table order. Construct once (or use
 /// [`KnobSpace::global`]); defaults are read from the real config structs
-/// so the registry and the code cannot disagree.
+/// through the table's accessors, so the registry and the code cannot
+/// disagree.
 #[derive(Debug)]
 pub struct KnobSpace {
     specs: Vec<KnobSpec>,
@@ -194,201 +400,9 @@ impl Default for KnobSpace {
 impl KnobSpace {
     /// Builds the registry from the live defaults.
     pub fn new() -> KnobSpace {
-        let p = PipelineConfig::default();
-        let ic = IfConvertConfig::default();
-        let mc = MeldConfig::default();
-        let m = Machine::medium();
-        let w = m.widths().expect("medium machine has widths");
-        let l = m.latencies();
-        let fe = m.frontend();
-        let f = KnobValue::F64;
-        let u = KnobValue::U64;
-        let b = KnobValue::Bool;
-        let specs = vec![
-            KnobSpec {
-                name: "trace.min_prob",
-                kind: KnobKind::F64 { min: 0.0, max: 1.0 },
-                default: f(p.trace.min_prob),
-                choices: TRACE_MIN_PROB,
-                doc: "minimum fall-through probability to extend a trace",
-            },
-            KnobSpec {
-                name: "trace.max_ops",
-                kind: KnobKind::U64 { min: 1, max: 100_000 },
-                default: u(p.trace.max_ops as u64),
-                choices: TRACE_MAX_OPS,
-                doc: "maximum operations in one superblock",
-            },
-            KnobSpec {
-                name: "trace.min_count",
-                kind: KnobKind::U64 { min: 0, max: 1 << 32 },
-                default: u(p.trace.min_count),
-                choices: SMALL_COUNTS,
-                doc: "minimum dynamic entry count to seed or join a trace",
-            },
-            KnobSpec {
-                name: "cpr.enable",
-                kind: KnobKind::Bool,
-                default: b(p.cpr.enable),
-                choices: BOOLS,
-                doc: "run the ICBM control-CPR transformation (off isolates melding)",
-            },
-            KnobSpec {
-                name: "cpr.exit_weight_threshold",
-                kind: KnobKind::F64 { min: 0.0, max: INF },
-                default: f(p.cpr.exit_weight_threshold),
-                choices: EXIT_WEIGHT,
-                doc: "cumulative exit-probability cutoff ending a CPR block (\u{a7}5.2)",
-            },
-            KnobSpec {
-                name: "cpr.predict_taken_threshold",
-                kind: KnobKind::F64 { min: 0.0, max: INF },
-                default: f(p.cpr.predict_taken_threshold),
-                choices: PREDICT_TAKEN,
-                doc: "taken-probability cutoff for the likely-taken variation (\u{a7}5.3)",
-            },
-            KnobSpec {
-                name: "cpr.min_entry_count",
-                kind: KnobKind::U64 { min: 0, max: 1 << 32 },
-                default: u(p.cpr.min_entry_count),
-                choices: SMALL_COUNTS,
-                doc: "hyperblocks entered fewer times are left untouched",
-            },
-            KnobSpec {
-                name: "cpr.max_branches",
-                kind: KnobKind::U64 { min: 1, max: u64::MAX },
-                default: u(p.cpr.max_branches as u64),
-                choices: MAX_BRANCHES,
-                doc: "blocking cap on branches per CPR block (\u{a7}4.1)",
-            },
-            KnobSpec {
-                name: "cpr.speculate",
-                kind: KnobKind::Bool,
-                default: b(p.cpr.speculate),
-                choices: BOOLS,
-                doc: "run predicate speculation before matching (\u{a7}5.1)",
-            },
-            KnobSpec {
-                name: "cpr.enable_taken_variation",
-                kind: KnobKind::Bool,
-                default: b(p.cpr.enable_taken_variation),
-                choices: BOOLS,
-                doc: "enable the taken variation for likely-taken branches (\u{a7}5.3)",
-            },
-            KnobSpec {
-                name: "if_convert.enable",
-                kind: KnobKind::Bool,
-                default: b(p.if_convert.is_some()),
-                choices: BOOLS,
-                doc: "run traditional if-conversion before region formation",
-            },
-            KnobSpec {
-                name: "if_convert.min_taken",
-                kind: KnobKind::F64 { min: 0.0, max: 1.0 },
-                default: f(ic.min_taken),
-                choices: IC_MIN_TAKEN,
-                doc: "convert only branches at least this likely taken",
-            },
-            KnobSpec {
-                name: "if_convert.max_taken",
-                kind: KnobKind::F64 { min: 0.0, max: 1.0 },
-                default: f(ic.max_taken),
-                choices: IC_MAX_TAKEN,
-                doc: "convert only branches at most this likely taken",
-            },
-            KnobSpec {
-                name: "if_convert.max_ops",
-                kind: KnobKind::U64 { min: 0, max: 100_000 },
-                default: u(ic.max_ops as u64),
-                choices: IC_MAX_OPS,
-                doc: "maximum side-block size to if-convert",
-            },
-            KnobSpec {
-                name: "meld.enable",
-                kind: KnobKind::Bool,
-                default: b(p.meld.is_some()),
-                choices: BOOLS,
-                doc: "meld short full diamonds into predicated straight-line code",
-            },
-            KnobSpec {
-                name: "meld.min_taken",
-                kind: KnobKind::F64 { min: 0.0, max: 1.0 },
-                default: f(mc.min_taken),
-                choices: IC_MIN_TAKEN,
-                doc: "meld only branches at least this likely taken",
-            },
-            KnobSpec {
-                name: "meld.max_taken",
-                kind: KnobKind::F64 { min: 0.0, max: 1.0 },
-                default: f(mc.max_taken),
-                choices: IC_MAX_TAKEN,
-                doc: "meld only branches at most this likely taken",
-            },
-            KnobSpec {
-                name: "meld.max_ops",
-                kind: KnobKind::U64 { min: 0, max: 100_000 },
-                default: u(mc.max_ops as u64),
-                choices: IC_MAX_OPS,
-                doc: "maximum side-block size to meld",
-            },
-            KnobSpec {
-                name: "machine.int_width",
-                kind: KnobKind::U64 { min: 1, max: 128 },
-                default: u(w.int as u64),
-                choices: WIDTHS_INT,
-                doc: "integer issue width (I)",
-            },
-            KnobSpec {
-                name: "machine.float_width",
-                kind: KnobKind::U64 { min: 1, max: 128 },
-                default: u(w.float as u64),
-                choices: WIDTHS_SMALL,
-                doc: "floating-point issue width (F)",
-            },
-            KnobSpec {
-                name: "machine.mem_width",
-                kind: KnobKind::U64 { min: 1, max: 128 },
-                default: u(w.mem as u64),
-                choices: WIDTHS_SMALL,
-                doc: "memory issue width (M)",
-            },
-            KnobSpec {
-                name: "machine.branch_width",
-                kind: KnobKind::U64 { min: 1, max: 128 },
-                default: u(w.branch as u64),
-                choices: WIDTHS_SMALL,
-                doc: "branch issue width (B)",
-            },
-            KnobSpec {
-                name: "machine.branch_latency",
-                kind: KnobKind::U64 { min: 1, max: 16 },
-                default: u(l.branch as u64),
-                choices: LAT_BRANCH,
-                doc: "exposed branch latency (\u{a7}3)",
-            },
-            KnobSpec {
-                name: "machine.load_latency",
-                kind: KnobKind::U64 { min: 1, max: 16 },
-                default: u(l.load as u64),
-                choices: LAT_LOAD,
-                doc: "memory load latency",
-            },
-            KnobSpec {
-                name: "machine.frontend.mispredict_penalty",
-                kind: KnobKind::U64 { min: 0, max: 1024 },
-                default: u(fe.mispredict_penalty as u64),
-                choices: FRONTEND_GRID,
-                doc: "extra cycles per taken control transfer (0 = paper's ideal front end)",
-            },
-            KnobSpec {
-                name: "machine.frontend.fetch_width",
-                kind: KnobKind::U64 { min: 0, max: 128 },
-                default: u(fe.fetch_width as u64),
-                choices: FRONTEND_GRID,
-                doc: "operations fetched per cycle (0 = unlimited, the paper's setting)",
-            },
-        ];
-        KnobSpace { specs }
+        let paper = Settings::new(&PipelineConfig::default(), &Machine::medium());
+        let specs = KNOBS.iter().map(|knob| KnobSpec { knob, default: (knob.get)(&paper) });
+        KnobSpace { specs: specs.collect() }
     }
 
     /// The process-wide registry instance.
@@ -543,15 +557,6 @@ impl ConfigDelta {
         Ok(())
     }
 
-    /// The assigned value of a knob, if this delta touches it.
-    pub fn get(&self, space: &KnobSpace, name: &str) -> Option<KnobValue> {
-        let (idx, _) = space.find(name)?;
-        self.entries
-            .binary_search_by_key(&idx, |(i, _)| *i)
-            .ok()
-            .map(|pos| self.entries[pos].1)
-    }
-
     /// Number of knobs assigned.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -570,9 +575,9 @@ impl ConfigDelta {
         self.entries.iter().map(move |&(i, v)| (space.specs[i].name, v))
     }
 
-    /// True when the delta assigns any `machine.*` knob.
+    /// True when the delta assigns any [`MACHINE`] knob.
     pub fn touches_machine(&self, space: &KnobSpace) -> bool {
-        self.iter(space).any(|(name, _)| name.starts_with("machine."))
+        self.entries.iter().any(|&(i, _)| space.specs[i].is_machine())
     }
 
     /// Flat JSON object, `{"<knob>":<value>,...}` in registry order.
@@ -602,11 +607,12 @@ impl ConfigDelta {
     }
 
     /// Parses the grouped wire form the serve protocol accepts:
-    /// `{"trace":{...},"cpr":{...},"if_convert":{...}|null,"meld":{...}|null,"machine":{...}}`.
-    /// A present (non-null) `if_convert` or `meld` group — even empty —
-    /// sets the group's `.enable` knob; `null` or absence leaves the pass
-    /// off. A field whose value is itself an object and whose joined name
-    /// is not a knob is a nested sub-group
+    /// `{"trace":{...},"cpr":{...},"if_convert":{...}|null,"meld":{...}|null,"machine":{...}}`,
+    /// one group per knob-name prefix. A present (non-null) group of an
+    /// optional pass — even empty — sets the group's switch knob
+    /// ([`Knob::switches`]); `null` or absence leaves the pass off. A field
+    /// whose value is itself an object and whose joined name is not a knob
+    /// is a nested sub-group
     /// (`{"machine":{"frontend":{"fetch_width":4}}}` sets
     /// `machine.frontend.fetch_width`).
     ///
@@ -620,8 +626,10 @@ impl ConfigDelta {
         };
         let mut delta = ConfigDelta::new();
         for (group, fields) in groups {
-            let optional_pass = matches!(group.as_str(), "if_convert" | "meld");
-            if optional_pass && *fields == Json::Null {
+            let in_group: Vec<&KnobSpec> =
+                space.specs.iter().filter(|s| s.group() == group).collect();
+            let switch = in_group.iter().find(|s| s.switches.is_some());
+            if switch.is_some() && *fields == Json::Null {
                 continue;
             }
             let Json::Obj(pairs) = fields else {
@@ -629,11 +637,11 @@ impl ConfigDelta {
                     message: format!("config group \"{group}\" must be an object"),
                 });
             };
-            if !matches!(group.as_str(), "trace" | "cpr" | "if_convert" | "meld" | "machine") {
+            if in_group.is_empty() {
                 return Err(KnobError::Unknown { name: group.clone() });
             }
-            if optional_pass {
-                delta.set(space, &format!("{group}.enable"), KnobValue::Bool(true))?;
+            if let Some(switch) = switch {
+                delta.set(space, switch.name, KnobValue::Bool(true))?;
             }
             for (key, value) in pairs {
                 let name = format!("{group}.{key}");
@@ -657,109 +665,40 @@ impl ConfigDelta {
         };
         let value = match spec.kind {
             KnobKind::F64 { .. } => {
-                if let Some(n) = j.as_f64() {
-                    KnobValue::F64(n)
-                } else if j.as_str() == Some("inf") {
-                    KnobValue::F64(INF)
-                } else {
-                    return Err(KnobError::WrongType {
-                        name: spec.name.to_string(),
-                        expected: spec.kind.expected(),
-                    });
-                }
+                j.as_f64().or((j.as_str() == Some("inf")).then_some(INF)).map(KnobValue::F64)
             }
-            KnobKind::U64 { .. } => match j.as_u64() {
-                Some(n) => KnobValue::U64(n),
-                None => {
-                    return Err(KnobError::WrongType {
-                        name: spec.name.to_string(),
-                        expected: spec.kind.expected(),
-                    })
-                }
-            },
-            KnobKind::Bool => match j.as_bool() {
-                Some(b) => KnobValue::Bool(b),
-                None => {
-                    return Err(KnobError::WrongType {
-                        name: spec.name.to_string(),
-                        expected: spec.kind.expected(),
-                    })
-                }
-            },
+            KnobKind::U64 { .. } => j.as_u64().map(KnobValue::U64),
+            KnobKind::Bool => j.as_bool().map(KnobValue::Bool),
         };
+        let value = value.ok_or_else(|| KnobError::WrongType {
+            name: spec.name.to_string(),
+            expected: spec.kind.expected(),
+        })?;
         self.set(space, name, value)
     }
 
     /// Materializes the delta over the paper defaults. An empty delta
     /// reproduces `PipelineConfig::default()` and `Machine::medium()`
-    /// exactly; any `machine.*` assignment switches to a custom machine
+    /// exactly; any [`MACHINE`] assignment switches to a custom machine
     /// named `"tuned"`.
     pub fn apply(&self, space: &KnobSpace) -> TunedConfig {
-        let mut p = PipelineConfig::default();
-        let mut ic = IfConvertConfig::default();
-        let mut ic_enable = false;
-        let mut mc = MeldConfig::default();
-        let mut meld_enable = false;
         let medium = Machine::medium();
-        let mut w = medium.widths().expect("medium machine has widths");
-        let mut l = medium.latencies();
-        let mut fe = medium.frontend();
-        let mut machine_touched = false;
-        for (name, v) in self.iter(space) {
-            let f = || match v {
-                KnobValue::F64(x) => x,
-                _ => unreachable!("validated as F64"),
-            };
-            let u = || match v {
-                KnobValue::U64(x) => x,
-                _ => unreachable!("validated as U64"),
-            };
-            let b = || match v {
-                KnobValue::Bool(x) => x,
-                _ => unreachable!("validated as Bool"),
-            };
-            match name {
-                "trace.min_prob" => p.trace.min_prob = f(),
-                "trace.max_ops" => p.trace.max_ops = u() as usize,
-                "trace.min_count" => p.trace.min_count = u(),
-                "cpr.enable" => p.cpr.enable = b(),
-                "cpr.exit_weight_threshold" => p.cpr.exit_weight_threshold = f(),
-                "cpr.predict_taken_threshold" => p.cpr.predict_taken_threshold = f(),
-                "cpr.min_entry_count" => p.cpr.min_entry_count = u(),
-                "cpr.max_branches" => p.cpr.max_branches = u() as usize,
-                "cpr.speculate" => p.cpr.speculate = b(),
-                "cpr.enable_taken_variation" => p.cpr.enable_taken_variation = b(),
-                "if_convert.enable" => ic_enable = b(),
-                "if_convert.min_taken" => ic.min_taken = f(),
-                "if_convert.max_taken" => ic.max_taken = f(),
-                "if_convert.max_ops" => ic.max_ops = u() as usize,
-                "meld.enable" => meld_enable = b(),
-                "meld.min_taken" => mc.min_taken = f(),
-                "meld.max_taken" => mc.max_taken = f(),
-                "meld.max_ops" => mc.max_ops = u() as usize,
-                "machine.int_width" => (w.int, machine_touched) = (u() as u32, true),
-                "machine.float_width" => (w.float, machine_touched) = (u() as u32, true),
-                "machine.mem_width" => (w.mem, machine_touched) = (u() as u32, true),
-                "machine.branch_width" => (w.branch, machine_touched) = (u() as u32, true),
-                "machine.branch_latency" => (l.branch, machine_touched) = (u() as u32, true),
-                "machine.load_latency" => (l.load, machine_touched) = (u() as u32, true),
-                "machine.frontend.mispredict_penalty" => {
-                    (fe.mispredict_penalty, machine_touched) = (u() as u32, true)
-                }
-                "machine.frontend.fetch_width" => {
-                    (fe.fetch_width, machine_touched) = (u() as u32, true)
-                }
-                other => unreachable!("unhandled knob `{other}` — registry and apply drifted"),
-            }
+        let mut s = Settings::new(&PipelineConfig::default(), &medium);
+        for &(i, v) in &self.entries {
+            (space.specs[i].set)(&mut s, v);
         }
-        p.if_convert = if ic_enable { Some(ic) } else { None };
-        p.meld = if meld_enable { Some(mc) } else { None };
-        let machine = if machine_touched {
-            Machine::new("tuned", Some(w), l).with_frontend(fe)
+        let pipeline = PipelineConfig {
+            trace: s.trace,
+            cpr: s.cpr,
+            if_convert: s.if_convert_on.then_some(s.if_convert),
+            meld: s.meld_on.then_some(s.meld),
+        };
+        let machine = if self.touches_machine(space) {
+            Machine::new("tuned", Some(s.widths), s.latencies).with_frontend(s.frontend)
         } else {
             medium
         };
-        TunedConfig { pipeline: p, machine }
+        TunedConfig { pipeline, machine }
     }
 }
 
@@ -774,35 +713,13 @@ pub struct TunedConfig {
     pub machine: Machine,
 }
 
-/// Stable hash of a machine description (shape and latencies; the name is
-/// cosmetic and excluded).
-pub fn machine_hash(m: &Machine) -> u64 {
-    let mut h = Fnv64::new();
-    match m.widths() {
-        None => h.write_u8(0),
-        Some(Widths { int, float, mem, branch }) => {
-            h.write_u8(1);
-            h.write_u64(int as u64);
-            h.write_u64(float as u64);
-            h.write_u64(mem as u64);
-            h.write_u64(branch as u64);
-        }
-    }
-    let Latencies { int, float, mul, div, load, store, pbr, branch } = m.latencies();
-    for lat in [int, float, mul, div, load, store, pbr, branch] {
-        h.write_u64(lat as u64);
-    }
-    let Frontend { mispredict_penalty, fetch_width } = m.frontend();
-    h.write_u64(mispredict_penalty as u64);
-    h.write_u64(fetch_width as u64);
-    h.finish()
-}
-
 impl TunedConfig {
-    /// Stable hash of the whole tuned configuration (pipeline + machine),
-    /// the tuner's dedupe key.
+    /// Stable hash of the whole tuned configuration: the pipeline's
+    /// `config_hash` plus the [`MACHINE`] knob values (the machine's name is
+    /// cosmetic and excluded). The tuner's dedupe key.
     pub fn full_hash(&self) -> u64 {
-        combine_hashes(&[self.pipeline.config_hash(), machine_hash(&self.machine)])
+        let machine = Settings::new(&self.pipeline, &self.machine).stage_hash(MACHINE, &[]);
+        combine_hashes(&[self.pipeline.config_hash(), machine])
     }
 }
 
@@ -884,7 +801,7 @@ mod tests {
         assert!(!t.pipeline.cpr.enable, "cpr.enable toggled off");
         assert_eq!(t.machine.name(), "tuned");
         assert!(!t.machine.frontend().is_ideal(), "frontend knobs routed to the machine");
-        assert_ne!(machine_hash(&t.machine), machine_hash(&Machine::medium()));
+        assert_ne!(t.machine.clone().with_name("medium"), Machine::medium());
     }
 
     #[test]
@@ -989,22 +906,19 @@ mod tests {
     }
 
     #[test]
-    fn machine_hash_sees_shape_not_name() {
+    fn full_hash_sees_machine_shape_not_name() {
+        let tuned = |machine: Machine| {
+            TunedConfig { pipeline: PipelineConfig::default(), machine }.full_hash()
+        };
         let m1 = Machine::new("a", Machine::medium().widths(), Latencies::default());
-        assert_eq!(machine_hash(&m1), machine_hash(&Machine::medium()));
-        assert_ne!(machine_hash(&Machine::medium()), machine_hash(&Machine::wide()));
-        assert_ne!(machine_hash(&Machine::sequential()), machine_hash(&Machine::medium()));
-        assert_ne!(
-            machine_hash(&Machine::medium()),
-            machine_hash(&Machine::medium().with_branch_latency(2))
-        );
+        assert_eq!(tuned(m1), tuned(Machine::medium()));
+        assert_ne!(tuned(Machine::medium()), tuned(Machine::wide()));
+        assert_ne!(tuned(Machine::sequential()), tuned(Machine::medium()));
+        assert_ne!(tuned(Machine::medium()), tuned(Machine::medium().with_branch_latency(2)));
         // The front end participates in the hash: a penalty-bearing copy
         // of medium must not collide with (and silently reuse) the ideal
         // machine's tuner dedupe key.
         let fe = Frontend { mispredict_penalty: 8, fetch_width: 4 };
-        assert_ne!(
-            machine_hash(&Machine::medium()),
-            machine_hash(&Machine::medium().with_frontend(fe))
-        );
+        assert_ne!(tuned(Machine::medium()), tuned(Machine::medium().with_frontend(fe)));
     }
 }

@@ -25,9 +25,7 @@ pub use cache::{route_fingerprint, CacheKey, CacheStats, CompileCache, StageArti
 pub use compile::{check_equivalence, compile, compile_cached, Compiled, PipelineConfig};
 pub use error::CompileError;
 pub use json::{Json, JsonError};
-pub use knobs::{
-    machine_hash, ConfigDelta, KnobError, KnobKind, KnobSpace, KnobSpec, KnobValue, TunedConfig,
-};
+pub use knobs::{ConfigDelta, KnobError, KnobKind, KnobSpace, KnobSpec, KnobValue, TunedConfig};
 pub use pipeline::Pipeline;
 pub use schedules::{
     check_all_schedules, check_pair_schedules, check_workload_schedules,

@@ -9,11 +9,13 @@
 //! stages compute directly and the result is bit-identical to the
 //! pre-refactor monolithic `compile`.
 //!
-//! Stage keys hash only the configuration each stage consumes
-//! ([`trace_config_hash`] for superblock formation, [`cpr_config_hash`]
-//! for ICBM, …), so pipeline configs that differ only downstream share all
-//! upstream artifacts — the ablation driver compiles each workload's
-//! baseline once across its ten configurations.
+//! Stage keys hash only the configuration each stage consumes:
+//! [`PipelineConfig::stage_hash`] absorbs exactly the knobs whose row in the
+//! knob table ([`crate::knobs::KNOBS`]) lists that stage, so pipeline
+//! configs that differ only downstream share all upstream artifacts — the
+//! ablation driver compiles each workload's baseline once across its ten
+//! configurations. Adding a knob = one row in the table + the struct field
+//! it sets; the stages its row names key it, with no hash to update here.
 //!
 //! [`Pipeline::with_deadline`] makes a compile cooperative: each cached
 //! stage checks the deadline on entry and fails with
@@ -30,85 +32,40 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use control_cpr::{apply_icbm, CprConfig};
+use control_cpr::apply_icbm;
 use epic_interp::Input;
-use epic_ir::{combine_hashes, Fnv64, Function, Profile};
+use epic_ir::{combine_hashes, Function, Profile};
+use epic_machine::Machine;
 use epic_perf::{profile_and_count, OpCounts};
-use epic_regions::{
-    form_superblocks, frp_convert, if_convert, meld, unroll_hot_loops, IfConvertConfig,
-    MeldConfig, TraceConfig,
-};
+use epic_regions::{form_superblocks, frp_convert, if_convert, meld, unroll_hot_loops};
 use epic_workloads::Workload;
 
 use crate::cache::{CacheKey, CompileCache, StageArtifact};
 use crate::compile::{Compiled, PipelineConfig};
 use crate::error::CompileError;
+use crate::knobs::Settings;
 use crate::timing::{stage, PassTimings};
 
-/// Stable hash of the superblock-formation parameters.
-pub fn trace_config_hash(t: &TraceConfig) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(t.min_prob.to_bits());
-    h.write_usize(t.max_ops);
-    h.write_u64(t.min_count);
-    h.finish()
-}
-
-/// Stable hash of the if-conversion parameters.
-pub fn if_convert_config_hash(c: &IfConvertConfig) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(c.min_taken.to_bits());
-    h.write_u64(c.max_taken.to_bits());
-    h.write_usize(c.max_ops);
-    h.finish()
-}
-
-/// Stable hash of the instruction-melding parameters.
-pub fn meld_config_hash(c: &MeldConfig) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(c.min_taken.to_bits());
-    h.write_u64(c.max_taken.to_bits());
-    h.write_usize(c.max_ops);
-    h.finish()
-}
-
-/// Stable hash of the ICBM parameters.
-pub fn cpr_config_hash(c: &CprConfig) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u8(c.enable as u8);
-    h.write_u64(c.exit_weight_threshold.to_bits());
-    h.write_u64(c.predict_taken_threshold.to_bits());
-    h.write_u64(c.min_entry_count);
-    h.write_usize(c.max_branches);
-    h.write_u8(c.speculate as u8);
-    h.write_u8(c.enable_taken_variation as u8);
-    h.finish()
-}
-
-fn unroll_config_hash(unroll: u32, min_count: u64) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(unroll as u64);
-    h.write_u64(min_count);
-    h.finish()
-}
-
 impl PipelineConfig {
+    /// The config part of `stage`'s cache key: `prefix` (the unroll stage
+    /// passes the workload's unroll factor), then every knob whose table
+    /// row lists `stage`, in table order.
+    pub fn stage_hash(&self, stage: &str, prefix: &[u64]) -> u64 {
+        Settings::new(self, &Machine::medium()).stage_hash(stage, prefix)
+    }
+
     /// Stable hash of the complete configuration (all stages). Stage keys
-    /// use the per-stage hashes instead so unrelated config changes don't
-    /// invalidate shared artifacts; this whole-config hash identifies a
-    /// full pipeline run (e.g. for server request coalescing).
+    /// use [`PipelineConfig::stage_hash`] instead so unrelated config
+    /// changes don't invalidate shared artifacts; this whole-config hash
+    /// identifies a full pipeline run.
     pub fn config_hash(&self) -> u64 {
+        let s = Settings::new(self, &Machine::medium());
+        let optional = |on: bool, stage| if on { 1 ^ s.stage_hash(stage, &[]) } else { 0 };
         combine_hashes(&[
-            trace_config_hash(&self.trace),
-            cpr_config_hash(&self.cpr),
-            match &self.if_convert {
-                None => 0,
-                Some(ic) => 1 ^ if_convert_config_hash(ic),
-            },
-            match &self.meld {
-                None => 0,
-                Some(m) => 1 ^ meld_config_hash(m),
-            },
+            s.stage_hash(stage::SUPERBLOCK, &[]),
+            s.stage_hash(stage::ICBM, &[]),
+            optional(self.if_convert.is_some(), stage::IF_CONVERT),
+            optional(self.meld.is_some(), stage::MELD),
         ])
     }
 }
@@ -273,7 +230,7 @@ impl<'a> Pipeline<'a> {
         let key = CacheKey {
             input_fp: combine_hashes(&[func.fingerprint(), ctx.input_hash]),
             stage: stage::IF_CONVERT,
-            config: if_convert_config_hash(ic),
+            config: ctx.cfg.stage_hash(stage::IF_CONVERT, &[]),
         };
         let artifact = run_stage(&mut ctx, Some(key), true, stage::IF_CONVERT, ops_before, |tm| {
             let mut source = func.clone();
@@ -313,7 +270,7 @@ impl<'a> IfConverted<'a> {
         let key = CacheKey {
             input_fp: source_fp,
             stage: stage::MELD,
-            config: meld_config_hash(mc),
+            config: ctx.cfg.stage_hash(stage::MELD, &[]),
         };
         let artifact = run_stage(&mut ctx, Some(key), true, stage::MELD, ops_before, |tm| {
             let mut melded = source.clone();
@@ -347,7 +304,7 @@ impl<'a> Melded<'a> {
         let key = CacheKey {
             input_fp: source_fp,
             stage: stage::SUPERBLOCK,
-            config: trace_config_hash(trace),
+            config: ctx.cfg.stage_hash(stage::SUPERBLOCK, &[]),
         };
         let artifact =
             run_stage(&mut ctx, Some(key), true, stage::SUPERBLOCK, ops_before, |tm| {
@@ -383,7 +340,7 @@ impl<'a> Superblocked<'a> {
         let key = CacheKey {
             input_fp: sb_fp,
             stage: stage::UNROLL,
-            config: unroll_config_hash(unroll, min_count),
+            config: ctx.cfg.stage_hash(stage::UNROLL, &[unroll as u64]),
         };
         let artifact = run_stage(&mut ctx, Some(key), true, stage::UNROLL, ops_before, |tm| {
             let mut base = sb.clone();
@@ -461,7 +418,7 @@ impl FrpConverted<'_> {
         let key = CacheKey {
             input_fp: base_fp,
             stage: stage::ICBM,
-            config: cpr_config_hash(cpr),
+            config: ctx.cfg.stage_hash(stage::ICBM, &[]),
         };
         let base_profile_ref = &base_profile;
         let artifact = run_stage(&mut ctx, Some(key), true, stage::ICBM, ops_before, |tm| {
@@ -501,6 +458,9 @@ impl FrpConverted<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knobs::{ConfigDelta, KnobSpace, KnobValue};
+    use epic_ir::Fnv64;
+    use epic_regions::{IfConvertConfig, MeldConfig};
 
     #[test]
     fn staged_pipeline_matches_monolithic_compile() {
@@ -571,26 +531,117 @@ mod tests {
         );
     }
 
+    /// The stage keys of `p` under unroll factor 2, `None` for an optional
+    /// stage that is off, plus `config_hash`.
+    fn keys(p: &PipelineConfig) -> (Vec<(&'static str, Option<u64>)>, u64) {
+        let on = |on: bool, stage| (stage, on.then(|| p.stage_hash(stage, &[])));
+        let keys = vec![
+            on(p.if_convert.is_some(), stage::IF_CONVERT),
+            on(p.meld.is_some(), stage::MELD),
+            on(true, stage::SUPERBLOCK),
+            (stage::UNROLL, Some(p.stage_hash(stage::UNROLL, &[2]))),
+            on(true, stage::ICBM),
+        ];
+        (keys, p.config_hash())
+    }
+
+    /// The delta that turns both optional passes on.
+    fn passes_on(s: &KnobSpace) -> ConfigDelta {
+        let mut d = ConfigDelta::new();
+        for spec in s.specs().iter().filter(|k| k.switches.is_some()) {
+            d.set(s, spec.name, KnobValue::Bool(true)).unwrap();
+        }
+        d
+    }
+
+    #[test]
+    fn stage_keys_reproduce_the_hand_written_hashes() {
+        // Digest of every stage key and `config_hash` as the hand-written
+        // per-stage hash functions computed them before the knob table
+        // existed: the default config and every single-knob grid delta, with
+        // the optional passes off and on. Matching it keeps existing
+        // `EPIC_CACHE_DIR` disk caches and the tuner's dedupe keys valid.
+        let s = KnobSpace::global();
+        let mut h = Fnv64::new();
+        let mut n = 0;
+        for base in [ConfigDelta::new(), passes_on(s)] {
+            let mut deltas = vec![base.clone()];
+            for spec in s.specs() {
+                for &c in spec.choices {
+                    let mut d = base.clone();
+                    d.set(s, spec.name, c).unwrap();
+                    deltas.push(d);
+                }
+            }
+            for d in deltas {
+                let p = d.apply(s).pipeline;
+                h.write_u64(p.config_hash());
+                h.write_u64(p.stage_hash(stage::SUPERBLOCK, &[]));
+                h.write_u64(p.stage_hash(stage::ICBM, &[]));
+                for unroll in [1, 2, 8] {
+                    h.write_u64(p.stage_hash(stage::UNROLL, &[unroll]));
+                }
+                h.write_u64(p.if_convert.map_or(0, |_| p.stage_hash(stage::IF_CONVERT, &[])));
+                h.write_u64(p.meld.map_or(0, |_| p.stage_hash(stage::MELD, &[])));
+                n += 1;
+            }
+        }
+        assert_eq!(n, 184);
+        assert_eq!(PipelineConfig::default().config_hash(), 0x72a1_be7f_d87d_d29e);
+        assert_eq!(h.finish(), 0xe800_92af_b6d7_e067);
+    }
+
+    #[test]
+    fn every_knob_changes_exactly_the_stage_keys_its_row_lists() {
+        let s = KnobSpace::global();
+        for base in [ConfigDelta::new(), passes_on(s)] {
+            let b = base.apply(s);
+            let (base_keys, base_hash) = keys(&b.pipeline);
+            let stage_on = |stage| base_keys.iter().any(|&(st, k)| st == stage && k.is_some());
+            for spec in s.specs() {
+                let was = base.iter(s).find(|&(n, _)| n == spec.name).map_or(spec.default, |e| e.1);
+                for &v in spec.choices.iter().filter(|&&v| v != was) {
+                    let mut d = base.clone();
+                    d.set(s, spec.name, v).unwrap();
+                    let t = d.apply(s);
+                    let (new_keys, new_hash) = keys(&t.pipeline);
+                    let changed: Vec<&str> = base_keys
+                        .iter()
+                        .zip(&new_keys)
+                        .filter(|(a, b)| a.1 != b.1)
+                        .map(|(a, _)| a.0)
+                        .collect();
+                    let gated = spec.stages.iter().any(|&st| {
+                        s.specs().iter().any(|k| k.switches == Some(st)) && !stage_on(st)
+                    });
+                    let expected: Vec<&str> = match spec.switches {
+                        Some(st) => vec![st],
+                        None if gated || spec.is_machine() => vec![],
+                        None => {
+                            let listed = new_keys.iter().map(|k| k.0);
+                            listed.filter(|st| spec.stages.contains(st)).collect()
+                        }
+                    };
+                    let at = format!("{} = {v} over {}", spec.name, base.to_json(s));
+                    assert_eq!(changed, expected, "{at}");
+                    assert_eq!(new_hash != base_hash, !expected.is_empty(), "{at}: config_hash");
+                    assert_eq!(t.full_hash() != b.full_hash(), !gated, "{at}: full_hash");
+                }
+            }
+        }
+    }
+
     #[test]
     fn per_stage_config_hashes_see_their_own_fields_only() {
-        let mut t = TraceConfig::default();
-        let base = trace_config_hash(&t);
-        t.min_prob = 0.8;
-        assert_ne!(trace_config_hash(&t), base);
-
-        let mut c = CprConfig::default();
-        let base = cpr_config_hash(&c);
-        c.speculate = false;
-        assert_ne!(cpr_config_hash(&c), base);
-
-        // A CPR-only change leaves the trace hash (and therefore every
-        // upstream cache key) untouched.
+        // A CPR-only change leaves the superblock and unroll keys (and
+        // therefore every upstream artifact) untouched.
         let mut cfg = PipelineConfig::default();
-        let trace_before = trace_config_hash(&cfg.trace);
-        let whole_before = cfg.config_hash();
+        let (before, whole_before) = keys(&cfg);
         cfg.cpr.enable_taken_variation = false;
-        assert_eq!(trace_config_hash(&cfg.trace), trace_before);
-        assert_ne!(cfg.config_hash(), whole_before);
+        let (after, whole_after) = keys(&cfg);
+        assert_eq!(after[..4], before[..4]);
+        assert_ne!(after[4], before[4]);
+        assert_ne!(whole_after, whole_before);
     }
 
     #[test]
@@ -608,21 +659,21 @@ mod tests {
         let off = PipelineConfig::default();
         let on = PipelineConfig { meld: Some(MeldConfig::default()), ..PipelineConfig::default() };
         assert_ne!(off.config_hash(), on.config_hash());
-
-        let mut mc = MeldConfig::default();
-        let base = meld_config_hash(&mc);
-        mc.max_ops = 7;
-        assert_ne!(meld_config_hash(&mc), base);
-
-        // A meld-only change leaves the trace hash (and every downstream
-        // stage key derived from it) untouched.
-        assert_eq!(trace_config_hash(&off.trace), trace_config_hash(&on.trace));
+        let seven = PipelineConfig {
+            meld: Some(MeldConfig { max_ops: 7, ..MeldConfig::default() }),
+            ..PipelineConfig::default()
+        };
+        assert_ne!(seven.stage_hash(stage::MELD, &[]), on.stage_hash(stage::MELD, &[]));
+        // A meld-only change leaves the superblock key (and every
+        // downstream stage key derived from it) untouched.
+        assert_eq!(off.stage_hash(stage::SUPERBLOCK, &[]), on.stage_hash(stage::SUPERBLOCK, &[]));
     }
 
     #[test]
-    fn cpr_config_hash_sees_the_enable_bit() {
-        let on = CprConfig::default();
-        let off = CprConfig { enable: false, ..CprConfig::default() };
-        assert_ne!(cpr_config_hash(&on), cpr_config_hash(&off));
+    fn icbm_stage_hash_sees_the_enable_bit() {
+        let on = PipelineConfig::default();
+        let mut off = PipelineConfig::default();
+        off.cpr.enable = false;
+        assert_ne!(on.stage_hash(stage::ICBM, &[]), off.stage_hash(stage::ICBM, &[]));
     }
 }

@@ -32,7 +32,7 @@
 //!    operations whose effects are needed on both paths.
 //!
 //! followed by predicate-aware [`dce`]. The one-call driver is
-//! [`apply_icbm`]. The *redundant* full-CPR scheme of [SK95] that the paper
+//! [`apply_icbm`]. The *redundant* full-CPR scheme of \[SK95\] that the paper
 //! contrasts ICBM against is also provided ([`apply_full_cpr`]) so the
 //! operation-count/height trade-off can be measured.
 //!

@@ -135,7 +135,7 @@ pub enum TraceEvent {
 /// Internally the function is pre-decoded into a [`DecodedProgram`] and
 /// executed through a thread-local [`ExecState`] pool, so repeated
 /// profiling runs reuse their register/predicate/memory allocations. See
-/// [`crate::decode`] for the hot-path layout.
+/// `crate::decode` for the hot-path layout.
 ///
 /// # Errors
 ///

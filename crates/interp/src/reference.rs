@@ -1,5 +1,5 @@
 //! The original direct-IR interpreter, kept verbatim as a differential
-//! oracle for the pre-decoded hot path in [`crate::decode`].
+//! oracle for the pre-decoded hot path in `crate::decode`.
 //!
 //! This walks the [`Function`] structure op by op exactly as the
 //! interpreter did before pre-decoding existed: `Operand` matching per

@@ -69,7 +69,7 @@ impl Profile {
     }
 
     /// Merges another profile into this one (e.g. profiles from several
-    /// training inputs; the paper cites [FF92] for profile stability across
+    /// training inputs; the paper cites \[FF92\] for profile stability across
     /// data sets).
     pub fn merge(&mut self, other: &Profile) {
         for (&b, &n) in &other.block_entries {

@@ -4,7 +4,7 @@
 //! superblock/hyperblock scheduler the paper uses (§5.4, §7).
 //!
 //! Each block (superblock / hyperblock / compensation block) is scheduled
-//! independently against a [`Machine`](epic_machine::Machine) description.
+//! independently against a [`Machine`] description.
 //! Dependence information comes from [`epic_analysis::DepGraph`], which the
 //! scheduler builds with exit liveness derived from a whole-function
 //! liveness analysis. All of the paper's predicate-aware freedoms —

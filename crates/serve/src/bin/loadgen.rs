@@ -23,7 +23,7 @@
 //! replays one substream twice against tight admission caps and checks
 //! the shed id sets match exactly (deterministic load shedding).
 //!
-//! The default run writes `BENCH_serve_pr7.json`; `--quick` runs a small
+//! The default run writes `BENCH_serve.json`; `--quick` runs a small
 //! smoke sweep (used by `just serve-bench`) that asserts the same
 //! invariants plus a generous p99 bound and writes nothing.
 
@@ -448,7 +448,7 @@ fn main() {
         shed_counts = shed_counts.join(","),
         tiers = tier_latency.join(","),
     );
-    let path = out_path.unwrap_or_else(|| "BENCH_serve_pr7.json".to_string());
+    let path = out_path.unwrap_or_else(|| "BENCH_serve.json".to_string());
     std::fs::write(&path, &json).expect("write bench json");
     eprintln!("loadgen: wrote {path}");
 }

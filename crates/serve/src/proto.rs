@@ -154,6 +154,11 @@ pub fn peek_id(line: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
+/// The largest inline `"unroll"` factor a request may ask for. Workloads
+/// use at most 8; unrolling cost grows with the factor, and a running stage
+/// cannot be cut short by the request's deadline.
+const MAX_UNROLL: u64 = 64;
+
 fn want_u64(j: &Json, key: &str) -> Result<Option<u64>, ServeError> {
     match j.get(key) {
         None => Ok(None),
@@ -292,7 +297,14 @@ impl Request {
                 };
                 let name =
                     want_str(&j, "name")?.unwrap_or("inline").to_string();
-                let unroll = want_u64(&j, "unroll")?.unwrap_or(1) as u32;
+                let unroll = match want_u64(&j, "unroll")?.unwrap_or(1) {
+                    n @ 1..=MAX_UNROLL => n as u32,
+                    n => {
+                        return Err(ServeError::Protocol(format!(
+                            "\"unroll\" must be in [1, {MAX_UNROLL}], got {n}"
+                        )))
+                    }
+                };
                 Target::Inline(Box::new(InlineTarget { name, func, input, unroll }))
             }
             (None, None) => {
@@ -511,6 +523,21 @@ mod tests {
         assert_eq!(t.unroll, 2);
         assert_eq!(t.input.fuel_budget(), 1000);
         assert_eq!(t.func.fingerprint(), w.func.fingerprint());
+    }
+
+    #[test]
+    fn inline_unroll_is_range_checked() {
+        let ir = json_string(&epic_workloads::by_name("strcpy").unwrap().func.to_string());
+        let line = |unroll: u64| format!("{{\"id\":4,\"ir\":{ir},\"unroll\":{unroll}}}");
+        for bad in [0, 65, (1 << 32) + 2] {
+            let e = Request::parse(&line(bad)).unwrap_err();
+            assert_eq!(e.kind(), "protocol", "{bad}: {e}");
+            assert!(e.to_string().contains("\"unroll\""), "{bad}: {e}");
+        }
+        let Target::Inline(t) = Request::parse(&line(64)).unwrap().target else {
+            panic!("expected inline target");
+        };
+        assert_eq!(t.unroll, 64);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Genomes over the knob registry's discrete choice grids.
 //!
 //! A genome is one choice index per searchable knob, in registry order.
-//! The searchable subspace is the registry's *pipeline* knobs: the
-//! `machine.*` knobs are excluded so every candidate is scored on the same
-//! evaluation machine and cycle counts stay comparable. Genomes are
-//! canonicalized before use — while `if_convert.enable` (or `meld.enable`)
-//! is off, the gated `if_convert.*` (`meld.*`) genes are pinned to their
+//! The searchable subspace is the registry's *pipeline* knobs: the machine
+//! knobs are excluded so every candidate is scored on the same evaluation
+//! machine and cycle counts stay comparable. Genomes are canonicalized
+//! before use — while a pass switch (`if_convert.enable`, `meld.enable`) is
+//! off, the genes of the knobs that pass's stage hashes are pinned to their
 //! defaults, so configurations that compile identically also hash (and
-//! dedupe) identically.
+//! dedupe) identically. Both the switches and the gated knobs come from the
+//! knob table's rows.
 
 use epic_bench::knobs::{ConfigDelta, KnobSpace, KnobSpec, TunedConfig};
 use epic_bench::KnobValue;
@@ -33,19 +34,19 @@ pub struct SearchKnob {
 pub struct SearchSpace {
     space: &'static KnobSpace,
     knobs: Vec<SearchKnob>,
-    /// `(enable position, gated positions)` per optional pass: genes gated
-    /// behind an `.enable` knob are dead while it is off.
+    /// `(switch position, gated positions)` per optional pass: genes of the
+    /// knobs the switched stage hashes are dead while the switch is off.
     gates: Vec<(usize, Vec<usize>)>,
 }
 
 impl SearchSpace {
-    /// The pipeline search space: every registry knob except `machine.*`.
+    /// The pipeline search space: every registry knob except the machine's.
     pub fn pipeline() -> SearchSpace {
         let space = KnobSpace::global();
         let knobs: Vec<SearchKnob> = space
             .specs()
             .iter()
-            .filter(|s| !s.name.starts_with("machine."))
+            .filter(|s| !s.is_machine())
             .map(|spec| {
                 let default_choice = spec
                     .choices
@@ -55,20 +56,11 @@ impl SearchSpace {
                 SearchKnob { spec, default_choice }
             })
             .collect();
-        let pos = |name: &str| {
-            knobs
-                .iter()
-                .position(|k| k.spec.name == name)
-                .expect("gated knobs are in the pipeline space")
-        };
-        let gates = ["if_convert", "meld"]
-            .iter()
-            .map(|group| {
-                let gated = [".min_taken", ".max_taken", ".max_ops"]
-                    .iter()
-                    .map(|f| pos(&format!("{group}{f}")))
-                    .collect();
-                (pos(&format!("{group}.enable")), gated)
+        let gates = (0..knobs.len())
+            .filter_map(|switch| {
+                let stage = knobs[switch].spec.switches?;
+                let gated = (0..knobs.len()).filter(|&i| knobs[i].spec.stages.contains(&stage));
+                Some((switch, gated.collect()))
             })
             .collect();
         SearchSpace { space, knobs, gates }
@@ -98,9 +90,9 @@ impl SearchSpace {
     }
 
     /// Pins genes that cannot affect the configuration to their defaults:
-    /// with `if_convert.enable` (or `meld.enable`) off, the pass's other
-    /// genes are dead, and leaving them free would make one configuration
-    /// hash as many distinct genomes.
+    /// with a pass switch off, the genes its stage hashes are dead, and
+    /// leaving them free would make one configuration hash as many distinct
+    /// genomes.
     pub fn canonicalize(&self, g: &mut Genome) {
         for (enable_pos, gated) in &self.gates {
             let enable = self.knobs[*enable_pos].spec.choices[g[*enable_pos]];
@@ -166,6 +158,9 @@ mod tests {
         let s = SearchSpace::pipeline();
         assert_eq!(s.knobs().len(), 18);
         assert!(s.knobs().iter().all(|k| !k.spec.name.starts_with("machine.")));
+        // One gate per optional pass, over that pass's three parameters.
+        assert_eq!(s.gates.len(), 2);
+        assert!(s.gates.iter().all(|(_, gated)| gated.len() == 3));
         // The meld and cpr.enable knobs are searchable.
         assert!(s.knobs().iter().any(|k| k.spec.name == "meld.enable"));
         assert!(s.knobs().iter().any(|k| k.spec.name == "cpr.enable"));

@@ -131,7 +131,7 @@ fn snapshot_result(r: &WorkloadResult) -> String {
     )
 }
 
-/// Renders the `BENCH_tune_pr8.json` snapshot. `check_threads` is the
+/// Renders the `BENCH_tune.json` snapshot. `check_threads` is the
 /// thread sweep that was verified byte-identical (empty when `--check`
 /// didn't run).
 pub fn render_snapshot(

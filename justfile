@@ -1,15 +1,16 @@
 # Project task runner. `just --list` shows recipes.
 
-# Full pre-merge gate: release build, tests, clippy clean, fuzz corpus,
-# compile-server smoke, event-server load smoke, observability smoke,
-# schedule validation, perf gate.
+# Full pre-merge gate: release build, tests, clippy and rustdoc clean,
+# fuzz corpus, compile-server smoke, event-server load smoke,
+# observability smoke, schedule validation, perf gate.
 bench-check: fuzz-smoke riscfe-check serve-smoke serve-bench obs-smoke sched-check perf-check tune-smoke
     cargo build --release
     cargo test -q
     cargo clippy --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Performance gate: a quick serial table2 timing run (min of 3) must stay
-# within 25% of the committed BENCH_pr6.json snapshot.
+# within 25% of the committed BENCH_table2.json snapshot.
 perf-check:
     cargo run --release -p epic-bench --bin bench_snapshot -- --quick --check
 
@@ -42,7 +43,7 @@ serve-bench:
 # Regenerate the committed serve latency benchmark (full 100k-request
 # replay; see EXPERIMENTS.md "Serving").
 serve-snapshot:
-    cargo run --release -q -p epic-serve --bin loadgen -- --out BENCH_serve_pr7.json
+    cargo run --release -q -p epic-serve --bin loadgen -- --out BENCH_serve.json
 
 # Autotuner smoke: a small fixed-seed search over four workloads, run at
 # 1, 2 and 8 threads; the reports must be byte-identical and every elite
@@ -53,7 +54,7 @@ tune-smoke:
 # Regenerate the committed autotuning snapshot (full suite, default
 # budget, thread-sweep check; see EXPERIMENTS.md "Autotuning").
 tune-snapshot:
-    cargo run --release -q -p epic-tune --bin tune -- --check --out BENCH_tune_pr8.json
+    cargo run --release -q -p epic-tune --bin tune -- --check --out BENCH_tune.json
 
 # Observability smoke: Chrome-trace export validity (one span per
 # pipeline stage per workload, parsed with the bench Json parser) and the

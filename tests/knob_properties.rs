@@ -4,7 +4,7 @@
 //!
 //! 1. **Lossless JSON round trip.** Any valid [`ConfigDelta`] renders to
 //!    flat JSON, parses back to an equal delta, and reapplies to the
-//!    identical `config_hash` (and machine hash) — including the `"inf"`
+//!    identical `config_hash` (and machine) — including the `"inf"`
 //!    encoding for the unbounded thresholds and `u64::MAX` for the
 //!    unlimited branch cap. This is what lets the tuner echo a winning
 //!    delta into a snapshot and a later run reproduce the exact compile
@@ -15,7 +15,7 @@
 //!    surface (serve, tune, fuzz) that goes through the registry.
 
 use epic_bench::knobs::{ConfigDelta, KnobSpace, KnobValue};
-use epic_bench::{machine_hash, Json, PipelineConfig};
+use epic_bench::{Json, PipelineConfig};
 use epic_machine::Machine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -74,7 +74,7 @@ proptest! {
         let a = delta.apply(space);
         let b = back.apply(space);
         prop_assert_eq!(a.pipeline.config_hash(), b.pipeline.config_hash());
-        prop_assert_eq!(machine_hash(&a.machine), machine_hash(&b.machine));
+        prop_assert_eq!(&a.machine, &b.machine);
         prop_assert_eq!(a.full_hash(), b.full_hash());
 
         // And applying twice is stable (no hidden state).
@@ -114,12 +114,7 @@ fn registry_defaults_reproduce_the_paper_configuration() {
         } else {
             // Assigning a machine knob its default still yields a machine
             // with the medium shape (only the cosmetic name differs).
-            assert_eq!(
-                machine_hash(&u.machine),
-                machine_hash(&Machine::medium()),
-                "{}",
-                spec.name
-            );
+            assert_eq!(u.machine.with_name("medium"), Machine::medium(), "{}", spec.name);
         }
     }
 }
