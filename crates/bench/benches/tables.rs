@@ -3,13 +3,17 @@
 //! machines (Table 2's per-row cost), plus the count-ratio path (Table 3).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use epic_bench::{compile, table2_row_bench, PipelineConfig};
+use epic_bench::{compile, table2_row, PipelineConfig};
+use epic_machine::Machine;
 
 fn bench_tables(c: &mut Criterion) {
     for name in ["strcpy", "wc", "126.gcc"] {
         c.bench_function(&format!("table2_row/{name}"), |b| {
             let w = epic_workloads::by_name(name).expect("workload");
-            b.iter(|| table2_row_bench(&w));
+            b.iter(|| {
+                let c = compile(&w, &PipelineConfig::default()).expect("compiles");
+                table2_row(&w, &c, &Machine::paper_suite())
+            });
         });
     }
     c.bench_function("compile_pair/023.eqntott", |b| {

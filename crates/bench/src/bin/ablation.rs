@@ -17,7 +17,7 @@
 use control_cpr::CprConfig;
 use epic_bench::{
     check_all_schedules, enable_tracing_if_requested, meld_matrix, meld_matrix_configs,
-    meld_matrix_machines, render_meld_matrix, table2_cached, take_check_schedules_flag,
+    meld_matrix_machines, render_meld_matrix, table2, take_check_schedules_flag,
     take_trace_flag, write_trace, CompileCache, PipelineConfig,
 };
 use epic_perf::geomean;
@@ -34,7 +34,7 @@ fn gmean_all(
         .iter()
         .map(|n| epic_workloads::by_name(n).expect("known workload"))
         .collect();
-    let rows = table2_cached(&workloads, cfg, cache);
+    let (rows, _) = table2(&workloads, cfg, Some(cache));
     geomean(rows.iter().map(|r| r.speedup(machine_idx)))
 }
 

@@ -53,9 +53,7 @@
 
 use std::time::{Duration, Instant};
 
-use epic_bench::{
-    table2_serial, table2_with_timings, timings_to_json, Json, PassTimings, PipelineConfig,
-};
+use epic_bench::{table2, timings_to_json, Json, PassTimings, PipelineConfig, Table2Row};
 use epic_perf::geomean;
 use epic_workloads::Workload;
 
@@ -64,26 +62,29 @@ const TIMING_PASSES: usize = 3;
 /// Repeats per thread count in the sweep (min is recorded).
 const SWEEP_RUNS: usize = 3;
 
+/// Runs uncached `table2` strictly on the calling thread (the rayon shim
+/// executes inline when the installed pool has one thread): the serial
+/// reference, whose stage walls cannot absorb scheduler preemption of
+/// sibling workload threads.
+fn serial_table2(
+    workloads: &[Workload],
+    cfg: &PipelineConfig,
+) -> (Vec<Table2Row>, Vec<PassTimings>) {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("1-thread pool");
+    pool.install(|| table2(workloads, cfg, None))
+}
+
 /// Serial `table2` wall clock in milliseconds, minimum of `runs` repeats
 /// (the minimum is the least noise-contaminated estimate on a busy host).
 fn serial_ms(workloads: &[Workload], cfg: &PipelineConfig, runs: usize) -> (f64, Vec<f64>) {
     let mut samples = Vec::with_capacity(runs);
     for _ in 0..runs {
         let t0 = Instant::now();
-        std::hint::black_box(table2_serial(workloads, cfg));
+        std::hint::black_box(serial_table2(workloads, cfg));
         samples.push(t0.elapsed().as_secs_f64() * 1e3);
     }
     let best = samples.iter().copied().fold(f64::INFINITY, f64::min);
     (best, samples)
-}
-
-/// Runs `table2_with_timings` strictly on the calling thread (the rayon
-/// shim executes inline when the installed pool has one thread), so the
-/// recorded stage walls cannot absorb scheduler preemption of sibling
-/// workload threads.
-fn serial_timing_pass(workloads: &[Workload], cfg: &PipelineConfig) -> Vec<PassTimings> {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("1-thread pool");
-    pool.install(|| table2_with_timings(workloads, cfg)).1
 }
 
 /// Per-stage minimum and maximum wall times across timing passes, in the
@@ -290,7 +291,7 @@ fn main() {
     // interpreter pools, and first-touch page faults are paid before any
     // recorded number.
     eprintln!("warmup pass...");
-    std::hint::black_box(serial_timing_pass(&workloads, &cfg));
+    std::hint::black_box(serial_table2(&workloads, &cfg));
 
     eprintln!("serial table2 ({} workloads, min of 3 runs)...", workloads.len());
     let (serial_best, serial_runs) = serial_ms(&workloads, &cfg, 3);
@@ -304,7 +305,7 @@ fn main() {
     let default_out = if large { "BENCH_table2_large.json" } else { "BENCH_table2.json" };
     let out = out.unwrap_or_else(|| default_out.to_string());
 
-    let serial_rows = table2_serial(&workloads, &cfg);
+    let serial_rows = serial_table2(&workloads, &cfg).0;
     let mut sweep: Vec<(usize, f64)> = Vec::new();
     let mut timings: Vec<PassTimings> = Vec::new();
     let mut heavy: Vec<HeavyStage> = Vec::new();
@@ -312,7 +313,7 @@ fn main() {
     if !quick {
         eprintln!("per-stage timings ({TIMING_PASSES} serial passes, recording minima)...");
         let passes: Vec<Vec<PassTimings>> =
-            (0..TIMING_PASSES).map(|_| serial_timing_pass(&workloads, &cfg)).collect();
+            (0..TIMING_PASSES).map(|_| serial_table2(&workloads, &cfg).1).collect();
         let (mins, maxs) = min_max_timings(&passes);
         let (h, t) = scan_spikes(&mins, &maxs);
         heavy = h;
@@ -332,7 +333,7 @@ fn main() {
             let mut best = f64::INFINITY;
             for _ in 0..SWEEP_RUNS {
                 let t0 = Instant::now();
-                let (rows, _) = pool.install(|| table2_with_timings(&workloads, &cfg));
+                let (rows, _) = pool.install(|| table2(&workloads, &cfg, None));
                 let wall = t0.elapsed().as_secs_f64() * 1e3;
                 // Determinism cross-check: every parallel run must
                 // reproduce the serial reference exactly.
@@ -370,9 +371,9 @@ fn main() {
             "large tier: {} corpus workloads ({TIMING_PASSES} serial passes, recording minima)...",
             corpus.len()
         );
-        std::hint::black_box(serial_timing_pass(&corpus, &cfg));
+        std::hint::black_box(serial_table2(&corpus, &cfg));
         let passes: Vec<Vec<PassTimings>> =
-            (0..TIMING_PASSES).map(|_| serial_timing_pass(&corpus, &cfg)).collect();
+            (0..TIMING_PASSES).map(|_| serial_table2(&corpus, &cfg).1).collect();
         let (mins, maxs) = min_max_timings(&passes);
         // The detector's reproducibility assertion is the acceptance gate:
         // an ICBM or scheduling blowup at 10k ops that varies across passes

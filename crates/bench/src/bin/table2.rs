@@ -3,15 +3,15 @@
 //! means.
 //!
 //! Workloads compile and schedule in parallel (`RAYON_NUM_THREADS`
-//! controls the fan-out); `--serial` forces the single-thread reference
-//! path. `--timings out.json` writes per-workload pass timings. Stage
+//! controls the fan-out; `RAYON_NUM_THREADS=1` is the serial reference).
+//! `--timings out.json` writes per-workload pass timings. Stage
 //! artifacts are served through a compile cache (set `EPIC_CACHE_DIR` to
 //! persist them across runs); `--cache-stats` prints the counters.
 
 use epic_bench::{
-    check_all_schedules, enable_tracing_if_requested, render_table2, table2_serial,
-    table2_with_timings_cached, take_check_schedules_flag, take_timings_flag, take_trace_flag,
-    timings_to_json, write_trace, CompileCache, PipelineConfig,
+    check_all_schedules, enable_tracing_if_requested, render_table2, table2,
+    take_check_schedules_flag, take_timings_flag, take_trace_flag, timings_to_json, write_trace,
+    CompileCache, PipelineConfig,
 };
 
 fn main() {
@@ -20,7 +20,6 @@ fn main() {
     let trace_path = take_trace_flag(&mut args);
     let check_schedules = take_check_schedules_flag(&mut args);
     enable_tracing_if_requested(&trace_path);
-    let serial = args.iter().any(|a| a == "--serial");
     let cache_stats = args.iter().any(|a| a == "--cache-stats");
     let large = args.iter().any(|a| a == "--large");
 
@@ -30,18 +29,10 @@ fn main() {
         if large { epic_workloads::all_with_corpus() } else { epic_workloads::all() };
     let cfg = PipelineConfig::default();
     let cache = CompileCache::from_env();
-    let rows = if serial {
-        table2_serial(&workloads, &cfg)
-    } else {
-        let (rows, timings) = table2_with_timings_cached(&workloads, &cfg, Some(&cache));
-        if let Some(path) = &timings_path {
-            std::fs::write(path, timings_to_json(&timings)).expect("write timings");
-            eprintln!("pass timings written to {path}");
-        }
-        rows
-    };
-    if serial && timings_path.is_some() {
-        eprintln!("--timings is only recorded on the parallel path; ignoring");
+    let (rows, timings) = table2(&workloads, &cfg, Some(&cache));
+    if let Some(path) = &timings_path {
+        std::fs::write(path, timings_to_json(&timings)).expect("write timings");
+        eprintln!("pass timings written to {path}");
     }
     if let Some(path) = &trace_path {
         write_trace(path);

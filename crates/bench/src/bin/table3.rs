@@ -4,16 +4,16 @@
 //! front end) on the branchy subset.
 //!
 //! Workloads compile in parallel (`RAYON_NUM_THREADS` controls the
-//! fan-out); `--serial` forces the single-thread reference path.
+//! fan-out; `RAYON_NUM_THREADS=1` is the serial reference).
 //! `--timings out.json` writes per-workload pass timings. Stage artifacts
 //! are served through a compile cache (set `EPIC_CACHE_DIR` to persist
 //! them across runs); `--cache-stats` prints the counters.
 
 use epic_bench::{
     check_all_schedules, enable_tracing_if_requested, meld_matrix, meld_matrix_configs,
-    meld_matrix_machines, meld_matrix_serial, render_meld_matrix, render_table3, table3_serial,
-    table3_with_timings_cached, take_check_schedules_flag, take_timings_flag, take_trace_flag,
-    timings_to_json, write_trace, CompileCache, PipelineConfig,
+    meld_matrix_machines, render_meld_matrix, render_table3, table3, take_check_schedules_flag,
+    take_timings_flag, take_trace_flag, timings_to_json, write_trace, CompileCache,
+    PipelineConfig,
 };
 
 fn main() {
@@ -22,24 +22,15 @@ fn main() {
     let trace_path = take_trace_flag(&mut args);
     let check_schedules = take_check_schedules_flag(&mut args);
     enable_tracing_if_requested(&trace_path);
-    let serial = args.iter().any(|a| a == "--serial");
     let cache_stats = args.iter().any(|a| a == "--cache-stats");
 
     let workloads = epic_workloads::all();
     let cfg = PipelineConfig::default();
     let cache = CompileCache::from_env();
-    let rows = if serial {
-        table3_serial(&workloads, &cfg)
-    } else {
-        let (rows, timings) = table3_with_timings_cached(&workloads, &cfg, Some(&cache));
-        if let Some(path) = &timings_path {
-            std::fs::write(path, timings_to_json(&timings)).expect("write timings");
-            eprintln!("pass timings written to {path}");
-        }
-        rows
-    };
-    if serial && timings_path.is_some() {
-        eprintln!("--timings is only recorded on the parallel path; ignoring");
+    let (rows, timings) = table3(&workloads, &cfg, Some(&cache));
+    if let Some(path) = &timings_path {
+        std::fs::write(path, timings_to_json(&timings)).expect("write timings");
+        eprintln!("pass timings written to {path}");
     }
     if let Some(path) = &trace_path {
         write_trace(path);
@@ -53,11 +44,7 @@ fn main() {
         .map(|n| epic_workloads::by_name(n).expect("known workload"))
         .collect();
     let fe_machines = meld_matrix_machines();
-    let matrix = if serial {
-        meld_matrix_serial(&subset, &fe_machines)
-    } else {
-        meld_matrix(&subset, &fe_machines, Some(&cache))
-    };
+    let matrix = meld_matrix(&subset, &fe_machines, Some(&cache));
     if check_schedules {
         // Table 3 itself never schedules; validate under the wide and
         // sequential extremes, then the matrix configurations (melded

@@ -8,59 +8,44 @@
 //! or beat full CPR on modest machines because it does not pay the
 //! redundant compares.
 //!
-//! Each workload's three variants are built independently, so the per-
-//! workload work fans out in parallel; rows print in workload order.
+//! The baseline and the FRP+ICBM leg come from the compile pipeline; the
+//! FRP-only and full-CPR legs are built from its baseline here. Each
+//! workload's variants are independent, so the per-workload work fans out
+//! in parallel; rows print in workload order.
 
 use control_cpr::dce;
-use epic_bench::PipelineConfig;
+use epic_bench::{compile, PipelineConfig};
+use epic_ir::{Function, Profile};
 use epic_machine::Machine;
 use epic_perf::{geomean, profile_and_count, weighted_cycles};
-use epic_regions::{form_superblocks, frp_convert, unroll_hot_loops};
+use epic_regions::frp_convert;
 use epic_sched::{schedule_function, SchedOptions};
 use epic_workloads::Workload;
 use rayon::prelude::*;
 
 /// `(FRP-only, full-CPR, FRP+ICBM)` speedups for one workload.
 fn decompose(w: &Workload, cfg: &PipelineConfig, m: &Machine) -> (f64, f64, f64) {
-    let opts = SchedOptions::default();
-    let (p0, _) = profile_and_count(&w.func, &w.training).expect("runs");
-    let mut base = form_superblocks(&w.func, &p0, &cfg.trace);
-    let (p1, _) = profile_and_count(&base, &w.training).expect("runs");
-    unroll_hot_loops(&mut base, &p1, w.unroll, cfg.trace.min_count);
-    dce(&mut base);
-    let (bp, _) = profile_and_count(&base, &w.training).expect("runs");
-    let base_cycles = {
-        let s = schedule_function(&base, m, &opts);
-        weighted_cycles(&base, &bp, &s)
+    let cycles = |f: &Function, p: &Profile| {
+        weighted_cycles(f, p, &schedule_function(f, m, &SchedOptions::default()))
+    };
+    let c = compile(w, cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+    // A baseline variant: FRP-converted, optionally transformed, cleaned
+    // and re-profiled.
+    let variant = |transform: &dyn Fn(&mut Function)| {
+        let mut f = c.baseline.clone();
+        frp_convert(&mut f);
+        transform(&mut f);
+        dce(&mut f);
+        let (p, _) = profile_and_count(&f, &w.training).expect("runs");
+        cycles(&f, &p).max(1)
     };
 
-    let mut frp = base.clone();
-    frp_convert(&mut frp);
-    dce(&mut frp);
-    let (fp, _) = profile_and_count(&frp, &w.training).expect("runs");
-    let frp_cycles = {
-        let s = schedule_function(&frp, m, &opts);
-        weighted_cycles(&frp, &fp, &s).max(1)
-    };
-
-    let mut red = base.clone();
-    frp_convert(&mut red);
-    control_cpr::apply_full_cpr(&mut red, &bp, &cfg.cpr);
-    dce(&mut red);
-    let (rp, _) = profile_and_count(&red, &w.training).expect("runs");
-    let red_cycles = {
-        let s = schedule_function(&red, m, &opts);
-        weighted_cycles(&red, &rp, &s).max(1)
-    };
-
-    let mut opt = base.clone();
-    frp_convert(&mut opt);
-    control_cpr::apply_icbm(&mut opt, &bp, &cfg.cpr);
-    let (op, _) = profile_and_count(&opt, &w.training).expect("runs");
-    let opt_cycles = {
-        let s = schedule_function(&opt, m, &opts);
-        weighted_cycles(&opt, &op, &s).max(1)
-    };
+    let base_cycles = cycles(&c.baseline, &c.base_profile);
+    let frp_cycles = variant(&|_| {});
+    let red_cycles = variant(&|f| {
+        control_cpr::apply_full_cpr(f, &c.base_profile, &cfg.cpr);
+    });
+    let opt_cycles = cycles(&c.optimized, &c.opt_profile).max(1);
 
     (
         base_cycles as f64 / frp_cycles as f64,

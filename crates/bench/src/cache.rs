@@ -313,8 +313,8 @@ impl CompileCache {
         &self.shards[self.shard_index(key)]
     }
 
-    /// Serves `key` from memory (then disk, when `use_disk` and a disk
-    /// layer exists), computing and inserting on miss.
+    /// Serves `key` from memory (then disk, when a disk layer exists),
+    /// computing and inserting on miss.
     ///
     /// Misses are *singleflighted*: concurrent callers of the same key
     /// elect one leader to run `compute` while the rest block until the
@@ -323,9 +323,7 @@ impl CompileCache {
     /// compute fails, one waiter takes over and computes itself, so an
     /// error on one caller never poisons the others.
     ///
-    /// Errors from `compute` are propagated and never cached. Stages whose
-    /// artifacts must stay id-consistent with a sibling artifact pass
-    /// `use_disk: false`; see the module docs.
+    /// Errors from `compute` are propagated and never cached.
     ///
     /// # Errors
     ///
@@ -333,7 +331,6 @@ impl CompileCache {
     pub fn get_or_compute(
         &self,
         key: CacheKey,
-        use_disk: bool,
         compute: impl FnOnce() -> Result<StageArtifact, CompileError>,
     ) -> Result<CacheOutcome, CompileError> {
         let _probe = epic_obs::Span::enter(key.stage, "cache");
@@ -345,15 +342,13 @@ impl CompileCache {
                 self.m_hits.inc();
                 return Ok(CacheOutcome { artifact, hit: true });
             }
-            if use_disk {
-                if let Some(artifact) = self.disk_load(&key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.m_hits.inc();
-                    self.m_disk_hits.inc();
-                    let artifact = self.insert(key, artifact);
-                    return Ok(CacheOutcome { artifact, hit: true });
-                }
+            if let Some(artifact) = self.disk_load(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                self.m_hits.inc();
+                self.m_disk_hits.inc();
+                let artifact = self.insert(key, artifact);
+                return Ok(CacheOutcome { artifact, hit: true });
             }
             // Elect a leader for this key, or join an existing flight.
             let role = {
@@ -383,9 +378,7 @@ impl CompileCache {
                     self.m_misses.inc();
                     let computed = (compute.take().expect("one leader election per caller"))()?;
                     let artifact = self.insert(key, Arc::new(computed));
-                    if use_disk {
-                        self.disk_store(&key, &artifact);
-                    }
+                    self.disk_store(&key, &artifact);
                     return Ok(CacheOutcome { artifact, hit: false });
                 }
                 Err(entry) => {
@@ -692,9 +685,9 @@ mod tests {
         let f = sample_func();
         let fp = f.fingerprint();
         let make = || Ok(StageArtifact::Func(sample_func()));
-        let first = cache.get_or_compute(key(1), false, make).unwrap();
+        let first = cache.get_or_compute(key(1), make).unwrap();
         assert!(!first.hit);
-        let second = cache.get_or_compute(key(1), false, make).unwrap();
+        let second = cache.get_or_compute(key(1), make).unwrap();
         assert!(second.hit);
         assert_eq!(second.artifact.function().fingerprint(), fp);
         let stats = cache.stats();
@@ -706,11 +699,11 @@ mod tests {
     fn distinct_stage_or_config_is_a_distinct_entry() {
         let cache = CompileCache::new();
         let make = || Ok(StageArtifact::Func(sample_func()));
-        cache.get_or_compute(key(1), false, make).unwrap();
+        cache.get_or_compute(key(1), make).unwrap();
         let other_cfg = CacheKey { config: 8, ..key(1) };
-        assert!(!cache.get_or_compute(other_cfg, false, make).unwrap().hit);
+        assert!(!cache.get_or_compute(other_cfg, make).unwrap().hit);
         let other_stage = CacheKey { stage: stage::UNROLL, ..key(1) };
-        assert!(!cache.get_or_compute(other_stage, false, make).unwrap().hit);
+        assert!(!cache.get_or_compute(other_stage, make).unwrap().hit);
         assert_eq!(cache.stats().entries, 3);
     }
 
@@ -720,14 +713,14 @@ mod tests {
         let cache = CompileCache::with_capacity_and_shards(2, 1);
         let make = || Ok(StageArtifact::Func(sample_func()));
         for n in 0..3 {
-            cache.get_or_compute(key(n), false, make).unwrap();
+            cache.get_or_compute(key(n), make).unwrap();
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
         // The oldest entry (0) was evicted; the newest two remain.
-        assert!(!cache.get_or_compute(key(0), false, make).unwrap().hit);
-        assert!(cache.get_or_compute(key(2), false, make).unwrap().hit);
+        assert!(!cache.get_or_compute(key(0), make).unwrap().hit);
+        assert!(cache.get_or_compute(key(2), make).unwrap().hit);
     }
 
     #[test]
@@ -735,7 +728,7 @@ mod tests {
         let cache = CompileCache::with_capacity_and_shards(16, 4);
         let make = || Ok(StageArtifact::Func(sample_func()));
         for n in 0..64 {
-            cache.get_or_compute(key(n), false, make).unwrap();
+            cache.get_or_compute(key(n), make).unwrap();
         }
         let stats = cache.stats();
         // Each of the 4 shards holds at most its share (16/4 = 4).
@@ -785,7 +778,7 @@ mod tests {
                         // are thread-private.
                         let fp = if n % 2 == 0 { n } else { t * 1000 + n };
                         let out = cache
-                            .get_or_compute(key(fp), false, || {
+                            .get_or_compute(key(fp), || {
                                 Ok(StageArtifact::Func(sample_func()))
                             })
                             .unwrap();
@@ -818,7 +811,7 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     let out = cache
-                        .get_or_compute(key(77), false, || {
+                        .get_or_compute(key(77), || {
                             computes.fetch_add(1, Ordering::SeqCst);
                             // Hold the flight open until every other
                             // caller has registered as a waiter, so the
@@ -856,12 +849,12 @@ mod tests {
         let leader = {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
-                cache.get_or_compute(key(5), false, || {
+                cache.get_or_compute(key(5), || {
                     entered_tx.send(()).unwrap();
                     // Stay in flight until the main thread has joined as a
                     // waiter, then fail.
                     fail_rx.recv().unwrap();
-                    Err(CompileError::Stage { stage: stage::SUPERBLOCK, message: "boom".into() })
+                    Err(CompileError::Deadline { stage: stage::SUPERBLOCK })
                 })
             })
         };
@@ -869,7 +862,7 @@ mod tests {
         let waiter = {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
-                cache.get_or_compute(key(5), false, || Ok(StageArtifact::Func(sample_func())))
+                cache.get_or_compute(key(5), || Ok(StageArtifact::Func(sample_func())))
             })
         };
         // Release the leader once the waiter is blocked on the flight.
@@ -892,14 +885,14 @@ mod tests {
     fn compute_errors_are_not_cached() {
         let cache = CompileCache::new();
         let boom = || {
-            Err(CompileError::Stage { stage: stage::SUPERBLOCK, message: "boom".into() })
+            Err(CompileError::Deadline { stage: stage::SUPERBLOCK })
         };
-        assert!(cache.get_or_compute(key(9), false, boom).is_err());
+        assert!(cache.get_or_compute(key(9), boom).is_err());
         // The failed lookup counted as a miss but left no entry behind.
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.entries), (1, 0));
         let ok = cache
-            .get_or_compute(key(9), false, || Ok(StageArtifact::Func(sample_func())))
+            .get_or_compute(key(9), || Ok(StageArtifact::Func(sample_func())))
             .unwrap();
         assert!(!ok.hit);
     }

@@ -4,9 +4,8 @@
 //! optimized superblock code ... The height-reduced code is the baseline
 //! code to which FRP conversion and the ICBM schema are applied."
 //!
-//! [`compile`] is a thin wrapper over the staged
-//! [`Pipeline`] API; [`compile_cached`] is the
-//! same flow with a [`CompileCache`] attached, so repeated or
+//! [`compile`] runs that flow through [`Pipeline::run`]; [`compile_cached`]
+//! is the same flow with a [`CompileCache`] attached, so repeated or
 //! config-overlapping compilations reuse stage artifacts instead of
 //! recomputing them.
 
@@ -75,7 +74,7 @@ pub struct Compiled {
 /// from the profiling runs (a trap indicates a broken workload or a
 /// miscompilation and is always a bug).
 pub fn compile(w: &Workload, cfg: &PipelineConfig) -> Result<Compiled, CompileError> {
-    Pipeline::new(w, cfg).if_convert()?.meld()?.superblock()?.unroll()?.frp()?.icbm()
+    Pipeline::new(w, cfg).run()
 }
 
 /// [`compile`] with stage memoization: every stage is first looked up in
@@ -91,14 +90,7 @@ pub fn compile_cached(
     cfg: &PipelineConfig,
     cache: &CompileCache,
 ) -> Result<Compiled, CompileError> {
-    Pipeline::new(w, cfg)
-        .with_cache(cache)
-        .if_convert()?
-        .meld()?
-        .superblock()?
-        .unroll()?
-        .frp()?
-        .icbm()
+    Pipeline::new(w, cfg).with_cache(cache).run()
 }
 
 /// Differentially tests both compiled functions against the original

@@ -33,19 +33,12 @@ pub enum CompileError {
     /// Inline IR text failed to parse.
     Parse(ParseError),
     /// The compile's deadline (see [`Pipeline::with_deadline`]) had passed
-    /// when it reached a stage boundary.
+    /// when it reached a stage boundary or an ICBM phase.
     ///
     /// [`Pipeline::with_deadline`]: crate::Pipeline::with_deadline
     Deadline {
-        /// The stage that was about to start.
+        /// The stage that was about to start (or, for `icbm`, was running).
         stage: &'static str,
-    },
-    /// A stage bailed out for a reason of its own.
-    Stage {
-        /// The stage that bailed.
-        stage: &'static str,
-        /// Human-readable reason.
-        message: String,
     },
 }
 
@@ -63,16 +56,13 @@ impl CompileError {
             CompileError::Verify(_) => "verify",
             CompileError::Parse(_) => "parse",
             CompileError::Deadline { .. } => "deadline",
-            CompileError::Stage { .. } => "stage",
         }
     }
 
     /// The pipeline stage the error is attributed to, when known.
     pub fn stage(&self) -> Option<&'static str> {
         match self {
-            CompileError::Trap { stage, .. }
-            | CompileError::Deadline { stage }
-            | CompileError::Stage { stage, .. } => Some(stage),
+            CompileError::Trap { stage, .. } | CompileError::Deadline { stage } => Some(stage),
             _ => None,
         }
     }
@@ -99,7 +89,6 @@ impl fmt::Display for CompileError {
             CompileError::Verify(e) => write!(f, "verification failed: {e}"),
             CompileError::Parse(e) => write!(f, "IR parse failed: {e}"),
             CompileError::Deadline { stage } => write!(f, "[{stage}] deadline exceeded"),
-            CompileError::Stage { stage, message } => write!(f, "[{stage}] {message}"),
         }
     }
 }
@@ -163,9 +152,9 @@ mod tests {
             CompileError::from(ParseError { line: 1, message: "m".into() }).kind(),
             "parse"
         );
-        let s = CompileError::Stage { stage: stage::ICBM, message: "bail".into() };
-        assert_eq!(s.kind(), "stage");
-        assert_eq!(s.stage(), Some("icbm"));
-        assert!(s.to_string().contains("bail"));
+        let d = CompileError::Deadline { stage: stage::ICBM };
+        assert_eq!(d.kind(), "deadline");
+        assert_eq!(d.stage(), Some("icbm"));
+        assert!(d.to_string().contains("deadline exceeded"));
     }
 }

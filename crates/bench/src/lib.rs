@@ -32,11 +32,9 @@ pub use schedules::{
     take_check_schedules_flag,
 };
 pub use tables::{
-    cycle_speedup, meld_matrix, meld_matrix_configs, meld_matrix_machines, meld_matrix_serial,
-    render_meld_matrix, render_table2, render_table3, table2, table2_cached, table2_row,
-    table2_row_bench, table2_serial, table2_with_timings, table2_with_timings_cached, table3,
-    table3_cached, table3_serial, table3_with_timings, table3_with_timings_cached, MeldMatrixRow,
-    Table2Row, Table3Row,
+    cycle_speedup, meld_matrix, meld_matrix_configs, meld_matrix_machines, render_meld_matrix,
+    render_table2, render_table3, table2, table2_row, table3, MeldMatrixRow, Table2Row,
+    Table3Row,
 };
 pub use timing::{
     enable_tracing_if_requested, stage, take_timings_flag, take_trace_flag, timings_to_json,

@@ -1,13 +1,17 @@
-//! The staged compilation pipeline.
+//! The compilation pipeline, written out once.
 //!
-//! [`Pipeline`] exposes the compile flow as typed stages —
-//! `Pipeline::new(&w, &cfg).if_convert()?.meld()?.superblock()?.unroll()?.frp()?.icbm()?`
-//! — where each stage's output type is exactly the compile cache's unit of
-//! memoization. Attach a [`CompileCache`] with [`Pipeline::with_cache`] and
-//! every stage first consults the cache under
+//! [`Pipeline::run`] runs the paper's flow (§7) in order: optional
+//! if-conversion and melding, superblock formation, unrolling (the
+//! baseline), FRP conversion and ICBM (the height-reduced code). Every
+//! caller — [`crate::compile()`], the table drivers, the compile server —
+//! goes through it. The three "profile, then transform" stages share one
+//! helper; unrolling and ICBM also measure their output, so they produce
+//! richer artifacts.
+//!
+//! Attach a [`CompileCache`] with [`Pipeline::with_cache`] and every
+//! stage except FRP first consults the cache under
 //! `(input fingerprint, stage, stage-config hash)`; without a cache the
-//! stages compute directly and the result is bit-identical to the
-//! pre-refactor monolithic `compile`.
+//! stages compute directly, with bit-identical results.
 //!
 //! Stage keys hash only the configuration each stage consumes:
 //! [`PipelineConfig::stage_hash`] absorbs exactly the knobs whose row in the
@@ -18,10 +22,10 @@
 //! it sets; the stages its row names key it, with no hash to update here.
 //!
 //! [`Pipeline::with_deadline`] makes a compile cooperative: each cached
-//! stage checks the deadline on entry and fails with
-//! [`CompileError::Deadline`] once it has passed. A running stage is never
-//! interrupted, so a deadline fires at the next stage boundary, and since
-//! errors are never cached an expired compile leaves no trace in the cache.
+//! stage checks the deadline on entry, and inside ICBM it is checked again
+//! after every phase (see [`control_cpr::apply_icbm_observed`]); once it
+//! has passed the compile fails with [`CompileError::Deadline`]. Errors
+//! are never cached, so an expired compile leaves no trace in the cache.
 //!
 //! The FRP stage is deliberately *not* memoized: `frp_convert` preserves
 //! operation ids so the baseline's profile stays valid for the ICBM
@@ -32,11 +36,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use control_cpr::apply_icbm;
+use control_cpr::apply_icbm_observed;
 use epic_interp::Input;
 use epic_ir::{combine_hashes, Function, Profile};
 use epic_machine::Machine;
-use epic_perf::{profile_and_count, OpCounts};
+use epic_perf::profile_and_count;
 use epic_regions::{form_superblocks, frp_convert, if_convert, meld, unroll_hot_loops};
 use epic_workloads::Workload;
 
@@ -70,99 +74,19 @@ impl PipelineConfig {
     }
 }
 
-/// Everything the stages thread along: the immutable compile request plus
-/// the accumulating timings and cache counters.
-struct Ctx<'a> {
+/// One compile request: the function, its training input and config,
+/// plus the timings and cache counters the stages accumulate.
+pub struct Pipeline<'a> {
     func: &'a Function,
     training: &'a Input,
     unroll: u32,
     cfg: &'a PipelineConfig,
     cache: Option<&'a CompileCache>,
+    deadline: Option<Instant>,
+    input_hash: u64,
     timings: PassTimings,
     hits: u64,
     misses: u64,
-    input_hash: u64,
-    deadline: Option<Instant>,
-}
-
-/// Consults the cache (when both a cache and a key are present), running
-/// `compute` on miss. On a hit, one timing entry named `stage_name` records
-/// the lookup; on a miss `compute` records its own (finer-grained) entries.
-/// Fails without touching the cache once the compile's deadline has passed.
-fn run_stage(
-    ctx: &mut Ctx<'_>,
-    key: Option<CacheKey>,
-    use_disk: bool,
-    stage_name: &'static str,
-    ops_before: usize,
-    compute: impl FnOnce(&mut PassTimings) -> Result<StageArtifact, CompileError>,
-) -> Result<Arc<StageArtifact>, CompileError> {
-    if ctx.deadline.is_some_and(|d| Instant::now() >= d) {
-        return Err(CompileError::Deadline { stage: stage_name });
-    }
-    let (Some(cache), Some(key)) = (ctx.cache, key) else {
-        return compute(&mut ctx.timings).map(Arc::new);
-    };
-    let t0 = Instant::now();
-    let timings = &mut ctx.timings;
-    let outcome = cache.get_or_compute(key, use_disk, || compute(timings))?;
-    if outcome.hit {
-        ctx.hits += 1;
-        ctx.timings.push(
-            stage_name,
-            t0.elapsed(),
-            ops_before,
-            outcome.artifact.function().static_op_count(),
-        );
-    } else {
-        ctx.misses += 1;
-    }
-    Ok(outcome.artifact)
-}
-
-/// Entry point of the staged pipeline for one compile request.
-pub struct Pipeline<'a> {
-    ctx: Ctx<'a>,
-}
-
-/// Stage output: the (optionally) if-converted source, pre-region-formation.
-pub struct IfConverted<'a> {
-    ctx: Ctx<'a>,
-    source: Function,
-    source_fp: u64,
-}
-
-/// Stage output: the (optionally) melded source, pre-region-formation.
-pub struct Melded<'a> {
-    ctx: Ctx<'a>,
-    source: Function,
-    source_fp: u64,
-}
-
-/// Stage output: superblock-formed code, pre-unrolling.
-pub struct Superblocked<'a> {
-    ctx: Ctx<'a>,
-    sb: Function,
-    sb_fp: u64,
-}
-
-/// Stage output: the finished baseline with its training profile.
-pub struct BaselineReady<'a> {
-    ctx: Ctx<'a>,
-    base: Function,
-    base_profile: Profile,
-    base_counts: OpCounts,
-    base_fp: u64,
-}
-
-/// Stage output: the FRP-converted copy, ready for ICBM.
-pub struct FrpConverted<'a> {
-    ctx: Ctx<'a>,
-    base: Function,
-    base_profile: Profile,
-    base_counts: OpCounts,
-    base_fp: u64,
-    opt: Function,
 }
 
 impl<'a> Pipeline<'a> {
@@ -182,167 +106,76 @@ impl<'a> Pipeline<'a> {
         cfg: &'a PipelineConfig,
     ) -> Pipeline<'a> {
         Pipeline {
-            ctx: Ctx {
-                func,
-                training,
-                unroll,
-                cfg,
-                cache: None,
-                timings: PassTimings::new(name),
-                hits: 0,
-                misses: 0,
-                input_hash: training.content_hash(),
-                deadline: None,
-            },
+            func,
+            training,
+            unroll,
+            cfg,
+            cache: None,
+            deadline: None,
+            input_hash: training.content_hash(),
+            timings: PassTimings::new(name),
+            hits: 0,
+            misses: 0,
         }
     }
 
     /// Serves stage artifacts from `cache`, computing only on miss.
     pub fn with_cache(mut self, cache: &'a CompileCache) -> Pipeline<'a> {
-        self.ctx.cache = Some(cache);
+        self.cache = Some(cache);
         self
     }
 
     /// Fails the compile with [`CompileError::Deadline`] at the first
-    /// stage boundary reached at or after `deadline`.
+    /// stage boundary or ICBM phase reached at or after `deadline`.
     pub fn with_deadline(mut self, deadline: Instant) -> Pipeline<'a> {
-        self.ctx.deadline = Some(deadline);
+        self.deadline = Some(deadline);
         self
     }
 
-    /// Runs the optional if-conversion pre-pass (a no-op unless
-    /// `cfg.if_convert` is set, matching the paper's evaluation which runs
-    /// without traditional if-conversion).
+    /// Compiles the function into the baseline and height-reduced pair.
     ///
     /// # Errors
     ///
-    /// Propagates profiling traps.
-    pub fn if_convert(self) -> Result<IfConverted<'a>, CompileError> {
-        let mut ctx = self.ctx;
-        let Some(ic) = &ctx.cfg.if_convert else {
-            let source = ctx.func.clone();
-            let source_fp = combine_hashes(&[source.fingerprint(), ctx.input_hash]);
-            return Ok(IfConverted { ctx, source, source_fp });
-        };
-        let func = ctx.func;
-        let training = ctx.training;
-        let ops_before = func.static_op_count();
-        let key = CacheKey {
-            input_fp: combine_hashes(&[func.fingerprint(), ctx.input_hash]),
-            stage: stage::IF_CONVERT,
-            config: ctx.cfg.stage_hash(stage::IF_CONVERT, &[]),
-        };
-        let artifact = run_stage(&mut ctx, Some(key), true, stage::IF_CONVERT, ops_before, |tm| {
-            let mut source = func.clone();
-            let n = source.static_op_count();
-            let t0 = Instant::now();
-            let (p, _) = profile_and_count(&source, training)
-                .map_err(|t| CompileError::trap_at(stage::PROFILE_IF_CONVERT, t))?;
-            tm.push(stage::PROFILE_IF_CONVERT, t0.elapsed(), n, n);
-            let t0 = Instant::now();
-            if_convert(&mut source, &p, ic);
-            tm.push(stage::IF_CONVERT, t0.elapsed(), n, source.static_op_count());
-            Ok(StageArtifact::Func(source))
-        })?;
-        let source = artifact.function().clone();
-        let source_fp = combine_hashes(&[source.fingerprint(), ctx.input_hash]);
-        Ok(IfConverted { ctx, source, source_fp })
-    }
-}
-
-impl<'a> IfConverted<'a> {
-    /// Runs the optional instruction-melding pass (a no-op unless
-    /// `cfg.meld` is set; the paper's pipeline has no melding stage).
-    /// Melding eliminates the branch of short full diamonds by predicating
-    /// both sides into straight-line code, complementing control CPR which
-    /// keeps branches but moves them off the critical path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profiling traps.
-    pub fn meld(self) -> Result<Melded<'a>, CompileError> {
-        let IfConverted { mut ctx, source, source_fp } = self;
-        let Some(mc) = &ctx.cfg.meld else {
-            return Ok(Melded { ctx, source, source_fp });
-        };
-        let training = ctx.training;
-        let ops_before = source.static_op_count();
-        let key = CacheKey {
-            input_fp: source_fp,
-            stage: stage::MELD,
-            config: ctx.cfg.stage_hash(stage::MELD, &[]),
-        };
-        let artifact = run_stage(&mut ctx, Some(key), true, stage::MELD, ops_before, |tm| {
-            let mut melded = source.clone();
-            let n = melded.static_op_count();
-            let t0 = Instant::now();
-            let (p, _) = profile_and_count(&melded, training)
-                .map_err(|t| CompileError::trap_at(stage::PROFILE_MELD, t))?;
-            tm.push(stage::PROFILE_MELD, t0.elapsed(), n, n);
-            let t0 = Instant::now();
-            meld(&mut melded, &p, mc);
-            tm.push(stage::MELD, t0.elapsed(), n, melded.static_op_count());
-            Ok(StageArtifact::Func(melded))
-        })?;
-        let source = artifact.function().clone();
-        let source_fp = combine_hashes(&[source.fingerprint(), ctx.input_hash]);
-        Ok(Melded { ctx, source, source_fp })
-    }
-}
-
-impl<'a> Melded<'a> {
-    /// Profiles the source and forms superblocks over its hot traces.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profiling traps.
-    pub fn superblock(self) -> Result<Superblocked<'a>, CompileError> {
-        let Melded { mut ctx, source, source_fp } = self;
-        let training = ctx.training;
-        let trace = &ctx.cfg.trace;
-        let ops_before = source.static_op_count();
-        let key = CacheKey {
-            input_fp: source_fp,
-            stage: stage::SUPERBLOCK,
-            config: ctx.cfg.stage_hash(stage::SUPERBLOCK, &[]),
-        };
-        let artifact =
-            run_stage(&mut ctx, Some(key), true, stage::SUPERBLOCK, ops_before, |tm| {
-                let n = source.static_op_count();
-                let t0 = Instant::now();
-                let (p0, _) = profile_and_count(&source, training)
-                    .map_err(|t| CompileError::trap_at(stage::PROFILE_TRACE, t))?;
-                tm.push(stage::PROFILE_TRACE, t0.elapsed(), n, n);
-                let t0 = Instant::now();
-                let sb = form_superblocks(&source, &p0, trace);
-                tm.push(stage::SUPERBLOCK, t0.elapsed(), n, sb.static_op_count());
-                Ok(StageArtifact::Func(sb))
+    /// A profiling trap, or [`CompileError::Deadline`] once the deadline
+    /// has passed.
+    pub fn run(mut self) -> Result<Compiled, CompileError> {
+        let cfg = self.cfg;
+        let mut source = self.func.clone();
+        let mut source_fp = self.fingerprint(&source);
+        // The optional pre-passes (off in the paper's evaluation, which
+        // runs without traditional if-conversion or melding).
+        if let Some(ic) = &cfg.if_convert {
+            let stages = (stage::IF_CONVERT, stage::PROFILE_IF_CONVERT);
+            source = self.transform(&source, source_fp, stages, |f, p| {
+                let mut out = f.clone();
+                if_convert(&mut out, p, ic);
+                out
             })?;
-        let sb = artifact.function().clone();
-        let sb_fp = combine_hashes(&[sb.fingerprint(), ctx.input_hash]);
-        Ok(Superblocked { ctx, sb, sb_fp })
-    }
-}
+            source_fp = self.fingerprint(&source);
+        }
+        if let Some(mc) = &cfg.meld {
+            let stages = (stage::MELD, stage::PROFILE_MELD);
+            source = self.transform(&source, source_fp, stages, |f, p| {
+                let mut out = f.clone();
+                meld(&mut out, p, mc);
+                out
+            })?;
+            source_fp = self.fingerprint(&source);
+        }
+        let stages = (stage::SUPERBLOCK, stage::PROFILE_TRACE);
+        let sb = self.transform(&source, source_fp, stages, |f, p| {
+            form_superblocks(f, p, &cfg.trace)
+        })?;
 
-impl<'a> Superblocked<'a> {
-    /// Unrolls hot loops, cleans with DCE and measures the finished
-    /// baseline on the training input.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profiling traps.
-    pub fn unroll(self) -> Result<BaselineReady<'a>, CompileError> {
-        let Superblocked { mut ctx, sb, sb_fp } = self;
-        let training = ctx.training;
-        let unroll = ctx.unroll;
-        let min_count = ctx.cfg.trace.min_count;
-        let ops_before = sb.static_op_count();
+        // Unroll hot loops, clean with DCE and measure the finished
+        // baseline on the training input.
         let key = CacheKey {
-            input_fp: sb_fp,
+            input_fp: self.fingerprint(&sb),
             stage: stage::UNROLL,
-            config: ctx.cfg.stage_hash(stage::UNROLL, &[unroll as u64]),
+            config: cfg.stage_hash(stage::UNROLL, &[self.unroll as u64]),
         };
-        let artifact = run_stage(&mut ctx, Some(key), true, stage::UNROLL, ops_before, |tm| {
+        let (training, unroll) = (self.training, self.unroll);
+        let artifact = self.stage(key, sb.static_op_count(), |tm| {
             let mut base = sb.clone();
             let n = base.static_op_count();
             let t0 = Instant::now();
@@ -350,7 +183,7 @@ impl<'a> Superblocked<'a> {
                 .map_err(|t| CompileError::trap_at(stage::PROFILE_UNROLL, t))?;
             tm.push(stage::PROFILE_UNROLL, t0.elapsed(), n, n);
             let t0 = Instant::now();
-            unroll_hot_loops(&mut base, &p1, unroll, min_count);
+            unroll_hot_loops(&mut base, &p1, unroll, cfg.trace.min_count);
             // Clean the baseline too (fair comparison: the optimized side
             // gets a DCE pass as part of ICBM).
             control_cpr::dce(&mut base);
@@ -362,72 +195,45 @@ impl<'a> Superblocked<'a> {
             tm.push(stage::PROFILE_BASELINE, t0.elapsed(), n, n);
             Ok(StageArtifact::Baseline { func: base, profile, counts })
         })?;
-        let StageArtifact::Baseline { func, profile, counts } = artifact.as_ref() else {
+        let StageArtifact::Baseline { func: base, profile: base_profile, counts: base_counts } =
+            artifact.as_ref()
+        else {
             unreachable!("unroll stage artifacts are always Baseline");
         };
-        let base = func.clone();
-        let base_fp = combine_hashes(&[base.fingerprint(), ctx.input_hash]);
-        Ok(BaselineReady {
-            ctx,
-            base,
-            base_profile: profile.clone(),
-            base_counts: *counts,
-            base_fp,
-        })
-    }
-}
 
-impl<'a> BaselineReady<'a> {
-    /// Converts a copy of the baseline to fully-resolved-predicate form.
-    /// Always computed (never cached) — see the module docs.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; the `Result` keeps the stage signatures
-    /// uniform.
-    pub fn frp(self) -> Result<FrpConverted<'a>, CompileError> {
-        let BaselineReady { mut ctx, base, base_profile, base_counts, base_fp } = self;
+        // FRP-convert a copy of the baseline. Always computed, never
+        // cached — see the module docs.
         let n = base.static_op_count();
         let mut opt = base.clone();
         let t0 = Instant::now();
         frp_convert(&mut opt);
-        ctx.timings.push(stage::FRP_CONVERT, t0.elapsed(), n, opt.static_op_count());
-        Ok(FrpConverted { ctx, base, base_profile, base_counts, base_fp, opt })
-    }
-}
+        self.timings.push(stage::FRP_CONVERT, t0.elapsed(), n, opt.static_op_count());
 
-impl FrpConverted<'_> {
-    /// Applies the ICBM control-CPR transformation, measures the
-    /// height-reduced code and assembles the final [`Compiled`] pair.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profiling traps.
-    pub fn icbm(self) -> Result<Compiled, CompileError> {
-        let FrpConverted { mut ctx, base, base_profile, base_counts, base_fp, opt } = self;
-        let training = ctx.training;
-        let cpr = &ctx.cfg.cpr;
-        let ops_before = opt.static_op_count();
-        // Keyed on the *baseline*, not the FRP copy: `frp_convert` is a
-        // deterministic function of the baseline, but its fresh predicate
-        // and op ids depend on the in-process id space, so hashing the
-        // copy itself would make keys differ across processes (and defeat
-        // the disk layer). The Optimized artifact is self-contained —
-        // function, stats, profile, counts — so serving it against a
+        // ICBM, keyed on the *baseline*, not the FRP copy: `frp_convert` is
+        // a deterministic function of the baseline, but its fresh predicate
+        // and op ids depend on the in-process id space, so hashing the copy
+        // itself would make keys differ across processes (and defeat the
+        // disk layer). The Optimized artifact is self-contained — function,
+        // stats, profile, counts — so serving it against a
         // differently-numbered FRP copy is sound.
         let key = CacheKey {
-            input_fp: base_fp,
+            input_fp: self.fingerprint(base),
             stage: stage::ICBM,
-            config: ctx.cfg.stage_hash(stage::ICBM, &[]),
+            config: cfg.stage_hash(stage::ICBM, &[]),
         };
-        let base_profile_ref = &base_profile;
-        let artifact = run_stage(&mut ctx, Some(key), true, stage::ICBM, ops_before, |tm| {
-            let mut opt = opt.clone();
+        let deadline = self.deadline;
+        let artifact = self.stage(key, opt.static_op_count(), |tm| {
             // FRP conversion preserves block and branch ids, so the
             // baseline profile remains valid for the ICBM heuristics.
+            let mut opt = opt.clone();
             let n = opt.static_op_count();
             let t0 = Instant::now();
-            let stats = apply_icbm(&mut opt, base_profile_ref, cpr);
+            let stats = apply_icbm_observed(&mut opt, base_profile, &cfg.cpr, |_, _| {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    return Err(CompileError::Deadline { stage: stage::ICBM });
+                }
+                Ok(())
+            })?;
             tm.push(stage::ICBM, t0.elapsed(), n, opt.static_op_count());
             let n = opt.static_op_count();
             let t0 = Instant::now();
@@ -441,17 +247,82 @@ impl FrpConverted<'_> {
             unreachable!("icbm stage artifacts are always Optimized");
         };
         Ok(Compiled {
-            baseline: base,
+            baseline: base.clone(),
             optimized: func.clone(),
-            base_profile,
+            base_profile: base_profile.clone(),
             opt_profile: profile.clone(),
-            base_counts,
+            base_counts: *base_counts,
             opt_counts: *counts,
             stats: *stats,
-            timings: ctx.timings,
-            cache_hits: ctx.hits,
-            cache_misses: ctx.misses,
+            timings: self.timings,
+            cache_hits: self.hits,
+            cache_misses: self.misses,
         })
+    }
+
+    /// Stage-key fingerprint of `f` under this compile's training input.
+    fn fingerprint(&self, f: &Function) -> u64 {
+        combine_hashes(&[f.fingerprint(), self.input_hash])
+    }
+
+    /// A "profile, then transform" stage (if-convert, meld, superblock):
+    /// profiles `src` on the training input, timed as `profile_stage`,
+    /// then runs `pass` on it, timed as `name`.
+    fn transform(
+        &mut self,
+        src: &Function,
+        input_fp: u64,
+        (name, profile_stage): (&'static str, &'static str),
+        pass: impl FnOnce(&Function, &Profile) -> Function,
+    ) -> Result<Function, CompileError> {
+        let key = CacheKey { input_fp, stage: name, config: self.cfg.stage_hash(name, &[]) };
+        let training = self.training;
+        let artifact = self.stage(key, src.static_op_count(), |tm| {
+            let n = src.static_op_count();
+            let t0 = Instant::now();
+            let (p, _) = profile_and_count(src, training)
+                .map_err(|t| CompileError::trap_at(profile_stage, t))?;
+            tm.push(profile_stage, t0.elapsed(), n, n);
+            let t0 = Instant::now();
+            let out = pass(src, &p);
+            tm.push(name, t0.elapsed(), n, out.static_op_count());
+            Ok(StageArtifact::Func(out))
+        })?;
+        Ok(artifact.function().clone())
+    }
+
+    /// Consults the cache (when one is attached), running `compute` on
+    /// miss. On a hit, one timing entry named after the key's stage records
+    /// the lookup; on a miss `compute` records its own (finer-grained)
+    /// entries. Fails without touching the cache once the deadline has
+    /// passed.
+    fn stage(
+        &mut self,
+        key: CacheKey,
+        ops_before: usize,
+        compute: impl FnOnce(&mut PassTimings) -> Result<StageArtifact, CompileError>,
+    ) -> Result<Arc<StageArtifact>, CompileError> {
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(CompileError::Deadline { stage: key.stage });
+        }
+        let Some(cache) = self.cache else {
+            return compute(&mut self.timings).map(Arc::new);
+        };
+        let t0 = Instant::now();
+        let timings = &mut self.timings;
+        let outcome = cache.get_or_compute(key, || compute(timings))?;
+        if outcome.hit {
+            self.hits += 1;
+            self.timings.push(
+                key.stage,
+                t0.elapsed(),
+                ops_before,
+                outcome.artifact.function().static_op_count(),
+            );
+        } else {
+            self.misses += 1;
+        }
+        Ok(outcome.artifact)
     }
 }
 
@@ -463,32 +334,6 @@ mod tests {
     use epic_regions::{IfConvertConfig, MeldConfig};
 
     #[test]
-    fn staged_pipeline_matches_monolithic_compile() {
-        let w = epic_workloads::by_name("strcpy").unwrap();
-        let cfg = PipelineConfig::default();
-        let staged = Pipeline::new(&w, &cfg)
-            .if_convert()
-            .unwrap()
-            .meld()
-            .unwrap()
-            .superblock()
-            .unwrap()
-            .unroll()
-            .unwrap()
-            .frp()
-            .unwrap()
-            .icbm()
-            .unwrap();
-        let mono = crate::compile::compile(&w, &cfg).unwrap();
-        assert_eq!(staged.baseline.to_string(), mono.baseline.to_string());
-        assert_eq!(staged.optimized.to_string(), mono.optimized.to_string());
-        assert_eq!(staged.stats, mono.stats);
-        assert_eq!(staged.opt_counts, mono.opt_counts);
-        // Without a cache attached there are no cache interactions.
-        assert_eq!((staged.cache_hits, staged.cache_misses), (0, 0));
-    }
-
-    #[test]
     fn expired_deadline_fails_before_the_first_stage_and_caches_nothing() {
         let w = epic_workloads::by_name("strcpy").unwrap();
         let cfg = PipelineConfig::default();
@@ -496,11 +341,8 @@ mod tests {
         let e = Pipeline::new(&w, &cfg)
             .with_cache(&cache)
             .with_deadline(Instant::now())
-            .if_convert()
-            .and_then(|s| s.meld())
-            .and_then(|s| s.superblock())
-            .err()
-            .expect("an expired deadline must fail the first cached stage");
+            .run()
+            .expect_err("an expired deadline must fail the first cached stage");
         assert_eq!(e, CompileError::Deadline { stage: stage::SUPERBLOCK });
         assert_eq!(e.kind(), "deadline");
         let stats = cache.stats();
@@ -529,6 +371,8 @@ mod tests {
                 stage::PROFILE_OPTIMIZED,
             ]
         );
+        // Without a cache attached there are no cache interactions.
+        assert_eq!((c.cache_hits, c.cache_misses), (0, 0));
     }
 
     /// The stage keys of `p` under unroll factor 2, `None` for an optional

@@ -1,11 +1,12 @@
 //! Regeneration of the paper's Table 2 and Table 3.
 //!
-//! Workload compilations are independent (`compile` takes only `&self`
-//! inputs), so the table drivers fan out over workloads — and `table2_row`
-//! over machine models — with rayon. Results are collected in input order,
-//! keeping parallel output byte-identical to the serial reference paths
-//! (`table2_serial`/`table3_serial`), which the `table_determinism`
-//! integration test asserts.
+//! One driver per table: [`table2`], [`table3`] and [`meld_matrix`] each
+//! take an optional [`CompileCache`]. Workload compilations are
+//! independent, so the drivers fan out over workloads with rayon and
+//! collect results in input order. The serial reference is the same driver
+//! inside a 1-thread pool (`RAYON_NUM_THREADS=1` for the binaries), and
+//! the `table_determinism` integration test asserts that any thread count
+//! produces byte-identical rows.
 
 use std::time::Instant;
 
@@ -72,34 +73,11 @@ pub fn cycle_speedup(base: u64, opt: u64) -> f64 {
     }
 }
 
-/// Computes Table 2 for the given workloads, compiling and scheduling them
-/// in parallel. Row order matches `workloads` order exactly.
-pub fn table2(workloads: &[Workload], cfg: &PipelineConfig) -> Vec<Table2Row> {
-    table2_with_timings(workloads, cfg).0
-}
-
-/// [`table2`] with every compilation served through `cache`. Rows are
-/// byte-identical to the uncached path; overlapping configurations and
-/// repeated runs reuse stage artifacts instead of recompiling.
-pub fn table2_cached(
-    workloads: &[Workload],
-    cfg: &PipelineConfig,
-    cache: &CompileCache,
-) -> Vec<Table2Row> {
-    table2_with_timings_cached(workloads, cfg, Some(cache)).0
-}
-
-/// [`table2`] plus the per-workload pass timings (including a `schedule`
-/// stage covering all machine models of the row).
-pub fn table2_with_timings(
-    workloads: &[Workload],
-    cfg: &PipelineConfig,
-) -> (Vec<Table2Row>, Vec<PassTimings>) {
-    table2_with_timings_cached(workloads, cfg, None)
-}
-
-/// [`table2_with_timings`] with an optional compile cache.
-pub fn table2_with_timings_cached(
+/// Computes Table 2 for the given workloads, compiling (through `cache`
+/// when given) and scheduling them in parallel. Row order matches
+/// `workloads` order exactly. Also returns each workload's pass timings,
+/// including a `schedule` stage covering all machine models of the row.
+pub fn table2(
     workloads: &[Workload],
     cfg: &PipelineConfig,
     cache: Option<&CompileCache>,
@@ -119,41 +97,19 @@ pub fn table2_with_timings_cached(
     pairs.into_iter().unzip()
 }
 
-/// The serial reference for [`table2`]: same results, no thread pool. Kept
-/// for the determinism test and for clean single-thread baselines in
-/// `BENCH_pr1.json`.
-pub fn table2_serial(workloads: &[Workload], cfg: &PipelineConfig) -> Vec<Table2Row> {
-    let machines = Machine::paper_suite();
-    workloads
-        .iter()
-        .map(|w| {
-            let c = compile_maybe_cached(w, cfg, None);
-            Table2Row {
-                name: w.name.to_string(),
-                group: w.group,
-                cycles: suite_cycles(&c, &machines),
-            }
-        })
-        .collect()
-}
-
-/// Computes one row from an already compiled pair. The machine models are
-/// scheduled through [`schedule_function_suite`], which shares the
-/// machine-independent analyses (liveness, predicate facts, exit liveness)
-/// across the whole suite instead of recomputing them per machine.
+/// Computes one row from an already compiled pair: both sides scheduled
+/// on every machine, as profile-weighted cycle estimates in `machines`
+/// order. The machine models are scheduled through
+/// [`schedule_function_suite`], which shares the machine-independent
+/// analyses (liveness, predicate facts, exit liveness) across the whole
+/// suite instead of recomputing them per machine. Each machine's own
+/// front-end cost model applies; the paper suite is ideal on every
+/// machine, so the published tables are unchanged by the model.
 pub fn table2_row(w: &Workload, c: &Compiled, machines: &[Machine]) -> Table2Row {
-    Table2Row { name: w.name.to_string(), group: w.group, cycles: suite_cycles(c, machines) }
-}
-
-/// Schedules both sides of a compiled pair on every machine of the suite and
-/// returns the profile-weighted cycle estimates, in `machines` order. Each
-/// machine's own front-end cost model applies; the paper suite is ideal on
-/// every machine, so the published tables are unchanged by the model.
-fn suite_cycles(c: &Compiled, machines: &[Machine]) -> Vec<(String, u64, u64)> {
     let opts = SchedOptions::default();
     let base_scheds = schedule_function_suite(&c.baseline, machines, &opts);
     let opt_scheds = schedule_function_suite(&c.optimized, machines, &opts);
-    machines
+    let cycles = machines
         .iter()
         .zip(base_scheds.iter().zip(&opt_scheds))
         .map(|(m, (bs, os))| {
@@ -162,7 +118,8 @@ fn suite_cycles(c: &Compiled, machines: &[Machine]) -> Vec<(String, u64, u64)> {
             let opt = weighted_cycles_with(&c.optimized, &c.opt_profile, os, &fe);
             (m.name().to_string(), base, opt)
         })
-        .collect()
+        .collect();
+    Table2Row { name: w.name.to_string(), group: w.group, cycles }
 }
 
 /// One row of Table 3: operation-count ratios for one benchmark.
@@ -176,32 +133,10 @@ pub struct Table3Row {
     pub ratios: CountRatios,
 }
 
-/// Computes Table 3 for the given workloads, compiling them in parallel.
-/// Row order matches `workloads` order exactly.
-pub fn table3(workloads: &[Workload], cfg: &PipelineConfig) -> Vec<Table3Row> {
-    table3_with_timings(workloads, cfg).0
-}
-
-/// [`table3`] with every compilation served through `cache` (see
-/// [`table2_cached`]).
-pub fn table3_cached(
-    workloads: &[Workload],
-    cfg: &PipelineConfig,
-    cache: &CompileCache,
-) -> Vec<Table3Row> {
-    table3_with_timings_cached(workloads, cfg, Some(cache)).0
-}
-
-/// [`table3`] plus the per-workload pass timings.
-pub fn table3_with_timings(
-    workloads: &[Workload],
-    cfg: &PipelineConfig,
-) -> (Vec<Table3Row>, Vec<PassTimings>) {
-    table3_with_timings_cached(workloads, cfg, None)
-}
-
-/// [`table3_with_timings`] with an optional compile cache.
-pub fn table3_with_timings_cached(
+/// Computes Table 3 for the given workloads, compiling them (through
+/// `cache` when given) in parallel. Row order matches `workloads` order
+/// exactly. Also returns each workload's pass timings.
+pub fn table3(
     workloads: &[Workload],
     cfg: &PipelineConfig,
     cache: Option<&CompileCache>,
@@ -219,21 +154,6 @@ pub fn table3_with_timings_cached(
         })
         .collect();
     pairs.into_iter().unzip()
-}
-
-/// The serial reference for [`table3`] (see [`table2_serial`]).
-pub fn table3_serial(workloads: &[Workload], cfg: &PipelineConfig) -> Vec<Table3Row> {
-    workloads
-        .iter()
-        .map(|w| {
-            let c = compile_maybe_cached(w, cfg, None);
-            Table3Row {
-                name: w.name.to_string(),
-                group: w.group,
-                ratios: CountRatios::of(&c.base_counts, &c.opt_counts),
-            }
-        })
-        .collect()
 }
 
 /// Renders Table 2 in the paper's format, including the `Gmean-spec95` and
@@ -304,13 +224,6 @@ pub fn render_table3(rows: &[Table3Row]) -> String {
     out
 }
 
-/// One-call helper for the Criterion benchmark: compiles a workload and
-/// produces its Table 2 row.
-pub fn table2_row_bench(w: &Workload) -> Table2Row {
-    let c = compile(w, &PipelineConfig::default()).expect("compiles");
-    table2_row(w, &c, &Machine::paper_suite())
-}
-
 /// The four pipeline configurations of the melding ablation: no height
 /// reduction at all, the paper's control CPR, instruction melding alone,
 /// and both passes composed. All four share the compile cache's upstream
@@ -376,26 +289,6 @@ pub fn meld_matrix(
         .map(|(_, cfg)| {
             workloads.par_iter().map(|w| compile_maybe_cached(w, cfg, cache)).collect()
         })
-        .collect();
-    machines
-        .iter()
-        .map(|m| MeldMatrixRow {
-            machine: m.name().to_string(),
-            cycles: configs
-                .iter()
-                .zip(&compiled)
-                .map(|((label, _), cs)| (*label, optimized_cycles(cs, m)))
-                .collect(),
-        })
-        .collect()
-}
-
-/// The serial reference for [`meld_matrix`] (see [`table2_serial`]).
-pub fn meld_matrix_serial(workloads: &[Workload], machines: &[Machine]) -> Vec<MeldMatrixRow> {
-    let configs = meld_matrix_configs();
-    let compiled: Vec<Vec<Compiled>> = configs
-        .iter()
-        .map(|(_, cfg)| workloads.iter().map(|w| compile_maybe_cached(w, cfg, None)).collect())
         .collect();
     machines
         .iter()
@@ -515,7 +408,7 @@ mod tests {
     #[test]
     fn table3_for_strcpy_reduces_dynamic_branches() {
         let w = epic_workloads::by_name("strcpy").unwrap();
-        let rows = table3(std::slice::from_ref(&w), &PipelineConfig::default());
+        let (rows, _) = table3(std::slice::from_ref(&w), &PipelineConfig::default(), None);
         let r = &rows[0].ratios;
         assert!(r.dynamic_branches < 0.7, "D br = {}", r.dynamic_branches);
         assert!(r.dynamic_total <= 1.05, "D tot = {}", r.dynamic_total);

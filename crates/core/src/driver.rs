@@ -1,5 +1,13 @@
 //! The ICBM pipeline driver: speculate → match → restructure → off-trace
 //! motion → dead code elimination, per hyperblock (paper §5).
+//!
+//! [`apply_icbm_observed`] is the one copy of that loop. It hands the
+//! function to an observer after every phase that changes it, which is
+//! how the fuzz harness differentially checks each phase and how the
+//! compile pipeline enforces a deadline inside ICBM; [`apply_icbm`] is the
+//! same loop with an observer that does nothing.
+
+use std::convert::Infallible;
 
 use epic_analysis::IncrementalLiveness;
 use epic_ir::{BlockId, Function, Profile};
@@ -41,10 +49,31 @@ pub struct IcbmStats {
 /// preserving for any profile (the profile only affects how CPR blocks are
 /// chosen, never correctness).
 pub fn apply_icbm(func: &mut Function, profile: &Profile, cfg: &CprConfig) -> IcbmStats {
+    match apply_icbm_observed(func, profile, cfg, |_, _| Ok::<(), Infallible>(())) {
+        Ok(stats) => stats,
+        Err(never) => match never {},
+    }
+}
+
+/// [`apply_icbm`], calling `after(phase, func)` once each phase has
+/// rewritten `func`: `"speculate"` (when enabled), then per CPR block
+/// `"restructure"` followed by `"motion"` — or by `"rollback"` when motion
+/// refused and the restructure was undone — and finally `"dce-final"`.
+///
+/// # Errors
+///
+/// The first error `after` returns; the run stops there, leaving `func`
+/// as that phase produced it.
+pub fn apply_icbm_observed<E>(
+    func: &mut Function,
+    profile: &Profile,
+    cfg: &CprConfig,
+    mut after: impl FnMut(&'static str, &Function) -> Result<(), E>,
+) -> Result<IcbmStats, E> {
     let mut stats = IcbmStats::default();
 
     if !cfg.enable {
-        return stats;
+        return Ok(stats);
     }
 
     if cfg.speculate {
@@ -52,10 +81,13 @@ pub fn apply_icbm(func: &mut Function, profile: &Profile, cfg: &CprConfig) -> Ic
         // (inert single-atomic-load guards while tracing is disabled), so
         // a `--trace` export breaks the icbm pipeline stage down into its
         // speculate/match/restructure/motion/dce phases.
-        let _s = Span::enter("icbm.speculate", "icbm");
-        let s = speculate(func);
+        let s = {
+            let _s = Span::enter("icbm.speculate", "icbm");
+            speculate(func)
+        };
         stats.promoted = s.promoted;
         stats.demoted = s.demoted;
+        after("speculate", func)?;
     }
 
     let hyperblocks: Vec<BlockId> = func
@@ -112,6 +144,7 @@ pub fn apply_icbm(func: &mut Function, profile: &Profile, cfg: &CprConfig) -> Ic
                 stats.skipped += 1;
                 continue;
             };
+            after("restructure", func)?;
             {
                 let _s = Span::enter("icbm.liveness", "icbm");
                 live.repair(func, &r.touched_blocks());
@@ -121,13 +154,16 @@ pub fn apply_icbm(func: &mut Function, profile: &Profile, cfg: &CprConfig) -> Ic
                 off_trace_motion(func, &r, live.live())
             };
             if moved {
-                let _s = Span::enter("icbm.liveness", "icbm");
-                live.repair(func, &r.touched_blocks());
+                {
+                    let _s = Span::enter("icbm.liveness", "icbm");
+                    live.repair(func, &r.touched_blocks());
+                }
                 stats.cpr_blocks += 1;
                 if r.taken_variation {
                     stats.taken_blocks += 1;
                 }
                 stats.branches_collapsed += cpr.branches.len();
+                after("motion", func)?;
             } else {
                 // Roll the restructure back: restore the hyperblock and
                 // detach the compensation block from the layout.
@@ -138,6 +174,7 @@ pub fn apply_icbm(func: &mut Function, profile: &Profile, cfg: &CprConfig) -> Ic
                     live.repair(func, &[hb]);
                 }
                 stats.skipped += 1;
+                after("rollback", func)?;
             }
         }
     }
@@ -146,7 +183,8 @@ pub fn apply_icbm(func: &mut Function, profile: &Profile, cfg: &CprConfig) -> Ic
         let _s = Span::enter("icbm.dce", "icbm");
         stats.dce_removed = dce(func);
     }
-    stats
+    after("dce-final", func)?;
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -300,6 +338,73 @@ mod tests {
     #[test]
     fn stats_default_is_zeroed() {
         assert_eq!(IcbmStats::default().cpr_blocks, 0);
+    }
+
+    /// An unguarded live-out definition between two exit branches:
+    /// restructure succeeds, but motion must refuse to speculate the
+    /// definition, so the driver rolls the CPR block back.
+    fn motion_refusal() -> Function {
+        let mut b = FunctionBuilder::new("refusal");
+        let sb = b.block("sb");
+        let exit = b.block("exit");
+        let (x, y, out) = (b.reg(), b.reg(), b.reg());
+        b.switch_to(exit);
+        b.ret();
+        b.switch_to(sb);
+        let (p1, _) = b.cmpp_un_uc(CmpCond::Le, x.into(), Operand::Imm(16));
+        b.branch_if(p1, exit);
+        b.mov_to(out, Operand::Imm(-2));
+        let (p2, _) = b.cmpp_un_uc(CmpCond::Lt, y.into(), Operand::Imm(9));
+        b.branch_if(p2, exit);
+        b.ret();
+        b.mark_live_out(out);
+        b.finish()
+    }
+
+    fn refusal_cfg() -> CprConfig {
+        CprConfig { enable_taken_variation: false, min_entry_count: 0, ..CprConfig::uniform() }
+    }
+
+    #[test]
+    fn observer_sees_every_phase_in_order() {
+        let mut g = motion_refusal();
+        let mut phases = Vec::new();
+        let stats = apply_icbm_observed(&mut g, &Profile::new(), &refusal_cfg(), |phase, _| {
+            phases.push(phase);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert!(stats.skipped > 0, "{stats:?}");
+        assert!(phases.contains(&"rollback"), "{phases:?}");
+        // speculate, (restructure, motion|rollback)*, dce-final
+        assert_eq!(phases.first(), Some(&"speculate"), "{phases:?}");
+        assert_eq!(phases.last(), Some(&"dce-final"), "{phases:?}");
+        let middle = &phases[1..phases.len() - 1];
+        assert_eq!(middle.len() % 2, 0, "{phases:?}");
+        for pair in middle.chunks(2) {
+            assert_eq!(pair[0], "restructure", "{phases:?}");
+            assert!(matches!(pair[1], "motion" | "rollback"), "{phases:?}");
+        }
+        let rollbacks = middle.iter().filter(|&&p| p == "rollback").count();
+        let motions = middle.iter().filter(|&&p| p == "motion").count();
+        assert_eq!(motions, stats.cpr_blocks);
+        assert!(rollbacks <= stats.skipped);
+    }
+
+    #[test]
+    fn observer_error_stops_the_run() {
+        let mut g = motion_refusal();
+        let mut phases = Vec::new();
+        let err = apply_icbm_observed(&mut g, &Profile::new(), &refusal_cfg(), |phase, _| {
+            phases.push(phase);
+            if phase == "restructure" {
+                Err(phase)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(err, Err("restructure"));
+        assert_eq!(phases, ["speculate", "restructure"]);
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //!    operations whose effects are needed on both paths.
 //!
 //! followed by predicate-aware [`dce`]. The one-call driver is
-//! [`apply_icbm`]. The *redundant* full-CPR scheme of \[SK95\] that the paper
+//! [`apply_icbm`]; [`apply_icbm_observed`] runs the same loop and hands the
+//! function to a caller-supplied check after every phase. The *redundant* full-CPR scheme of \[SK95\] that the paper
 //! contrasts ICBM against is also provided ([`apply_full_cpr`]) so the
 //! operation-count/height trade-off can be measured.
 //!
@@ -61,7 +62,7 @@ mod speculate;
 
 pub use config::CprConfig;
 pub use dce::dce;
-pub use driver::{apply_icbm, IcbmStats};
+pub use driver::{apply_icbm, apply_icbm_observed, IcbmStats};
 pub use fullcpr::{apply_full_cpr, FullCprStats};
 pub use matching::{match_cpr_blocks, CprBlock};
 pub use motion::off_trace_motion;

@@ -25,10 +25,11 @@
 //! even in store-free programs.
 
 use control_cpr::CprConfig;
-use epic_bench::{ConfigDelta, KnobSpace, KnobValue};
+use epic_bench::{ConfigDelta, KnobSpace, KnobValue, PipelineConfig};
 use epic_interp::Input;
 use epic_ir::{BlockId, CmpCond, Dest, Function, FunctionBuilder, Opcode, Operand, PredReg, Reg};
 use epic_regions::{MeldConfig, TraceConfig};
+use epic_workloads::Workload;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,6 +58,25 @@ pub struct GenCase {
     pub trace: TraceConfig,
     /// ICBM parameters.
     pub cpr: CprConfig,
+}
+
+impl GenCase {
+    /// The case that pushes a suite workload through the harness under
+    /// `cfg`: its training input first, then its evaluation inputs. The
+    /// optional if-conversion stage runs with default parameters when
+    /// `cfg` enables it.
+    pub fn from_workload(w: &Workload, cfg: &PipelineConfig) -> GenCase {
+        GenCase {
+            seed: 0,
+            func: w.func.clone(),
+            inputs: std::iter::once(&w.training).chain(&w.evaluation).cloned().collect(),
+            use_if_convert: cfg.if_convert.is_some(),
+            meld: cfg.meld,
+            unroll_factor: w.unroll,
+            trace: cfg.trace,
+            cpr: cfg.cpr,
+        }
+    }
 }
 
 struct Gen {

@@ -1,23 +1,23 @@
 //! The per-stage differential harness.
 //!
-//! A generated program is pushed through the same stage sequence as the
-//! bench pipeline (`crates/bench/src/compile.rs`), but with the verifier
-//! and the differential oracle run after **every** stage against that
-//! stage's own input program, so a failure names the guilty stage instead
-//! of surfacing as an end-to-end mystery. The ICBM driver is additionally
-//! decomposed into its phases (speculate, then per-CPR-block restructure
-//! and off-trace motion, then DCE), mirroring `apply_icbm` exactly, so a
-//! divergence is pinned to a phase rather than to the driver as a whole;
-//! an `apply_icbm` end-to-end check still runs afterwards to catch
-//! phase-interaction bugs the decomposition could mask.
+//! A program is pushed through the same stage sequence as the bench
+//! pipeline (`Pipeline::run` in `crates/bench/src/pipeline.rs`), but with
+//! the verifier and the differential oracle run after **every** stage
+//! against that stage's own input program, so a failure names the guilty
+//! stage instead of surfacing as an end-to-end mystery. ICBM runs through
+//! the one driver the pipeline ships, [`apply_icbm_observed`], whose
+//! observer checks each phase — speculate, every restructure, every motion
+//! or rollback, and the final DCE — so a divergence is pinned to a phase
+//! of exactly the code that ships.
 
-use control_cpr::{dce, match_cpr_blocks, off_trace_motion, restructure, speculate};
-use epic_analysis::IncrementalLiveness;
+use control_cpr::{apply_icbm_observed, dce};
 use epic_interp::{diff_test, run, Input};
-use epic_ir::{verify, BlockId, Function, Opcode, Profile};
+use epic_ir::{verify, Function, Profile};
 use epic_machine::Machine;
 use epic_perf::profile_and_count;
-use epic_regions::{form_superblocks, frp_convert, if_convert, meld, unroll_hot_loops, IfConvertConfig};
+use epic_regions::{
+    form_superblocks, frp_convert, if_convert, meld, unroll_hot_loops, IfConvertConfig,
+};
 use epic_sched::{schedule_function, SchedOptions};
 use epic_schedcheck::{check_function, replay_cycles};
 
@@ -189,62 +189,12 @@ pub fn check_from(src: &Function, case: &GenCase) -> Result<(), Failure> {
     // The ICBM heuristics are profile-driven but must preserve semantics
     // under any profile; FRP conversion preserves block/branch ids, so the
     // post-FRP profile is also the one the real pipeline would use.
-    let frp = cur.clone();
-    let profile = profiled(&cur, training, "speculate")?;
-
-    let mut next = cur.clone();
-    speculate(&mut next);
-    cur = checked("speculate", &cur, next, &case.inputs)?;
-
-    // Decomposed driver loop, mirroring `apply_icbm`.
-    let hyperblocks: Vec<BlockId> = cur
-        .layout
-        .iter()
-        .copied()
-        .filter(|&b| {
-            let branches = cur
-                .block(b)
-                .ops
-                .iter()
-                .filter(|o| o.opcode == Opcode::Branch && o.guard.is_some())
-                .count();
-            branches >= 2 && profile.entry_count(b) >= case.cpr.min_entry_count
-        })
-        .collect();
-    let mem_classes = cur.mem_classes().clone();
-    let mut live = IncrementalLiveness::new(&cur);
-    for hb in hyperblocks {
-        let cpr_blocks = match_cpr_blocks(&cur.block(hb).ops, &profile, &case.cpr, &mem_classes);
-        for cpr in &cpr_blocks {
-            if !cpr.is_nontrivial() {
-                continue;
-            }
-            let snap = cur.clone();
-            let Some(r) = restructure(&mut cur, hb, cpr, live.live()) else {
-                continue;
-            };
-            cur = checked("restructure", &snap, cur, &case.inputs)?;
-            live.repair(&cur, &r.touched_blocks());
-            let snap = cur.clone();
-            let moved = off_trace_motion(&mut cur, &r, live.live());
-            cur = checked("motion", &snap, cur, &case.inputs)?;
-            if moved {
-                live.repair(&cur, &r.touched_blocks());
-            }
-        }
-    }
-
-    let snap = cur.clone();
-    dce(&mut cur);
-    checked("dce-final", &snap, cur, &case.inputs)?;
-
-    // End-to-end driver check over the same post-FRP program: catches any
-    // divergence arising from phase interactions inside `apply_icbm` that
-    // the decomposed replay above did not reproduce exactly.
-    let mut e2e = frp.clone();
-    control_cpr::apply_icbm(&mut e2e, &profile, &case.cpr);
-    checked("icbm-e2e", &frp, e2e, &case.inputs)?;
-
+    let profile = profiled(&cur, training, "icbm")?;
+    let mut prev = cur.clone();
+    apply_icbm_observed(&mut cur, &profile, &case.cpr, |phase, f| {
+        prev = checked(phase, &prev, f.clone(), &case.inputs)?;
+        Ok(())
+    })?;
     Ok(())
 }
 

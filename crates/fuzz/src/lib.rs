@@ -11,10 +11,12 @@
 //!   program is exercised with;
 //! * [`check_case`] — a per-stage harness that runs every pipeline stage
 //!   (if-conversion, superblock formation, unrolling, DCE, FRP conversion,
-//!   then ICBM decomposed into speculate / restructure / off-trace motion /
-//!   DCE, plus `apply_icbm` end-to-end) and, after each stage, verifies the
-//!   output and differentially tests it against the stage's input on
-//!   several inputs, so a failure names the guilty stage;
+//!   then ICBM through the shipped driver, observed after speculate, every
+//!   restructure, every motion or rollback, and the final DCE) and, after
+//!   each stage, verifies the output and differentially tests it against
+//!   the stage's input on several inputs, so a failure names the guilty
+//!   stage. [`GenCase::from_workload`] feeds a suite workload through the
+//!   same checks (the `inspect` binary);
 //! * [`shrink_case`] — greedy op-deletion minimization that preserves the
 //!   failing stage, producing reproducers small enough to check in.
 //!

@@ -28,8 +28,8 @@
 //! metrics on stderr as connections close.
 //!
 //! `--timeout-ms N` is the budget of requests that set no `timeout_ms`; a
-//! request past its budget stops at the next pipeline stage boundary and
-//! answers a `timeout` error. `--heartbeat-ms N` reports the server-wide
+//! request past its budget stops at the next pipeline stage boundary (or
+//! ICBM phase) and answers a `timeout` error. `--heartbeat-ms N` reports the server-wide
 //! tallies on stderr every `N` ms, and a `{"op":"metrics"}` request line
 //! fetches a connection's tallies in-band (see `epic_serve::proto`).
 //!

@@ -126,8 +126,8 @@ fn check_machines() -> [epic_machine::Machine; 2] {
 /// Runs the pipeline for one request. A suite workload and inline IR go
 /// through the same stage chain; `check:true` diff-tests a workload on its
 /// training and evaluation inputs, inline IR on its one input. A passed
-/// `deadline` fails the compile at the next stage boundary, or just before
-/// validation.
+/// `deadline` fails the compile at the next stage boundary or ICBM phase,
+/// or just before validation.
 fn execute(
     req: &Request,
     cache: &CompileCache,
@@ -147,7 +147,7 @@ fn execute(
     if let Some(d) = deadline {
         pipeline = pipeline.with_deadline(d);
     }
-    let c = pipeline.if_convert()?.meld()?.superblock()?.unroll()?.frp()?.icbm()?;
+    let c = pipeline.run()?;
     if req.check {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(CompileError::Deadline { stage: "check" }.into());

@@ -48,8 +48,8 @@ pub enum ServeError {
     /// The request named a workload the suite does not contain.
     UnknownWorkload(String),
     /// The request exceeded its wall-clock budget (the payload, in ms).
-    /// The compile stops at the next stage boundary after the deadline;
-    /// stages it finished stay cached.
+    /// The compile stops at the next stage boundary or ICBM phase after
+    /// the deadline; stages it finished stay cached.
     Timeout(u64),
     /// The event server's admission controller shed the request: its
     /// shape cluster exceeded the tier's cap within the sliding admission

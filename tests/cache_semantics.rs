@@ -9,8 +9,8 @@
 //! participates when enabled.)
 
 use epic_bench::{
-    check_equivalence, compile_cached, render_table2, render_table3, table2,
-    table2_cached, table3, table3_cached, CompileCache, Pipeline, PipelineConfig,
+    check_equivalence, compile_cached, render_table2, render_table3, table2, table3, CompileCache,
+    Pipeline, PipelineConfig,
 };
 use epic_ir::{parse_function, Dest, Op, Opcode, Operand};
 use epic_workloads::Workload;
@@ -102,17 +102,7 @@ fn function_and_input_changes_invalidate_everything() {
     assert_ne!(func.fingerprint(), w.func.fingerprint());
     let c = Pipeline::for_function(w.name, &func, &w.training, w.unroll, &cfg)
         .with_cache(&cache)
-        .if_convert()
-        .unwrap()
-        .meld()
-        .unwrap()
-        .superblock()
-        .unwrap()
-        .unroll()
-        .unwrap()
-        .frp()
-        .unwrap()
-        .icbm()
+        .run()
         .unwrap();
     assert_eq!(c.cache_hits, 0, "IR mutation must miss every stage");
     assert_eq!(c.cache_misses, CACHED_STAGES);
@@ -122,17 +112,7 @@ fn function_and_input_changes_invalidate_everything() {
     let other = &w.evaluation[0];
     let c = Pipeline::for_function(w.name, &w.func, other, w.unroll, &cfg)
         .with_cache(&cache)
-        .if_convert()
-        .unwrap()
-        .meld()
-        .unwrap()
-        .superblock()
-        .unwrap()
-        .unroll()
-        .unwrap()
-        .frp()
-        .unwrap()
-        .icbm()
+        .run()
         .unwrap();
     assert_eq!(c.cache_hits, 0, "training-input change must miss every stage");
     assert_eq!(c.cache_misses, CACHED_STAGES);
@@ -143,14 +123,14 @@ fn tables_are_byte_identical_with_cache_on_and_off() {
     let workloads = subset();
     let cfg = PipelineConfig::default();
 
-    let t2_off = render_table2(&table2(&workloads, &cfg));
-    let t3_off = render_table3(&table3(&workloads, &cfg));
+    let t2_off = render_table2(&table2(&workloads, &cfg, None).0);
+    let t3_off = render_table3(&table3(&workloads, &cfg, None).0);
 
     let cache = CompileCache::new();
     // First cached pass populates; second is served entirely from memory.
     for pass in ["cold", "warm"] {
-        let t2_on = render_table2(&table2_cached(&workloads, &cfg, &cache));
-        let t3_on = render_table3(&table3_cached(&workloads, &cfg, &cache));
+        let t2_on = render_table2(&table2(&workloads, &cfg, Some(&cache)).0);
+        let t3_on = render_table3(&table3(&workloads, &cfg, Some(&cache)).0);
         assert_eq!(t2_off, t2_on, "table2 diverged on the {pass} pass");
         assert_eq!(t3_off, t3_on, "table3 diverged on the {pass} pass");
     }

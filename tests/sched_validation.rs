@@ -92,7 +92,7 @@ fn perf_estimate_equals_scheduled_replay() {
     }
 }
 
-/// Melded programs — branch-eliminated full diamonds — must schedule
+/// Programs after melding — branch-eliminated full diamonds — must schedule
 /// validly under the independent checker, their perf estimate must equal
 /// the replay oracle *under the penalized modern front end* (misprediction
 /// penalty and fetch-width charges included), and every seeded schedule

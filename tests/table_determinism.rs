@@ -1,12 +1,19 @@
 //! The parallel table drivers must be bit-for-bit deterministic: same row
-//! order and same cycle counts as the serial reference path, regardless of
-//! thread count or scheduling interleavings.
+//! order and same cycle counts as the serial reference — the same driver
+//! inside a 1-thread pool — regardless of thread count or scheduling
+//! interleavings.
 
 use epic_bench::{
-    meld_matrix, meld_matrix_machines, meld_matrix_serial, render_meld_matrix, render_table2,
-    render_table3, table2, table2_serial, table3, table3_serial, CompileCache, PipelineConfig,
+    meld_matrix, meld_matrix_machines, render_meld_matrix, render_table2, render_table3, table2,
+    table3, CompileCache, PipelineConfig,
 };
 use epic_workloads::Workload;
+
+/// Runs `f` with every parallel iterator inside it on `threads` threads.
+fn on_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+    pool.install(f)
+}
 
 /// A representative subset (branchy utilities + SPEC entries) keeps the
 /// double compilation affordable in debug builds; `bench_snapshot` performs
@@ -22,8 +29,8 @@ fn subset() -> Vec<Workload> {
 fn parallel_table2_matches_serial_reference() {
     let workloads = subset();
     let cfg = PipelineConfig::default();
-    let serial = table2_serial(&workloads, &cfg);
-    let parallel = table2(&workloads, &cfg);
+    let (serial, _) = on_threads(1, || table2(&workloads, &cfg, None));
+    let (parallel, _) = on_threads(4, || table2(&workloads, &cfg, None));
 
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
@@ -39,8 +46,8 @@ fn parallel_table2_matches_serial_reference() {
 fn parallel_table3_matches_serial_reference() {
     let workloads = subset();
     let cfg = PipelineConfig::default();
-    let serial = table3_serial(&workloads, &cfg);
-    let parallel = table3(&workloads, &cfg);
+    let (serial, _) = on_threads(1, || table3(&workloads, &cfg, None));
+    let (parallel, _) = on_threads(4, || table3(&workloads, &cfg, None));
 
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
@@ -62,11 +69,11 @@ fn meld_matrix_is_deterministic_across_threads_and_cache() {
     let machines = meld_matrix_machines();
     assert!(machines.len() >= 2, "matrix covers at least two front ends");
 
-    let serial = meld_matrix_serial(&workloads, &machines);
-    let parallel = meld_matrix(&workloads, &machines, None);
+    let serial = on_threads(1, || meld_matrix(&workloads, &machines, None));
+    let parallel = on_threads(4, || meld_matrix(&workloads, &machines, None));
     let cache = CompileCache::new();
-    let cached_cold = meld_matrix(&workloads, &machines, Some(&cache));
-    let cached_warm = meld_matrix(&workloads, &machines, Some(&cache));
+    let cached_cold = on_threads(4, || meld_matrix(&workloads, &machines, Some(&cache)));
+    let cached_warm = on_threads(4, || meld_matrix(&workloads, &machines, Some(&cache)));
 
     assert_eq!(serial, parallel, "parallel must match the serial reference");
     assert_eq!(serial, cached_cold, "cache on/off must not change the rows");

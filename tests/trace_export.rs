@@ -8,7 +8,7 @@
 //! This is its own integration-test binary so it owns the process-wide
 //! tracer; no other test's spans can interleave.
 
-use epic_bench::{table3_with_timings_cached, CompileCache, Json, PipelineConfig};
+use epic_bench::{table3, CompileCache, Json, PipelineConfig};
 use epic_obs::Tracer;
 
 #[test]
@@ -22,8 +22,7 @@ fn chrome_trace_export_is_wellformed_and_covers_every_stage() {
         .map(|n| epic_workloads::by_name(n).expect("suite workload"))
         .collect();
     let cache = CompileCache::new();
-    let (_rows, timings) =
-        table3_with_timings_cached(&workloads, &PipelineConfig::default(), Some(&cache));
+    let (_rows, timings) = table3(&workloads, &PipelineConfig::default(), Some(&cache));
 
     tracer.disable();
     let json = tracer.export_chrome_json();
