@@ -6,9 +6,7 @@
 //! drivers — scheduling), how
 //! long the stage took and how the static operation count changed across it.
 //! The result is machine-readable JSON (hand-rolled: the build environment
-//! has no serde), emitted by the bench bins under `--timings out.json` and
-//! snapshotted into `BENCH_pr1.json` so the performance trajectory of the
-//! harness itself is tracked in-repo.
+//! has no serde), emitted by the bench bins under `--timings out.json`.
 
 use std::time::Duration;
 

@@ -138,7 +138,7 @@ fn speculate_block(func: &mut Function, block: BlockId, global: &GlobalLiveness)
     }
 
     // --- pass 2: selective demotion ---
-    // Following the paper's criterion: a promotion is useless — and is
+    // Following the paper's rule: a promotion is useless — and is
     // undone — when the operation data-depends on a producer that still
     // executes under the operation's original guard (or under a predicate
     // that implies it), because the operation cannot start any earlier than

@@ -3,9 +3,9 @@
 //! [`run`](crate::run) used to walk the IR directly: every fetched
 //! operation re-matched `Operand` enums, looked its id up in a `HashMap`
 //! profile, and every taken branch re-resolved its target through a
-//! per-run label map. Profiling runs dominate pipeline wall clock (the
-//! four `profile:*` stages are ~50–60% of most workloads' compile time in
-//! `BENCH_pr1.json`), so the interpreter now decodes a [`Function`] once
+//! per-run label map. Profiling runs dominated pipeline wall clock (the
+//! four `profile:*` stages were ~50–60% of most workloads' compile time
+//! before pre-decoding), so the interpreter now decodes a [`Function`] once
 //! into a flat, cache-friendly [`DecodedProgram`] — dense operation
 //! records in layout order, branch targets resolved to layout positions,
 //! operands lowered to register/predicate indices or immediates — and the
@@ -16,7 +16,7 @@
 //! the dense profile counters) lives in a reusable [`ExecState`], pooled
 //! per thread by [`run`](crate::run) so repeated profiling runs reuse
 //! their allocations instead of paying first-touch page faults each time
-//! (the `strcpy` `profile:baseline` anomaly in `BENCH_pr1.json`).
+//! (the source of an early `strcpy` `profile:baseline` timing anomaly).
 //!
 //! Semantics are bit-for-bit those of the direct interpreter, which is
 //! kept as [`crate::reference`] and pinned by differential tests.

@@ -1,8 +1,7 @@
 //! Deterministic load generator for the event-driven compile server.
 //!
 //! ```text
-//! loadgen [--requests N] [--connections C] [--workers W] [--quick]
-//!         [--poll] [--out PATH]
+//! loadgen [--requests N] [--connections C] [--workers W] [--quick] [--poll]
 //! ```
 //!
 //! Generates a seeded, fully deterministic stream of mixed requests —
@@ -10,8 +9,7 @@
 //! `check:true` probes, control ops, malformed lines, blank lines — and
 //! replays it through the event server over real TCP connections,
 //! including two torture clients (a slow reader that sips 512-byte
-//! chunks, and a writer that sends one byte per syscall), recording
-//! p50/p99/p999 request latency from the `epic-obs` histograms.
+//! chunks, and a writer that sends one byte per syscall).
 //!
 //! Every reply must arrive **in request order** on its connection, and
 //! the digest of all stable reply prefixes (up to the `"cache"` key,
@@ -23,9 +21,10 @@
 //! replays one substream twice against tight admission caps and checks
 //! the shed id sets match exactly (deterministic load shedding).
 //!
-//! The default run writes `BENCH_serve.json`; `--quick` runs a small
-//! smoke sweep (used by `just serve-bench`) that asserts the same
-//! invariants plus a generous p99 bound and writes nothing.
+//! loadgen is an oracle, not a latency benchmark: it writes nothing, and
+//! `perfbench` owns the serve latency numbers. The default run replays
+//! 100k requests; `--quick` replays 4k (used by `just serve-bench`) and
+//! also asserts a generous p99 bound.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -36,7 +35,6 @@ use std::time::Duration;
 use epic_bench::timing::json_string;
 use epic_bench::CompileCache;
 use epic_obs::MetricsRegistry;
-use epic_serve::event::{READ_PAUSES_COUNTER, SHED_COUNTER};
 use epic_serve::proto::reply_digest;
 use epic_serve::{EventOptions, EventServer, ShapeTable, Tier};
 
@@ -232,15 +230,24 @@ fn shed_ids(replies: &[String]) -> Vec<u64> {
         .collect()
 }
 
-fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
+const USAGE: &str =
+    "usage: loadgen [--requests N] [--connections C] [--workers W] [--quick] [--poll]";
+
+/// Prints `msg` and the usage line, and exits 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    exit(2);
+}
+
+fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Option<usize> {
     let i = args.iter().position(|a| a == flag)?;
     if i + 1 >= args.len() {
-        eprintln!("{flag} needs a value");
-        exit(2);
+        usage(&format!("{flag} needs a value"));
     }
     let v = args.remove(i + 1);
     args.remove(i);
-    Some(v)
+    let n = v.parse().unwrap_or_else(|_| usage(&format!("{flag} needs a count, got {v:?}")));
+    Some(n)
 }
 
 fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
@@ -251,32 +258,19 @@ fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
     true
 }
 
-fn hist_json(name: &str) -> String {
-    let s = MetricsRegistry::global().histogram(name).snapshot();
-    format!(
-        "{{\"count\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"p999_us\":{}}}",
-        s.count, s.p50, s.p90, s.p99, s.p999
-    )
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let quick = take_bool_flag(&mut args, "--quick");
     let force_poll = take_bool_flag(&mut args, "--poll");
-    let requests: usize = take_value_flag(&mut args, "--requests")
-        .map_or(if quick { 4_000 } else { 100_000 }, |v| v.parse().expect("--requests"));
-    let connections: usize = take_value_flag(&mut args, "--connections")
-        .map_or(8, |v| v.parse().expect("--connections"));
-    let workers: usize =
-        take_value_flag(&mut args, "--workers").map_or(0, |v| v.parse().expect("--workers"));
-    let out_path = take_value_flag(&mut args, "--out");
+    let requests = take_value_flag(&mut args, "--requests")
+        .unwrap_or(if quick { 4_000 } else { 100_000 });
+    let connections = take_value_flag(&mut args, "--connections").unwrap_or(8);
+    let workers = take_value_flag(&mut args, "--workers").unwrap_or(0);
     if let Some(unknown) = args.first() {
-        eprintln!("unknown argument: {unknown}");
-        eprintln!(
-            "usage: loadgen [--requests N] [--connections C] [--workers W] \
-             [--quick] [--poll] [--out PATH]"
-        );
-        exit(2);
+        usage(&format!("unknown argument: {unknown}"));
+    }
+    if connections == 0 {
+        usage("--connections must be at least 1");
     }
 
     let mix = Mix::new();
@@ -296,18 +290,14 @@ fn main() {
     let bulk_total = requests - 2 * torture_n;
     let per_conn = bulk_total / connections;
     let mut streams: Vec<(String, usize, Torture)> = Vec::new();
-    let mut total = 0;
     for c in 0..connections {
         let n = per_conn + if c == 0 { bulk_total - per_conn * connections } else { 0 };
         let (s, replies) = build_stream(&mix, 0x5eed + c as u64, n);
-        total += n;
         streams.push((s, replies, Torture::None));
     }
     let (s, r) = build_stream(&mix, 0xbad5eed, torture_n);
-    total += torture_n;
     streams.push((s, r, Torture::SlowReader));
     let (s, r) = build_stream(&mix, 0x1b17e, torture_n);
-    total += torture_n;
     streams.push((s, r, Torture::ByteWriter));
 
     // --- Pass 1: the event server over TCP -----------------------------
@@ -324,7 +314,6 @@ fn main() {
     let shutdown = server.shutdown_handle();
     let server_thread = std::thread::spawn(move || server.run().expect("event loop"));
 
-    let t0 = std::time::Instant::now();
     let client_threads: Vec<_> = streams
         .iter()
         .map(|(s, _, torture)| {
@@ -334,25 +323,9 @@ fn main() {
         .collect();
     let replies: Vec<Vec<String>> =
         client_threads.into_iter().map(|t| t.join().expect("client")).collect();
-    let wall_s = t0.elapsed().as_secs_f64();
-    let latency = hist_json("serve_request_us");
-    let tier_latency: Vec<String> = Tier::ALL
-        .iter()
-        .map(|t| {
-            let name = epic_obs::metric_name("serve_request_us", &[("tier", t.name())]);
-            format!("\"{}\":{}", t.name(), hist_json(&name))
-        })
-        .collect();
-    let pauses = MetricsRegistry::global().counter(READ_PAUSES_COUNTER).value();
     shutdown.shutdown();
     let metrics = server_thread.join().expect("server thread");
-    eprintln!(
-        "loadgen: answered {} requests in {:.1}s ({:.0} req/s, {} backend)",
-        metrics.requests,
-        wall_s,
-        metrics.requests as f64 / wall_s,
-        backend
-    );
+    eprintln!("loadgen: answered {} requests ({backend} backend)", metrics.requests);
 
     // Ordering + completeness before anything else.
     for (c, ((_, expected_replies, _), got)) in streams.iter().zip(&replies).enumerate() {
@@ -409,16 +382,8 @@ fn main() {
     assert_eq!(first, second, "same stream + same caps must shed the same ids");
     eprintln!("loadgen: shedding deterministic ({} sheds, identical across replays)", first.len());
 
-    let shed_counts: Vec<String> = Tier::ALL
-        .iter()
-        .map(|t| {
-            let name = epic_obs::metric_name(SHED_COUNTER, &[("tier", t.name())]);
-            format!("\"{}\":{}", t.name(), MetricsRegistry::global().counter(&name).value())
-        })
-        .collect();
-
     if quick {
-        // Smoke gates for CI: nothing dropped (asserted above), sane tail.
+        // Smoke gate for CI: a sane tail (nothing dropped is asserted above).
         let p99_us = MetricsRegistry::global().histogram("serve_request_us").snapshot().p99;
         let bound_us = 2_000_000;
         assert!(
@@ -426,29 +391,5 @@ fn main() {
             "p99 request latency {p99_us}us breaches the {bound_us}us smoke bound"
         );
         eprintln!("loadgen: quick smoke ok (p99 {p99_us}us, all replies in order)");
-        if out_path.is_none() {
-            return;
-        }
     }
-
-    let json = format!(
-        "{{\n  \"snapshot\": \"serve_pr7\",\n  \"requests\": {total},\n  \"replies\": {compared_total},\n  \
-         \"connections\": {clients},\n  \"workers\": {workers_n},\n  \"backend\": \"{backend}\",\n  \
-         \"wall_s\": {wall_s:.3},\n  \"reply_digest\": \"{digest}\",\n  \"in_order\": true,\n  \
-         \"shed_deterministic\": true,\n  \"shed_replay_sheds\": {sheds},\n  \
-         \"read_pauses\": {pauses},\n  \"shed_totals\": {{{shed_counts}}},\n  \
-         \"latency_us\": {latency},\n  \"tier_latency_us\": {{{tiers}}}\n}}\n",
-        compared_total = replies.iter().map(Vec::len).sum::<usize>(),
-        workers_n = if workers == 0 {
-            std::thread::available_parallelism().map_or(4, |n| n.get())
-        } else {
-            workers
-        },
-        sheds = first.len(),
-        shed_counts = shed_counts.join(","),
-        tiers = tier_latency.join(","),
-    );
-    let path = out_path.unwrap_or_else(|| "BENCH_serve.json".to_string());
-    std::fs::write(&path, &json).expect("write bench json");
-    eprintln!("loadgen: wrote {path}");
 }

@@ -3,7 +3,8 @@
 //! Feeds the same mixed batch twice through one process: the second pass
 //! must be answered entirely from the warm compile cache (`"misses":0` on
 //! every line) with responses byte-identical to the first pass once the
-//! cache counters are stripped. Stdin may also be a regular file.
+//! cache counters are stripped. Stdin may also be a regular file. The
+//! `loadgen` binary rejects bad arguments with a usage error.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -166,4 +167,17 @@ fn regular_file_stdin_is_served() {
     assert_eq!(lines.len(), 2, "stdout:\n{stdout}");
     assert!(lines[0].starts_with("{\"id\":1,\"ok\":true"), "{}", lines[0]);
     assert!(lines[1].starts_with("{\"id\":2,\"ok\":true"), "{}", lines[1]);
+}
+
+#[test]
+fn loadgen_rejects_bad_arguments_with_a_usage_error() {
+    // Each is rejected before any server starts: zero connections used to
+    // panic with a divide-by-zero, and `--out` no longer exists.
+    for args in [&["--connections", "0"][..], &["--requests", "many"], &["--out", "x.json"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_loadgen")).args(args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: loadgen"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

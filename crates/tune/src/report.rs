@@ -149,7 +149,7 @@ pub fn render_snapshot(
     let results: Vec<String> = outcome.results.iter().map(snapshot_result).collect();
     let check: Vec<String> = check_threads.iter().map(|t| t.to_string()).collect();
     format!(
-        "{{\"bench\":\"tune_pr8\",\"seed\":{},\"budget\":{},\"population\":{},\
+        "{{\"bench\":\"tune\",\"seed\":{},\"budget\":{},\"population\":{},\
          \"threads\":{},\"workloads\":{},\"evals\":{},\"elapsed_ms\":{},\
          \"evals_per_sec\":{},\
          \"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{},\"inflight_waits\":{}}},\
@@ -198,7 +198,7 @@ mod tests {
         assert!(report.contains("tuned vs paper default"), "{report}");
         let snap = render_snapshot(&p, &o, 2, &[1, 2, 8]);
         let j = epic_bench::Json::parse(&snap).expect("snapshot is valid JSON");
-        assert_eq!(j.get("bench").and_then(|v| v.as_str()), Some("tune_pr8"));
+        assert_eq!(j.get("bench").and_then(|v| v.as_str()), Some("tune"));
         assert_eq!(j.get("seed").and_then(|v| v.as_u64()), Some(5));
         let cache = j.get("cache").expect("cache object");
         assert!(cache.get("hit_rate").and_then(|v| v.as_f64()).is_some());

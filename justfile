@@ -9,10 +9,11 @@ bench-check: fuzz-smoke riscfe-check serve-smoke serve-bench obs-smoke sched-che
     cargo clippy --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-# Performance gate: a quick serial table2 timing run (min of 3) must stay
-# within 25% of the committed BENCH_table2.json snapshot.
+# Performance gate: serial table2 (one warmup, min of 3 runs) must stay
+# within 25% of the committed BENCH_table2.json snapshot; a snapshot that
+# timed a different number of workloads is stale and exits 2.
 perf-check:
-    cargo run --release -p epic-bench --bin bench_snapshot -- --quick --check
+    cargo run --release -p epic-bench --bin bench_snapshot -- --check
 
 # Schedule translation validation: the independent checker's negative
 # suite and mutation kill-rate harness, plus whole-suite stage validation,
@@ -36,14 +37,9 @@ serve-smoke:
 # clients), requires the replies' digest to equal the committed golden
 # digest, every reply in order, the torture clients to match a
 # single-worker server, deterministic shed sets across replays, and a
-# sane p99.
+# sane p99. Serve latency numbers come from perfbench, not from here.
 serve-bench:
     cargo run --release -q -p epic-serve --bin loadgen -- --quick
-
-# Regenerate the committed serve latency benchmark (full 100k-request
-# replay; see EXPERIMENTS.md "Serving").
-serve-snapshot:
-    cargo run --release -q -p epic-serve --bin loadgen -- --out BENCH_serve.json
 
 # Autotuner smoke: a small fixed-seed search over four workloads, run at
 # 1, 2 and 8 threads; the reports must be byte-identical and every elite
@@ -81,8 +77,8 @@ riscfe-check:
     cargo test --release -q -p epic-riscfe
     cargo test --release -q -p epic-bench --test riscfe_properties --test riscfe_conformance
 
-# Regenerate the committed timing snapshot (serial runs, thread sweep,
-# per-stage geomeans).
+# Regenerate the perf-check baseline BENCH_table2.json (serial table2,
+# one warmup plus min of 3 runs) on a quiet host.
 bench-snapshot:
     cargo run --release -p epic-bench --bin bench_snapshot
 

@@ -16,8 +16,8 @@ fn on_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// A representative subset (branchy utilities + SPEC entries) keeps the
-/// double compilation affordable in debug builds; `bench_snapshot` performs
-/// the same cross-check over the full suite on every snapshot run.
+/// double compilation affordable in debug builds; `tests/golden_tables.rs`
+/// checks the full suite's rendered tables at one and four threads.
 fn subset() -> Vec<Workload> {
     ["strcpy", "cmp", "wc", "grep", "023.eqntott", "126.gcc"]
         .iter()
