@@ -9,9 +9,11 @@
 //! exact BDD over branch-condition variables, which is simpler to test.
 //!
 //! The manager hash-conses nodes, so equality of [`Bdd`] handles is
-//! equivalence of the boolean functions they denote.
+//! equivalence of the boolean functions they denote. Its unique table and
+//! memos are [`FxHashMap`]s: every apply step probes them, and their keys
+//! are small integer tuples that need no flood-resistant hashing.
 
-use std::collections::HashMap;
+use epic_ir::FxHashMap;
 
 /// A handle to a BDD node owned by a [`BddManager`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,17 +61,18 @@ struct Node {
 /// ```
 pub struct BddManager {
     nodes: Vec<Node>,
-    unique: HashMap<(u32, Bdd, Bdd), Bdd>,
-    and_memo: HashMap<(Bdd, Bdd), Bdd>,
-    or_memo: HashMap<(Bdd, Bdd), Bdd>,
-    not_memo: HashMap<Bdd, Bdd>,
+    unique: FxHashMap<(u32, Bdd, Bdd), Bdd>,
+    and_memo: FxHashMap<(Bdd, Bdd), Bdd>,
+    or_memo: FxHashMap<(Bdd, Bdd), Bdd>,
+    not_memo: FxHashMap<Bdd, Bdd>,
     /// Memoized answers to [`disjoint`](BddManager::disjoint) (key ordered,
     /// the query is symmetric) and [`implies`](BddManager::implies) (key as
-    /// asked). The dependence builder asks the same guard pairs once per
-    /// def/use pair and once per machine model, so a flat query memo turns
-    /// almost all of them into single hash probes with no BDD traversal.
-    disjoint_memo: HashMap<(Bdd, Bdd), bool>,
-    implies_memo: HashMap<(Bdd, Bdd), bool>,
+    /// asked), and of the sub-pairs their walks visit. The dependence
+    /// builder asks the same guard pairs once per def/use pair and once per
+    /// machine model, so a flat query memo turns almost all of them into
+    /// single hash probes with no BDD traversal.
+    disjoint_memo: FxHashMap<(Bdd, Bdd), bool>,
+    implies_memo: FxHashMap<(Bdd, Bdd), bool>,
     memo_hits: u64,
     memo_misses: u64,
 }
@@ -87,12 +90,12 @@ impl BddManager {
         let sentinel = Node { var: u32::MAX, lo: Bdd::FALSE, hi: Bdd::FALSE };
         BddManager {
             nodes: vec![sentinel, sentinel],
-            unique: HashMap::new(),
-            and_memo: HashMap::new(),
-            or_memo: HashMap::new(),
-            not_memo: HashMap::new(),
-            disjoint_memo: HashMap::new(),
-            implies_memo: HashMap::new(),
+            unique: FxHashMap::default(),
+            and_memo: FxHashMap::default(),
+            or_memo: FxHashMap::default(),
+            not_memo: FxHashMap::default(),
+            disjoint_memo: FxHashMap::default(),
+            implies_memo: FxHashMap::default(),
             memo_hits: 0,
             memo_misses: 0,
         }
@@ -106,7 +109,9 @@ impl BddManager {
         (self.memo_hits, self.memo_misses)
     }
 
-    /// Number of live nodes (including the two constants).
+    /// Number of live nodes (including the two constants). The nodes this
+    /// manager created, `node_count() - 2`, are added to the process-wide
+    /// `bdd.nodes` counter when it is dropped.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -115,12 +120,11 @@ impl BddManager {
         if lo == hi {
             return lo;
         }
-        if let Some(&n) = self.unique.get(&(var, lo, hi)) {
-            return n;
+        let fresh = Bdd(self.nodes.len() as u32);
+        let id = *self.unique.entry((var, lo, hi)).or_insert(fresh);
+        if id == fresh {
+            self.nodes.push(Node { var, lo, hi });
         }
-        let id = Bdd(self.nodes.len() as u32);
-        self.nodes.push(Node { var, lo, hi });
-        self.unique.insert((var, lo, hi), id);
         id
     }
 
@@ -222,6 +226,22 @@ impl BddManager {
 
     /// True when `a` and `b` can never be simultaneously true.
     pub fn disjoint(&mut self, a: Bdd, b: Bdd) -> bool {
+        self.disjoint_walk(a, b, true)
+    }
+
+    /// True when `a` implies `b` (every assignment satisfying `a` satisfies
+    /// `b`).
+    pub fn implies(&mut self, a: Bdd, b: Bdd) -> bool {
+        self.implies_walk(a, b, true)
+    }
+
+    /// Decides `a ∧ b = false` by walking both graphs in step, without
+    /// building the conjunction: no nodes are created, and the walk stops
+    /// at the first cofactor pair that shares a satisfying assignment.
+    /// Sub-pair answers go into the same memo as top-level queries; only a
+    /// `top` query moves the hit/miss tallies, so they count the queries
+    /// callers asked.
+    fn disjoint_walk(&mut self, a: Bdd, b: Bdd, top: bool) -> bool {
         // Constant and equal-handle cases resolve without touching the memo
         // (or its hit/miss tallies): they are already cheaper than a probe.
         if a.is_false() || b.is_false() {
@@ -234,19 +254,23 @@ impl BddManager {
         }
         let key = if a <= b { (a, b) } else { (b, a) };
         if let Some(&r) = self.disjoint_memo.get(&key) {
-            self.memo_hits += 1;
+            self.memo_hits += top as u64;
             return r;
         }
-        self.memo_misses += 1;
-        let r = self.and(a, b).is_false();
+        self.memo_misses += top as u64;
+        let v = self.var_of(a).min(self.var_of(b));
+        let (alo, ahi) = self.cofactors(a, v);
+        let (blo, bhi) = self.cofactors(b, v);
+        let r = self.disjoint_walk(alo, blo, false) && self.disjoint_walk(ahi, bhi, false);
         self.disjoint_memo.insert(key, r);
         r
     }
 
-    /// True when `a` implies `b` (every assignment satisfying `a` satisfies
-    /// `b`).
-    pub fn implies(&mut self, a: Bdd, b: Bdd) -> bool {
-        // Constant and equal-handle cases, memo-free as in `disjoint`.
+    /// Decides `a ∧ ¬b = false` the same way as
+    /// [`disjoint_walk`](Self::disjoint_walk): no negation or conjunction
+    /// is built.
+    fn implies_walk(&mut self, a: Bdd, b: Bdd, top: bool) -> bool {
+        // Constant and equal-handle cases, memo-free as in `disjoint_walk`.
         if b.is_true() || a.is_false() || a == b {
             return true;
         }
@@ -255,11 +279,14 @@ impl BddManager {
             return false;
         }
         if let Some(&r) = self.implies_memo.get(&(a, b)) {
-            self.memo_hits += 1;
+            self.memo_hits += top as u64;
             return r;
         }
-        self.memo_misses += 1;
-        let r = self.and_not(a, b).is_false();
+        self.memo_misses += top as u64;
+        let v = self.var_of(a).min(self.var_of(b));
+        let (alo, ahi) = self.cofactors(a, v);
+        let (blo, bhi) = self.cofactors(b, v);
+        let r = self.implies_walk(alo, blo, false) && self.implies_walk(ahi, bhi, false);
         self.implies_memo.insert((a, b), r);
         r
     }
@@ -291,10 +318,14 @@ impl BddManager {
 }
 
 impl Drop for BddManager {
-    /// Publishes this manager's query-memo statistics to the process-wide
-    /// `bdd.memo_hits` / `bdd.memo_misses` counters. Flushing on drop keeps
-    /// the hot query paths free of atomic operations.
+    /// Publishes this manager's work to the process-wide `bdd.nodes`,
+    /// `bdd.memo_hits` and `bdd.memo_misses` counters. Flushing on drop
+    /// keeps the hot paths free of atomic operations.
     fn drop(&mut self) {
+        let created = self.nodes.len() as u64 - 2;
+        if created > 0 {
+            crate::obs_bdd_nodes().add(created);
+        }
         if self.memo_hits > 0 {
             crate::obs_bdd_memo_hits().add(self.memo_hits);
         }

@@ -24,9 +24,7 @@
 //! All edges point forward in program order, so program order is a
 //! topological order of the graph.
 
-use std::collections::{HashMap, HashSet};
-
-use epic_ir::{Op, OpId, Opcode, PredActionKind, PredReg, Reg};
+use epic_ir::{Function, FxHashMap, FxHashSet, Op, OpId, Opcode, PredActionKind, PredReg, Reg};
 
 use crate::pred_facts::PredFacts;
 
@@ -61,30 +59,31 @@ pub struct DepEdge {
 
 /// Options controlling graph construction.
 #[derive(Clone, Debug)]
-pub struct DepOptions {
+#[allow(clippy::disallowed_types)] // `mem_classes` is the IR's own table, read once per op
+pub struct DepOptions<'a> {
     /// The exposed branch latency of the target machine.
     pub branch_latency: i32,
     /// Enable predicate-based relaxation (disjoint-guard elision, wired
     /// compare commutativity). Disabling it models a predicate-unaware
     /// scheduler and is used for ablation.
     pub pred_relaxation: bool,
-    /// Alias classes of memory operations (see
-    /// [`Function::mem_classes`](epic_ir::Function::mem_classes)): memory
-    /// operations with different classes never conflict.
-    pub mem_classes: HashMap<OpId, u32>,
+    /// Alias classes of memory operations, borrowed from
+    /// [`Function::mem_classes`]: memory operations with different classes
+    /// never conflict. `None` means no op has a class.
+    pub mem_classes: Option<&'a std::collections::HashMap<OpId, u32>>,
 }
 
-impl Default for DepOptions {
+impl Default for DepOptions<'_> {
     fn default() -> Self {
-        DepOptions { branch_latency: 1, pred_relaxation: true, mem_classes: HashMap::new() }
+        DepOptions { branch_latency: 1, pred_relaxation: true, mem_classes: None }
     }
 }
 
-impl DepOptions {
+impl<'a> DepOptions<'a> {
     /// Options with the alias-class table of `func` (the usual way to build
     /// a graph over one of its blocks).
-    pub fn for_function(func: &epic_ir::Function) -> DepOptions {
-        DepOptions { mem_classes: func.mem_classes().clone(), ..DepOptions::default() }
+    pub fn for_function(func: &'a Function) -> DepOptions<'a> {
+        DepOptions { mem_classes: Some(func.mem_classes()), ..DepOptions::default() }
     }
 }
 
@@ -96,9 +95,9 @@ impl DepOptions {
 #[derive(Clone, Debug, Default)]
 pub struct ExitLiveness {
     /// Live sets at each branch (indexed by op position).
-    pub at_op: HashMap<usize, (HashSet<Reg>, HashSet<PredReg>)>,
+    pub at_op: FxHashMap<usize, (FxHashSet<Reg>, FxHashSet<PredReg>)>,
     /// Live set at the fall-through end of the region.
-    pub at_end: (HashSet<Reg>, HashSet<PredReg>),
+    pub at_end: (FxHashSet<Reg>, FxHashSet<PredReg>),
 }
 
 /// The dependence graph of one region.
@@ -177,8 +176,10 @@ impl DepGraph {
         exit_live: Option<&ExitLiveness>,
         control: bool,
     ) -> Vec<DepGraph> {
-        let classes: Vec<Option<u32>> =
-            ops.iter().map(|o| opts[0].mem_classes.get(&o.id).copied()).collect();
+        let classes: Vec<Option<u32>> = ops
+            .iter()
+            .map(|o| opts[0].mem_classes.and_then(|m| m.get(&o.id).copied()))
+            .collect();
         let mut b = Builder {
             ops,
             facts,
@@ -281,8 +282,8 @@ impl DepGraph {
     /// Transitive data-dependence successors of a set of ops (used by the
     /// ICBM separability test and off-trace motion). Follows `Flow` and
     /// `Mem` flow edges plus `Control` edges from branches in the seed.
-    pub fn data_successors(&self, seeds: &[usize]) -> HashSet<usize> {
-        let mut out: HashSet<usize> = HashSet::new();
+    pub fn data_successors(&self, seeds: &[usize]) -> FxHashSet<usize> {
+        let mut out: FxHashSet<usize> = FxHashSet::default();
         let mut work: Vec<usize> = seeds.to_vec();
         while let Some(i) = work.pop() {
             for e in self.succs(i) {
@@ -315,14 +316,14 @@ fn compute_addresses(ops: &[Op]) -> Vec<Option<Addr>> {
         Unknown,
     }
     let mut next_base = 1u32;
-    let mut regs: HashMap<Reg, Val> = HashMap::new();
-    let mut fresh = |regs: &mut HashMap<Reg, Val>, r: Reg| -> Addr {
+    let mut regs: FxHashMap<Reg, Val> = FxHashMap::default();
+    let mut fresh = |regs: &mut FxHashMap<Reg, Val>, r: Reg| -> Addr {
         let a = Addr { base: next_base, offset: 0 };
         next_base += 1;
         regs.insert(r, Val::Known(a));
         a
     };
-    let mut get = |regs: &mut HashMap<Reg, Val>, r: Reg| -> Val {
+    let mut get = |regs: &mut FxHashMap<Reg, Val>, r: Reg| -> Val {
         match regs.get(&r) {
             Some(v) => *v,
             None => Val::Known(fresh(regs, r)),
@@ -346,7 +347,7 @@ fn compute_addresses(ops: &[Op]) -> Vec<Option<Addr>> {
         out.push(addr);
         // Transfer function. Guarded defs are conservative: the destination
         // becomes unknown (it may or may not be overwritten).
-        let mut val = |regs: &mut HashMap<Reg, Val>, s: Operand| -> Option<(Option<Addr>, i64)> {
+        let mut val = |regs: &mut FxHashMap<Reg, Val>, s: Operand| -> Option<(Option<Addr>, i64)> {
             match s {
                 Operand::Imm(i) => Some((None, i)),
                 Operand::Reg(r) => match get(regs, r) {
@@ -454,7 +455,7 @@ struct RawEdge {
 struct Builder<'a> {
     ops: &'a [Op],
     facts: &'a mut PredFacts,
-    opts: &'a DepOptions,
+    opts: &'a DepOptions<'a>,
     classes: Vec<Option<u32>>,
     exit_live: Option<&'a ExitLiveness>,
     /// Emit branch control / availability edges (see

@@ -38,6 +38,13 @@ pub use reaching::{PredDef, PredReaching};
 
 use std::sync::{Arc, OnceLock};
 
+/// Process-wide `bdd.nodes` counter: BDD nodes created (constants excluded)
+/// by every [`BddManager`] dropped so far.
+pub(crate) fn obs_bdd_nodes() -> &'static Arc<epic_obs::Counter> {
+    static C: OnceLock<Arc<epic_obs::Counter>> = OnceLock::new();
+    C.get_or_init(|| epic_obs::MetricsRegistry::global().counter("bdd.nodes"))
+}
+
 /// Process-wide `bdd.memo_hits` counter: disjoint/implies queries answered
 /// from a [`BddManager`] query memo. Managers flush their tallies on drop.
 pub(crate) fn obs_bdd_memo_hits() -> &'static Arc<epic_obs::Counter> {

@@ -17,14 +17,14 @@
 //!
 //! Internally the global analysis runs on dense [`BitSet`]s indexed by
 //! register/predicate number and per-layout-position arrays — the public
-//! `HashMap`/`HashSet` result shape is materialized once at the end. The
-//! pre-bitset implementation survives verbatim in [`reference`](mod@reference) as the
-//! differential oracle; the `liveness_matches_reference` tests here and the
-//! workload-scale oracle tests in `epic-bench` compare the two.
+//! [`FxHashMap`]/[`FxHashSet`] result shape is materialized once at the
+//! end. The pre-bitset implementation survives in
+//! [`reference`](mod@reference) as the differential oracle (only its map
+//! types follow the public result); the `liveness_matches_reference` tests
+//! here and the workload-scale oracle tests in `epic-bench` compare the
+//! two.
 
-use std::collections::{HashMap, HashSet};
-
-use epic_ir::{Block, BlockId, Function, Op, Opcode, PredReg, Reg};
+use epic_ir::{Block, BlockId, Function, FxHashMap, FxHashSet, Op, Opcode, PredReg, Reg};
 
 use crate::bdd::Bdd;
 use crate::bitset::BitSet;
@@ -34,13 +34,13 @@ use crate::pred_facts::PredFacts;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GlobalLiveness {
     /// Registers live on entry to each block.
-    pub live_in_regs: HashMap<BlockId, HashSet<Reg>>,
+    pub live_in_regs: FxHashMap<BlockId, FxHashSet<Reg>>,
     /// Registers live on exit from each block.
-    pub live_out_regs: HashMap<BlockId, HashSet<Reg>>,
+    pub live_out_regs: FxHashMap<BlockId, FxHashSet<Reg>>,
     /// Predicates live on entry to each block.
-    pub live_in_preds: HashMap<BlockId, HashSet<PredReg>>,
+    pub live_in_preds: FxHashMap<BlockId, FxHashSet<PredReg>>,
     /// Predicates live on exit from each block.
-    pub live_out_preds: HashMap<BlockId, HashSet<PredReg>>,
+    pub live_out_preds: FxHashMap<BlockId, FxHashSet<PredReg>>,
 }
 
 impl GlobalLiveness {
@@ -49,7 +49,7 @@ impl GlobalLiveness {
     /// be nullified, leaving the previous value live through it); `cmpp`
     /// unconditional destinations always write and therefore kill.
     pub fn compute(func: &Function) -> GlobalLiveness {
-        let summaries: HashMap<BlockId, BlockSummary> = func
+        let summaries: FxHashMap<BlockId, BlockSummary> = func
             .blocks_in_layout()
             .map(|block| (block.id, BlockSummary::of(block, func.live_outs())))
             .collect();
@@ -288,9 +288,9 @@ impl BlockSummary {
 /// (successor/fallthrough positions, exit routing) is resolved to dense
 /// indices once up front so each fixpoint pass is pure word-parallel set
 /// arithmetic.
-fn solve(func: &Function, summaries: &HashMap<BlockId, BlockSummary>) -> GlobalLiveness {
+fn solve(func: &Function, summaries: &FxHashMap<BlockId, BlockSummary>) -> GlobalLiveness {
     let n = func.layout.len();
-    let pos_of: HashMap<BlockId, usize> =
+    let pos_of: FxHashMap<BlockId, usize> =
         func.layout.iter().enumerate().map(|(i, &b)| (b, i)).collect();
 
     struct BlockPlan<'a> {
@@ -395,8 +395,8 @@ fn solve(func: &Function, summaries: &HashMap<BlockId, BlockSummary>) -> GlobalL
         }
     }
 
-    let to_regs = |s: &BitSet| -> HashSet<Reg> { s.iter().map(Reg).collect() };
-    let to_preds = |s: &BitSet| -> HashSet<PredReg> { s.iter().map(PredReg).collect() };
+    let to_regs = |s: &BitSet| -> FxHashSet<Reg> { s.iter().map(Reg).collect() };
+    let to_preds = |s: &BitSet| -> FxHashSet<PredReg> { s.iter().map(PredReg).collect() };
     GlobalLiveness {
         live_in_regs: func.layout.iter().enumerate().map(|(i, &b)| (b, to_regs(&in_r[i]))).collect(),
         live_out_regs: func
@@ -433,19 +433,19 @@ fn solve(func: &Function, summaries: &HashMap<BlockId, BlockSummary>) -> GlobalL
 /// after every ICBM mutation.
 #[derive(Clone, Debug)]
 pub struct IncrementalLiveness {
-    summaries: HashMap<BlockId, BlockSummary>,
+    summaries: FxHashMap<BlockId, BlockSummary>,
     /// The exact ops each cached summary was computed from. A "touched"
     /// block whose ops compare equal to its snapshot (the ICBM driver's
     /// rollback path restores the pre-restructure ops verbatim) keeps its
     /// summary instead of paying the BDD-heavy recomputation.
-    ops_snapshot: HashMap<BlockId, Vec<Op>>,
+    ops_snapshot: FxHashMap<BlockId, Vec<Op>>,
     live: GlobalLiveness,
 }
 
 impl IncrementalLiveness {
     /// Computes liveness from scratch and caches the per-block summaries.
     pub fn new(func: &Function) -> IncrementalLiveness {
-        let summaries: HashMap<BlockId, BlockSummary> = func
+        let summaries: FxHashMap<BlockId, BlockSummary> = func
             .blocks_in_layout()
             .map(|block| (block.id, BlockSummary::of(block, func.live_outs())))
             .collect();
@@ -469,7 +469,7 @@ impl IncrementalLiveness {
     /// fixpoint is then re-solved from scratch, which is what keeps
     /// may-liveness exact in the presence of removed edges.
     pub fn repair(&mut self, func: &Function, touched: &[BlockId]) {
-        let in_layout: HashSet<BlockId> = func.layout.iter().copied().collect();
+        let in_layout: FxHashSet<BlockId> = func.layout.iter().copied().collect();
         self.summaries.retain(|b, _| in_layout.contains(b));
         self.ops_snapshot.retain(|b, _| in_layout.contains(b));
         {
@@ -507,23 +507,23 @@ pub mod reference {
 
     #[derive(Clone, Debug, Default)]
     struct BlockSummary {
-        gen_regs: HashSet<Reg>,
-        kill_regs: HashSet<Reg>,
-        gen_preds: HashSet<PredReg>,
-        kill_preds: HashSet<PredReg>,
+        gen_regs: FxHashSet<Reg>,
+        kill_regs: FxHashSet<Reg>,
+        gen_preds: FxHashSet<PredReg>,
+        kill_preds: FxHashSet<PredReg>,
         exits: Vec<ExitSummary>,
     }
 
     #[derive(Clone, Debug)]
     struct ExitSummary {
         target: BlockId,
-        blocked_regs: HashSet<Reg>,
-        blocked_preds: HashSet<PredReg>,
+        blocked_regs: FxHashSet<Reg>,
+        blocked_preds: FxHashSet<PredReg>,
     }
 
     /// Reference semantics of [`GlobalLiveness::compute`].
     pub fn compute(func: &Function) -> GlobalLiveness {
-        let summaries: HashMap<BlockId, BlockSummary> = func
+        let summaries: FxHashMap<BlockId, BlockSummary> = func
             .blocks_in_layout()
             .map(|block| (block.id, summary_of(block, func.live_outs())))
             .collect();
@@ -532,12 +532,12 @@ pub mod reference {
 
     fn summary_of(block: &Block, live_outs: &[Reg]) -> BlockSummary {
         let mut facts = crate::pred_facts::PredFacts::compute(&block.ops);
-        let mut gr = HashSet::new();
-        let mut kr = HashSet::new();
-        let mut gp = HashSet::new();
-        let mut kp = HashSet::new();
-        let mut def_cond_r: HashMap<Reg, Bdd> = HashMap::new();
-        let mut def_cond_p: HashMap<PredReg, Bdd> = HashMap::new();
+        let mut gr = FxHashSet::default();
+        let mut kr = FxHashSet::default();
+        let mut gp = FxHashSet::default();
+        let mut kp = FxHashSet::default();
+        let mut def_cond_r: FxHashMap<Reg, Bdd> = FxHashMap::default();
+        let mut def_cond_p: FxHashMap<PredReg, Bdd> = FxHashMap::default();
         let mut exits = Vec::new();
         for (i, op) in block.ops.iter().enumerate() {
             let g = facts.guard(i);
@@ -607,16 +607,16 @@ pub mod reference {
         BlockSummary { gen_regs: gr, kill_regs: kr, gen_preds: gp, kill_preds: kp, exits }
     }
 
-    fn solve(func: &Function, summaries: &HashMap<BlockId, BlockSummary>) -> GlobalLiveness {
-        let mut live_in_regs: HashMap<BlockId, HashSet<Reg>> = HashMap::new();
-        let mut live_out_regs: HashMap<BlockId, HashSet<Reg>> = HashMap::new();
-        let mut live_in_preds: HashMap<BlockId, HashSet<PredReg>> = HashMap::new();
-        let mut live_out_preds: HashMap<BlockId, HashSet<PredReg>> = HashMap::new();
+    fn solve(func: &Function, summaries: &FxHashMap<BlockId, BlockSummary>) -> GlobalLiveness {
+        let mut live_in_regs: FxHashMap<BlockId, FxHashSet<Reg>> = FxHashMap::default();
+        let mut live_out_regs: FxHashMap<BlockId, FxHashSet<Reg>> = FxHashMap::default();
+        let mut live_in_preds: FxHashMap<BlockId, FxHashSet<PredReg>> = FxHashMap::default();
+        let mut live_out_preds: FxHashMap<BlockId, FxHashSet<PredReg>> = FxHashMap::default();
         for &b in &func.layout {
-            live_in_regs.insert(b, HashSet::new());
-            live_out_regs.insert(b, HashSet::new());
-            live_in_preds.insert(b, HashSet::new());
-            live_out_preds.insert(b, HashSet::new());
+            live_in_regs.insert(b, FxHashSet::default());
+            live_out_regs.insert(b, FxHashSet::default());
+            live_in_preds.insert(b, FxHashSet::default());
+            live_out_preds.insert(b, FxHashSet::default());
         }
 
         let mut changed = true;
@@ -624,14 +624,14 @@ pub mod reference {
             changed = false;
             for &b in func.layout.iter().rev() {
                 let summary = &summaries[&b];
-                let mut out_r: HashSet<Reg> = HashSet::new();
-                let mut out_p: HashSet<PredReg> = HashSet::new();
+                let mut out_r: FxHashSet<Reg> = FxHashSet::default();
+                let mut out_p: FxHashSet<PredReg> = FxHashSet::default();
                 for s in func.successors(b) {
                     out_r.extend(live_in_regs[&s].iter().copied());
                     out_p.extend(live_in_preds[&s].iter().copied());
                 }
-                let mut in_r: HashSet<Reg> = HashSet::new();
-                let mut in_p: HashSet<PredReg> = HashSet::new();
+                let mut in_r: FxHashSet<Reg> = FxHashSet::default();
+                let mut in_p: FxHashSet<PredReg> = FxHashSet::default();
                 if !func.block(b).ends_with_unconditional_exit() {
                     if let Some(ft) = func.fallthrough_of(b) {
                         in_r.extend(
@@ -676,7 +676,7 @@ pub mod reference {
 pub struct RegionLiveness {
     /// `below[i]` maps each register to the condition under which it is live
     /// immediately below op `i` (absent = dead, i.e. `false`).
-    below: Vec<HashMap<Reg, Bdd>>,
+    below: Vec<FxHashMap<Reg, Bdd>>,
 }
 
 impl RegionLiveness {
@@ -689,13 +689,13 @@ impl RegionLiveness {
     pub fn compute(
         ops: &[Op],
         facts: &mut PredFacts,
-        live_at_exit: &dyn Fn(usize) -> HashSet<Reg>,
-        live_at_end: &HashSet<Reg>,
+        live_at_exit: &dyn Fn(usize) -> FxHashSet<Reg>,
+        live_at_end: &FxHashSet<Reg>,
     ) -> RegionLiveness {
         let n = ops.len();
-        let mut below: Vec<HashMap<Reg, Bdd>> = vec![HashMap::new(); n];
+        let mut below: Vec<FxHashMap<Reg, Bdd>> = vec![FxHashMap::default(); n];
         // Live expression after the region: live_at_end under all conditions.
-        let mut cur: HashMap<Reg, Bdd> = live_at_end
+        let mut cur: FxHashMap<Reg, Bdd> = live_at_end
             .iter()
             .map(|&r| (r, Bdd::TRUE))
             .collect();
@@ -858,8 +858,8 @@ mod tests {
         let live = RegionLiveness::compute(
             ops,
             &mut facts,
-            &|_| HashSet::new(),
-            &HashSet::new(),
+            &|_| FxHashSet::default(),
+            &FxHashSet::default(),
         );
         // Below op 1 (the mov), r is live only under p (its only use is
         // guarded by p): live_below(1, r) ∧ ¬p == false → promotable.
@@ -887,13 +887,13 @@ mod tests {
         let f = b.finish();
         let ops = &f.block(blk).ops;
         let mut facts = PredFacts::compute(ops);
-        let mut at_exit = HashSet::new();
+        let mut at_exit = FxHashSet::default();
         at_exit.insert(r);
         let live = RegionLiveness::compute(
             ops,
             &mut facts,
-            &|i| if ops[i].opcode == Opcode::Branch { at_exit.clone() } else { HashSet::new() },
-            &HashSet::new(),
+            &|i| if ops[i].opcode == Opcode::Branch { at_exit.clone() } else { FxHashSet::default() },
+            &FxHashSet::default(),
         );
         // Below op 0 (the cmpp), r is live under the taken condition.
         let lb = live.live_below(0, r);

@@ -14,7 +14,7 @@
 //! output/anti dependence relaxation), and *does one guard imply another*
 //! (predicate speculation correctness).
 
-use std::collections::HashMap;
+use epic_ir::FxHashMap;
 
 use epic_ir::{CmpCond, Dest, Op, Opcode, Operand, PredReg, Reg};
 
@@ -49,7 +49,7 @@ pub struct PredFacts {
     /// *after* the op writes it.
     dest_values: Vec<Vec<(PredReg, Bdd)>>,
     /// Symbolic value of every predicate at the end of the region.
-    final_preds: HashMap<PredReg, Bdd>,
+    final_preds: FxHashMap<PredReg, Bdd>,
 }
 
 impl PredFacts {
@@ -68,7 +68,7 @@ impl PredFacts {
         let mut reg_version = VersionTable::default();
         let mut pred_version = VersionTable::default();
         let mut pred_state: Vec<Option<Bdd>> = Vec::new();
-        let mut cond_vars: HashMap<CondKey, Bdd> = HashMap::new();
+        let mut cond_vars: FxHashMap<CondKey, Bdd> = FxHashMap::default();
 
         let state_of = |p: PredReg, pred_state: &mut Vec<Option<Bdd>>,
                             m: &mut BddManager,
@@ -234,7 +234,7 @@ impl VersionTable {
 fn condition_bdd(
     m: &mut BddManager,
     next_var: &mut u32,
-    cond_vars: &mut HashMap<CondKey, Bdd>,
+    cond_vars: &mut FxHashMap<CondKey, Bdd>,
     cond: CmpCond,
     a: Operand,
     b: Operand,

@@ -6,9 +6,7 @@
 //! operation that computes the guarding predicate, if such an operation
 //! exists within the region."
 
-use std::collections::HashMap;
-
-use epic_ir::{Op, PredReg};
+use epic_ir::{FxHashMap, Op, PredReg};
 
 /// Where a predicate value read by an operation was defined.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,7 +32,7 @@ impl PredReaching {
     /// Analyzes the ops of one region in program order.
     pub fn compute(ops: &[Op]) -> PredReaching {
         // For each predicate: the definition state so far.
-        let mut state: HashMap<PredReg, PredDef> = HashMap::new();
+        let mut state: FxHashMap<PredReg, PredDef> = FxHashMap::default();
         let mut guard_def = Vec::with_capacity(ops.len());
         for (i, op) in ops.iter().enumerate() {
             guard_def.push(op.guard.map(|p| *state.get(&p).unwrap_or(&PredDef::Entry)));

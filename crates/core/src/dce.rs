@@ -7,9 +7,7 @@
 //! example removes the second destination of op 13 after the strcpy
 //! transformation).
 
-use std::collections::HashSet;
-
-use epic_ir::{BlockId, Dest, Function, Opcode, PredReg, Reg};
+use epic_ir::{BlockId, Dest, Function, FxHashSet, Opcode, PredReg, Reg};
 
 /// Runs dead code elimination to a fixed point. Returns the number of
 /// operations removed (pruned destinations do not count).
@@ -31,8 +29,8 @@ fn dce_pass(func: &mut Function) -> usize {
     let blocks: Vec<BlockId> = func.layout.clone();
     for b in blocks {
         // Backward scan with running live sets seeded from block live-out.
-        let mut live_regs: HashSet<Reg> = live.live_out_regs[&b].clone();
-        let mut live_preds: HashSet<PredReg> = live.live_out_preds[&b].clone();
+        let mut live_regs: FxHashSet<Reg> = live.live_out_regs[&b].clone();
+        let mut live_preds: FxHashSet<PredReg> = live.live_out_preds[&b].clone();
         let ops = &mut func.block_mut(b).ops;
         let mut keep: Vec<bool> = vec![true; ops.len()];
         for (i, op) in ops.iter_mut().enumerate().rev() {

@@ -105,11 +105,6 @@ pub fn apply_icbm_observed<E>(
         })
         .collect();
 
-    // The mem-class map is append-only (cloned ops inherit their source's
-    // class), so the snapshot taken here stays valid for matching every
-    // still-unprocessed hyperblock: restructure/motion only edit the
-    // hyperblock they are applied to.
-    let mem_classes = func.mem_classes().clone();
     // Liveness is maintained incrementally: restructure and off-trace motion
     // touch exactly the CPR block and its compensation block, so only those
     // two summaries are recomputed per mutation instead of re-analyzing the
@@ -123,7 +118,7 @@ pub fn apply_icbm_observed<E>(
         stats.hyperblocks += 1;
         let cpr_blocks = {
             let _s = Span::enter("icbm.match", "icbm");
-            match_cpr_blocks(&func.block(hb).ops, profile, cfg, &mem_classes)
+            match_cpr_blocks(&func.block(hb).ops, profile, cfg, func.mem_classes())
         };
         // Forward order: each block's on-trace FRP becomes the root
         // predicate of the next via the re-wiring step.

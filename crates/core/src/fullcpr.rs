@@ -70,12 +70,7 @@ pub fn apply_full_cpr(func: &mut Function, profile: &Profile, cfg: &CprConfig) -
         })
         .collect();
     for hb in hyperblocks {
-        let blocks = match_cpr_blocks(
-            &func.block(hb).ops,
-            profile,
-            &uniform,
-            &func.mem_classes().clone(),
-        );
+        let blocks = match_cpr_blocks(&func.block(hb).ops, profile, &uniform, func.mem_classes());
         for chain in &blocks {
             if !chain.is_nontrivial() {
                 continue;

@@ -17,10 +17,8 @@
 //! * **Predict-taken** — a candidate branch that is predominantly taken
 //!   joins the block as its final branch and flags the *taken variation*.
 
-use std::collections::HashSet;
-
 use epic_analysis::{DepGraph, DepKind, PredDef, PredReaching};
-use epic_ir::{Op, OpId, Opcode, PredActionKind, PredReg, Profile};
+use epic_ir::{FxHashSet, Op, OpId, Opcode, PredActionKind, PredReg, Profile};
 
 use crate::config::CprConfig;
 
@@ -69,6 +67,7 @@ struct BranchInfo {
 /// `ops` must be the current operations of the block; `profile` supplies
 /// branch frequencies (ids must refer to these ops). Returns the CPR blocks
 /// covering every conditional branch of the chain, in program order.
+#[allow(clippy::disallowed_types)] // `mem_classes` is the IR's own table, borrowed
 pub fn match_cpr_blocks(
     ops: &[Op],
     profile: &Profile,
@@ -93,7 +92,7 @@ pub fn match_cpr_blocks(
     let reaching = PredReaching::compute(ops);
     let mut facts = epic_analysis::PredFacts::compute(ops);
     let dep_opts = epic_analysis::DepOptions {
-        mem_classes: mem_classes.clone(),
+        mem_classes: Some(mem_classes),
         ..epic_analysis::DepOptions::default()
     };
     // The separability closure follows flow/memory edges only; skip the
@@ -115,7 +114,7 @@ pub fn match_cpr_blocks(
             taken_variation: false,
         };
         // --- suitability init ---
-        let mut sp: HashSet<PredKey> = HashSet::new();
+        let mut sp: FxHashSet<PredKey> = FxHashSet::default();
         let mut suitable = false;
         if let (Some(cmpp), Some(guard)) = (seed.cmpp, seed.cmpp_guard) {
             suitable = true;
@@ -126,7 +125,7 @@ pub fn match_cpr_blocks(
             }
         }
         // --- separability init ---
-        let mut succ: HashSet<usize> = HashSet::new();
+        let mut succ: FxHashSet<usize> = FxHashSet::default();
         if let Some(cmpp) = seed.cmpp {
             append_successors(ops, &graph, cmpp, &mut succ);
         }
@@ -245,9 +244,9 @@ fn branch_info(ops: &[Op], reaching: &PredReaching, pos: usize) -> BranchInfo {
 /// compare whose only dependence is using the fall-through predicate as its
 /// guard (those guards are replaced by the root predicate in the lookahead
 /// compares, so they impose no on-trace ordering).
-fn append_successors(ops: &[Op], graph: &DepGraph, cmpp: usize, succ: &mut HashSet<usize>) {
+fn append_successors(ops: &[Op], graph: &DepGraph, cmpp: usize, succ: &mut FxHashSet<usize>) {
     let mut work = vec![cmpp];
-    let mut seen: HashSet<usize> = HashSet::new();
+    let mut seen: FxHashSet<usize> = FxHashSet::default();
     while let Some(i) = work.pop() {
         for e in graph.succs(i) {
             if !matches!(e.kind, DepKind::Flow | DepKind::Mem) {
@@ -261,7 +260,7 @@ fn append_successors(ops: &[Op], graph: &DepGraph, cmpp: usize, succ: &mut HashS
             // compare: a cmpp whose *guard* is one of our outputs but which
             // has no data use of them.
             if i == cmpp && ops[to].is_cmpp() {
-                let our_preds: HashSet<PredReg> = ops[cmpp].defs_preds().collect();
+                let our_preds: FxHashSet<PredReg> = ops[cmpp].defs_preds().collect();
                 let guard_only = ops[to]
                     .guard
                     .map(|g| our_preds.contains(&g))

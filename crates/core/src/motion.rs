@@ -19,10 +19,8 @@
 //! block, which is what keeps the off-trace path semantically equivalent
 //! (stores interleave correctly with the moved exit branches).
 
-use std::collections::HashSet;
-
 use epic_analysis::{DepGraph, DepKind, DepOptions, GlobalLiveness, PredFacts};
-use epic_ir::{Function, Op, Opcode, PredReg};
+use epic_ir::{Function, FxHashSet, Op, Opcode, PredReg};
 
 use crate::restructure::Restructured;
 
@@ -77,7 +75,7 @@ pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLi
 
     // set 1: flow closure over registers, predicates, and store→load memory
     // dependences.
-    let mut set1: HashSet<usize> = seeds.iter().copied().collect();
+    let mut set1: FxHashSet<usize> = seeds.iter().copied().collect();
     let mut work: Vec<usize> = seeds.clone();
     while let Some(i) = work.pop() {
         for e in graph.succs(i) {
@@ -143,9 +141,9 @@ pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLi
     // moved branch resumes (or a designated live-out), unless its guard is
     // provably disjoint from every earlier moved branch's taken condition
     // (fall-through FRPs are: that is the FRP-converted common case).
-    let mut off_trace_live_regs: HashSet<epic_ir::Reg> =
+    let mut off_trace_live_regs: FxHashSet<epic_ir::Reg> =
         func.live_outs().iter().copied().collect();
-    let mut off_trace_live_preds: HashSet<PredReg> = HashSet::new();
+    let mut off_trace_live_preds: FxHashSet<PredReg> = FxHashSet::default();
     for &bp in &branch_positions {
         if let Some(t) = ops[bp].branch_target() {
             if let Some(s) = global.live_in_regs.get(&t) {
@@ -226,7 +224,7 @@ pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLi
     // Registers live at the on-trace continuations (fall-through successor
     // and targets of unmoved branches): values the on-trace path must still
     // produce.
-    let mut live_on_trace: HashSet<epic_ir::Reg> = HashSet::new();
+    let mut live_on_trace: FxHashSet<epic_ir::Reg> = FxHashSet::default();
     // Designated live-out registers are observed by every `ret`, on-trace
     // rets included; treat them as live at every continuation.
     live_on_trace.extend(func.live_outs().iter().copied());
@@ -260,9 +258,9 @@ pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLi
     // compares and are never split; *other* moved compares (e.g.
     // if-conversion compares of a hyperblock) are ordinary producers and
     // split like any other operation.
-    let own_compares: HashSet<usize> =
+    let own_compares: FxHashSet<usize> =
         r.compares.iter().filter_map(|&id| pos_of(id)).collect();
-    let mut set2: HashSet<usize> = HashSet::new();
+    let mut set2: FxHashSet<usize> = FxHashSet::default();
     for &i in &set1 {
         let op = &ops[i];
         if op.is_branch() || own_compares.contains(&i) {
@@ -325,7 +323,7 @@ pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLi
     // (its on-trace copy precedes the consumer's — copies keep index
     // order). A guard whose definition moves without a copy would dangle
     // on-trace: refuse.
-    let mut rewired_guards: HashSet<usize> = HashSet::new();
+    let mut rewired_guards: FxHashSet<usize> = FxHashSet::default();
     for &i in &set2 {
         let Some(g) = ops[i].guard else {
             // An unguarded split op. In the fall-through variation the
@@ -368,7 +366,7 @@ pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLi
     }
 
     // set 3: unmoved ops whose results are consumed only by moved ops.
-    let mut set3: HashSet<usize> = HashSet::new();
+    let mut set3: FxHashSet<usize> = FxHashSet::default();
     for i in (0..n).rev() {
         if set1.contains(&i) || i >= bypass_pos {
             continue;
@@ -405,7 +403,7 @@ pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLi
     }
 
     // --- perform the motion ---
-    let moved: HashSet<usize> = set1.union(&set3).copied().collect();
+    let moved: FxHashSet<usize> = set1.union(&set3).copied().collect();
     let mut comp_ops: Vec<Op> = Vec::new();
     let mut on_trace_copies: Vec<Op> = Vec::new();
     for (i, op) in ops.iter().enumerate() {

@@ -24,11 +24,9 @@
 //! policy of bailing out rather than generating the fully-general FRP
 //! expression.
 
-use std::collections::HashSet;
-
 use epic_analysis::GlobalLiveness;
 use epic_ir::{
-    BlockId, Dest, Function, Op, Opcode, Operand, PredAction, PredReg,
+    BlockId, Dest, Function, FxHashSet, Op, Opcode, Operand, PredAction, PredReg,
 };
 
 use crate::matching::CprBlock;
@@ -57,7 +55,7 @@ pub struct Restructured {
     pub moved_branches: Vec<epic_ir::OpId>,
     /// Fall-through (`UC`) predicates of the block's compares: guards that
     /// may be rewritten to the on-trace FRP when splitting.
-    pub internal_preds: HashSet<PredReg>,
+    pub internal_preds: FxHashSet<PredReg>,
     /// Taken variation only: the original (taken) guard of the final
     /// branch, which is exactly the on-trace condition there. `None` in
     /// the fall-through variation.
@@ -123,9 +121,9 @@ pub fn restructure(
     let root = ops[cmpp_pos[0]].guard;
 
     // Predicates computed by the original compares.
-    let mut original_preds: HashSet<PredReg> = HashSet::new();
-    let mut internal_preds: HashSet<PredReg> = HashSet::new();
-    let mut taken_guards: HashSet<PredReg> = HashSet::new();
+    let mut original_preds: FxHashSet<PredReg> = FxHashSet::default();
+    let mut internal_preds: FxHashSet<PredReg> = FxHashSet::default();
+    let mut taken_guards: FxHashSet<PredReg> = FxHashSet::default();
     for (&c, &br) in cmpp_pos.iter().zip(&branch_pos) {
         let taken_guard = ops[br].guard.expect("conditional branch");
         taken_guards.insert(taken_guard);

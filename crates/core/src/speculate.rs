@@ -21,10 +21,8 @@
 //! block FRP, so "separability systematically fails at almost every basic
 //! block. Predicate speculation removes most of these dependences."
 
-use std::collections::{HashMap, HashSet};
-
 use epic_analysis::{GlobalLiveness, PredFacts, RegionLiveness};
-use epic_ir::{BlockId, Function, Opcode, PredReg, Reg};
+use epic_ir::{BlockId, Function, FxHashMap, FxHashSet, Opcode, PredReg, Reg};
 
 /// Counters reported by [`speculate`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -72,8 +70,8 @@ fn speculate_block(func: &mut Function, block: BlockId, global: &GlobalLiveness)
 
     // Exit liveness for the region-liveness pass. A `ret` exits to the
     // caller, where exactly the designated live-out registers are observed.
-    let ret_live: HashSet<Reg> = func.live_outs().iter().copied().collect();
-    let live_at_exit = |i: usize| -> HashSet<Reg> {
+    let ret_live: FxHashSet<Reg> = func.live_outs().iter().copied().collect();
+    let live_at_exit = |i: usize| -> FxHashSet<Reg> {
         let op = &ops_snapshot[i];
         match op.opcode {
             Opcode::Branch => op
@@ -81,10 +79,10 @@ fn speculate_block(func: &mut Function, block: BlockId, global: &GlobalLiveness)
                 .and_then(|t| global.live_in_regs.get(&t).cloned())
                 .unwrap_or_default(),
             Opcode::Ret => ret_live.clone(),
-            _ => HashSet::new(),
+            _ => FxHashSet::default(),
         }
     };
-    let live_at_end: HashSet<Reg> = func
+    let live_at_end: FxHashSet<Reg> = func
         .fallthrough_of(block)
         .and_then(|ft| global.live_in_regs.get(&ft).cloned())
         .unwrap_or_default();
@@ -94,7 +92,7 @@ fn speculate_block(func: &mut Function, block: BlockId, global: &GlobalLiveness)
     // --- pass 1: promotion (bottom-up; liveness below each op is exact for
     // the original code, which is sound here because promotion only widens
     // guards of operations whose destinations are dead off-guard) ---
-    let mut original_guard: HashMap<usize, PredReg> = HashMap::new();
+    let mut original_guard: FxHashMap<usize, PredReg> = FxHashMap::default();
     for i in (0..ops_snapshot.len()).rev() {
         let op = &ops_snapshot[i];
         let Some(p) = op.guard else { continue };
@@ -151,7 +149,7 @@ fn speculate_block(func: &mut Function, block: BlockId, global: &GlobalLiveness)
     let mut demote: Vec<(usize, PredReg)> = Vec::new();
     {
         // Nearest preceding definition of each register.
-        let mut defs: HashMap<Reg, usize> = HashMap::new();
+        let mut defs: FxHashMap<Reg, usize> = FxHashMap::default();
         for (i, op) in promoted_ops.iter().enumerate() {
             if let Some(&orig) = original_guard.get(&i) {
                 // Useless promotion: a register source is produced by an

@@ -92,12 +92,11 @@ proptest! {
         if cfg.speculate {
             speculate(&mut f);
         }
-        let mem_classes = f.mem_classes().clone();
         let mut cache = IncrementalLiveness::new(&f);
         prop_assert_eq!(cache.live(), &GlobalLiveness::compute(&f));
 
         let mut mutations = 0usize;
-        let cpr_blocks = match_cpr_blocks(&f.block(sb).ops, &profile, &cfg, &mem_classes);
+        let cpr_blocks = match_cpr_blocks(&f.block(sb).ops, &profile, &cfg, f.mem_classes());
         for cpr in &cpr_blocks {
             if !cpr.is_nontrivial() {
                 continue;

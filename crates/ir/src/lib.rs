@@ -45,6 +45,7 @@ pub mod block;
 pub mod builder;
 pub mod fingerprint;
 pub mod func;
+pub mod fxhash;
 pub mod ids;
 pub mod op;
 pub mod opcode;
@@ -57,6 +58,7 @@ pub use block::Block;
 pub use builder::FunctionBuilder;
 pub use fingerprint::{combine_hashes, Fnv64};
 pub use func::Function;
+pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{BlockId, OpId, PredReg, Reg};
 pub use op::{Dest, Op, Operand};
 pub use opcode::{CmpCond, Opcode, PredAction, PredActionKind, PredSense, UnitClass};

@@ -34,10 +34,8 @@ mod list;
 
 pub use list::{schedule_block, Schedule};
 
-use std::collections::{HashMap, HashSet};
-
 use epic_analysis::{DepGraph, DepOptions, ExitLiveness, GlobalLiveness, PredFacts};
-use epic_ir::{BlockId, Function, Opcode};
+use epic_ir::{BlockId, Function, FxHashMap, Opcode};
 use epic_machine::Machine;
 
 /// Options for function scheduling.
@@ -57,7 +55,7 @@ impl Default for SchedOptions {
 /// Schedules for every block of a function.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScheduledFunction {
-    schedules: HashMap<BlockId, Schedule>,
+    schedules: FxHashMap<BlockId, Schedule>,
 }
 
 impl ScheduledFunction {
@@ -134,7 +132,7 @@ pub fn schedule_function_suite(
         .map(|m| DepOptions {
             branch_latency: m.branch_latency() as i32,
             pred_relaxation: opts.pred_relaxation,
-            mem_classes: func.mem_classes().clone(),
+            mem_classes: Some(func.mem_classes()),
         })
         .collect();
     let mut out = vec![ScheduledFunction::new(); machines.len()];
@@ -151,9 +149,9 @@ pub fn schedule_function_suite(
                         live.live_in_regs.get(&t).cloned().unwrap_or_default(),
                         live.live_in_preds.get(&t).cloned().unwrap_or_default(),
                     ),
-                    None => (HashSet::new(), HashSet::new()),
+                    None => Default::default(),
                 },
-                _ => (HashSet::new(), HashSet::new()),
+                _ => Default::default(),
             };
             exit_live.at_op.insert(i, (regs, preds));
         }

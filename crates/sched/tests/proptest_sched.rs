@@ -3,11 +3,10 @@
 //! functional unit in any cycle, on randomly generated predicated programs.
 
 use epic_analysis::{DepGraph, DepOptions, PredFacts};
-use epic_ir::{CmpCond, FunctionBuilder, Opcode, Operand, UnitClass};
+use epic_ir::{CmpCond, FunctionBuilder, FxHashMap, Opcode, Operand, UnitClass};
 use epic_machine::Machine;
 use epic_sched::schedule_block;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 #[derive(Clone, Debug)]
 enum GenOp {
@@ -108,7 +107,7 @@ fn validate(machine: &Machine, ops: &[epic_ir::Op]) -> Result<(), TestCaseError>
     }
 
     // 3. No unit class is oversubscribed in any cycle.
-    let mut usage: HashMap<(i64, Option<UnitClass>), u32> = HashMap::new();
+    let mut usage: FxHashMap<(i64, Option<UnitClass>), u32> = FxHashMap::default();
     for (i, op) in ops.iter().enumerate() {
         match machine.widths() {
             None => *usage.entry((s.cycles[i], None)).or_insert(0) += 1,

@@ -72,7 +72,7 @@ pub fn check_function(
     let dep_opts = DepOptions {
         branch_latency: machine.branch_latency() as i32,
         pred_relaxation: opts.pred_relaxation,
-        mem_classes: func.mem_classes().clone(),
+        mem_classes: Some(func.mem_classes()),
     };
     for block in func.blocks_in_layout() {
         blocks_counter().inc();
@@ -108,9 +108,9 @@ pub fn exit_liveness_of(func: &Function, block: &Block, live: &GlobalLiveness) -
                     live.live_in_regs.get(&t).cloned().unwrap_or_default(),
                     live.live_in_preds.get(&t).cloned().unwrap_or_default(),
                 ),
-                None => (HashSet::new(), HashSet::new()),
+                None => Default::default(),
             },
-            _ => (HashSet::new(), HashSet::new()),
+            _ => Default::default(),
         };
         exit_live.at_op.insert(i, (regs, preds));
     }

@@ -103,7 +103,7 @@ pub fn mutate(
     let dep_opts = DepOptions {
         branch_latency: machine.branch_latency() as i32,
         pred_relaxation: opts.pred_relaxation,
-        mem_classes: func.mem_classes().clone(),
+        mem_classes: Some(func.mem_classes()),
     };
     let classes = [UnitClass::Int, UnitClass::Float, UnitClass::Mem, UnitClass::Branch];
     let class_of =

@@ -46,7 +46,7 @@ pub use corpus::{all_with_corpus, corpus};
 use epic_interp::Input;
 use epic_ir::Function;
 
-/// The benchmark group a workload belongss to (the paper's table grouping).
+/// The benchmark group a workload belongs to (the paper's table grouping).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Group {
     /// SPEC-92 applications.

@@ -24,7 +24,7 @@ fn block_heights(func: &Function, machine: &Machine, opts: &SchedOptions) -> Vec
     let dep_opts = DepOptions {
         branch_latency: machine.branch_latency() as i32,
         pred_relaxation: opts.pred_relaxation,
-        mem_classes: func.mem_classes().clone(),
+        mem_classes: Some(func.mem_classes()),
     };
     func.blocks_in_layout()
         .map(|block| {
