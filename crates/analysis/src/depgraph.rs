@@ -24,8 +24,11 @@
 //! All edges point forward in program order, so program order is a
 //! topological order of the graph.
 
-use epic_ir::{Function, FxHashMap, FxHashSet, Op, OpId, Opcode, PredActionKind, PredReg, Reg};
+use epic_ir::{
+    Block, BlockId, Function, FxHashMap, FxHashSet, Op, OpId, Opcode, PredActionKind, PredReg, Reg,
+};
 
+use crate::liveness::GlobalLiveness;
 use crate::pred_facts::PredFacts;
 
 /// The kind of a dependence edge.
@@ -98,6 +101,31 @@ pub struct ExitLiveness {
     pub at_op: FxHashMap<usize, (FxHashSet<Reg>, FxHashSet<PredReg>)>,
     /// Live set at the fall-through end of the region.
     pub at_end: (FxHashSet<Reg>, FxHashSet<PredReg>),
+}
+
+impl ExitLiveness {
+    /// The exit liveness of `block`, read off the whole-function solution
+    /// `live`: each side exit sees the live-in sets of its target (a `ret`
+    /// sees nothing), and the fall-through end sees those of the layout
+    /// successor. The scheduler and the schedule checker both build their
+    /// graphs from this.
+    pub fn of(func: &Function, block: &Block, live: &GlobalLiveness) -> ExitLiveness {
+        let live_in = |b: BlockId| {
+            (
+                live.live_in_regs.get(&b).cloned().unwrap_or_default(),
+                live.live_in_preds.get(&b).cloned().unwrap_or_default(),
+            )
+        };
+        let mut exit_live = ExitLiveness::default();
+        for (i, op) in block.ops.iter().enumerate().filter(|(_, op)| op.is_branch()) {
+            let target = if op.opcode == Opcode::Branch { op.branch_target() } else { None };
+            exit_live.at_op.insert(i, target.map(live_in).unwrap_or_default());
+        }
+        if let Some(ft) = func.fallthrough_of(block.id) {
+            exit_live.at_end = live_in(ft);
+        }
+        exit_live
+    }
 }
 
 /// The dependence graph of one region.

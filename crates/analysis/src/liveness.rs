@@ -434,11 +434,6 @@ fn solve(func: &Function, summaries: &FxHashMap<BlockId, BlockSummary>) -> Globa
 #[derive(Clone, Debug)]
 pub struct IncrementalLiveness {
     summaries: FxHashMap<BlockId, BlockSummary>,
-    /// The exact ops each cached summary was computed from. A "touched"
-    /// block whose ops compare equal to its snapshot (the ICBM driver's
-    /// rollback path restores the pre-restructure ops verbatim) keeps its
-    /// summary instead of paying the BDD-heavy recomputation.
-    ops_snapshot: FxHashMap<BlockId, Vec<Op>>,
     live: GlobalLiveness,
 }
 
@@ -449,12 +444,8 @@ impl IncrementalLiveness {
             .blocks_in_layout()
             .map(|block| (block.id, BlockSummary::of(block, func.live_outs())))
             .collect();
-        let ops_snapshot = func
-            .blocks_in_layout()
-            .map(|block| (block.id, block.ops.clone()))
-            .collect();
         let live = solve(func, &summaries);
-        IncrementalLiveness { summaries, ops_snapshot, live }
+        IncrementalLiveness { summaries, live }
     }
 
     /// The current (always up-to-date) liveness solution.
@@ -471,17 +462,11 @@ impl IncrementalLiveness {
     pub fn repair(&mut self, func: &Function, touched: &[BlockId]) {
         let in_layout: FxHashSet<BlockId> = func.layout.iter().copied().collect();
         self.summaries.retain(|b, _| in_layout.contains(b));
-        self.ops_snapshot.retain(|b, _| in_layout.contains(b));
         {
             let _s = epic_obs::Span::enter("liveness.summary", "analysis");
             for &b in touched {
                 if in_layout.contains(&b) {
-                    let block = func.block(b);
-                    if self.ops_snapshot.get(&b).is_some_and(|ops| *ops == block.ops) {
-                        continue;
-                    }
-                    self.summaries.insert(b, BlockSummary::of(block, func.live_outs()));
-                    self.ops_snapshot.insert(b, block.ops.clone());
+                    self.summaries.insert(b, BlockSummary::of(func.block(b), func.live_outs()));
                 }
             }
             for block in func.blocks_in_layout() {
@@ -489,7 +474,6 @@ impl IncrementalLiveness {
                     self.summaries.entry(block.id)
                 {
                     e.insert(BlockSummary::of(block, func.live_outs()));
-                    self.ops_snapshot.insert(block.id, block.ops.clone());
                 }
             }
         }

@@ -187,24 +187,7 @@ pub fn timings_to_json(timings: &[PassTimings]) -> String {
     out
 }
 
-/// Escapes `s` as a JSON string literal (quotes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+pub use epic_obs::json_string;
 
 /// Parses a `<flag> <path>` (or `<flag>=<path>`) argument out of `args`,
 /// removing it and returning the requested path.

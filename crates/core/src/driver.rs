@@ -31,7 +31,8 @@ pub struct IcbmStats {
     pub taken_blocks: usize,
     /// Original branches collapsed into bypass branches.
     pub branches_collapsed: usize,
-    /// CPR blocks skipped by legality pre-checks.
+    /// CPR blocks skipped by a restructure or motion refusal; the
+    /// process-wide [`Skip::counter`](crate::Skip::counter)s split this count by reason.
     pub skipped: usize,
     /// Guards promoted by predicate speculation.
     pub promoted: usize,
@@ -59,6 +60,9 @@ pub fn apply_icbm(func: &mut Function, profile: &Profile, cfg: &CprConfig) -> Ic
 /// rewritten `func`: `"speculate"` (when enabled), then per CPR block
 /// `"restructure"` followed by `"motion"` — or by `"rollback"` when motion
 /// refused and the restructure was undone — and finally `"dce-final"`.
+/// Every skipped CPR block, whichever phase refused it, adds one to
+/// [`IcbmStats::skipped`] and to its reason's
+/// [`Skip::counter`](crate::Skip::counter).
 ///
 /// # Errors
 ///
@@ -77,14 +81,7 @@ pub fn apply_icbm_observed<E>(
     }
 
     if cfg.speculate {
-        // Sub-spans land in the global tracer under the `icbm` category
-        // (inert single-atomic-load guards while tracing is disabled), so
-        // a `--trace` export breaks the icbm pipeline stage down into its
-        // speculate/match/restructure/motion/dce phases.
-        let s = {
-            let _s = Span::enter("icbm.speculate", "icbm");
-            speculate(func)
-        };
+        let s = phase("icbm.speculate", || speculate(func));
         stats.promoted = s.promoted;
         stats.demoted = s.demoted;
         after("speculate", func)?;
@@ -109,20 +106,16 @@ pub fn apply_icbm_observed<E>(
     // touch exactly the CPR block and its compensation block, so only those
     // two summaries are recomputed per mutation instead of re-analyzing the
     // whole function per CPR block.
-    let mut live = {
-        let _s = Span::enter("icbm.liveness", "icbm");
-        IncrementalLiveness::new(func)
-    };
+    let mut live = phase("icbm.liveness", || IncrementalLiveness::new(func));
 
     for hb in hyperblocks {
         stats.hyperblocks += 1;
-        let cpr_blocks = {
-            let _s = Span::enter("icbm.match", "icbm");
+        let cpr_blocks = phase("icbm.match", || {
             match_cpr_blocks(&func.block(hb).ops, profile, cfg, func.mem_classes())
-        };
+        });
         // Forward order: each block's on-trace FRP becomes the root
         // predicate of the next via the re-wiring step.
-        for cpr in &cpr_blocks {
+        'cprs: for cpr in &cpr_blocks {
             if !cpr.is_nontrivial() {
                 continue;
             }
@@ -131,55 +124,56 @@ pub fn apply_icbm_observed<E>(
             // cannot predict); snapshot the hyperblock so a refusal leaves
             // no lookahead/bypass overhead behind.
             let saved_ops = func.block(hb).ops.clone();
-            let restructured = {
-                let _s = Span::enter("icbm.restructure", "icbm");
-                restructure(func, hb, cpr, live.live())
-            };
-            let Some(r) = restructured else {
-                stats.skipped += 1;
-                continue;
-            };
-            after("restructure", func)?;
-            {
-                let _s = Span::enter("icbm.liveness", "icbm");
-                live.repair(func, &r.touched_blocks());
-            }
-            let moved = {
-                let _s = Span::enter("icbm.motion", "icbm");
-                off_trace_motion(func, &r, live.live())
-            };
-            if moved {
-                {
-                    let _s = Span::enter("icbm.liveness", "icbm");
-                    live.repair(func, &r.touched_blocks());
+            // The skip reason, plus the compensation block to detach when
+            // the refusal came from motion and the restructure must be
+            // undone.
+            let (skip, undo) = 'cpr: {
+                let restructured =
+                    phase("icbm.restructure", || restructure(func, hb, cpr, live.live()));
+                let r = match restructured {
+                    Ok(r) => r,
+                    Err(skip) => break 'cpr (skip, None),
+                };
+                after("restructure", func)?;
+                phase("icbm.liveness", || live.repair(func, &r.touched_blocks()));
+                let moved = phase("icbm.motion", || off_trace_motion(func, &r, live.live()));
+                if let Err(skip) = moved {
+                    break 'cpr (skip, Some(r.comp));
                 }
+                phase("icbm.liveness", || live.repair(func, &r.touched_blocks()));
                 stats.cpr_blocks += 1;
                 if r.taken_variation {
                     stats.taken_blocks += 1;
                 }
                 stats.branches_collapsed += cpr.branches.len();
                 after("motion", func)?;
-            } else {
+                continue 'cprs;
+            };
+            stats.skipped += 1;
+            skip.counter().inc();
+            if let Some(comp) = undo {
                 // Roll the restructure back: restore the hyperblock and
                 // detach the compensation block from the layout.
                 func.block_mut(hb).ops = saved_ops;
-                func.layout.retain(|&b| b != r.comp);
-                {
-                    let _s = Span::enter("icbm.liveness", "icbm");
-                    live.repair(func, &[hb]);
-                }
-                stats.skipped += 1;
+                func.layout.retain(|&b| b != comp);
+                phase("icbm.liveness", || live.repair(func, &[hb]));
                 after("rollback", func)?;
             }
         }
     }
 
-    {
-        let _s = Span::enter("icbm.dce", "icbm");
-        stats.dce_removed = dce(func);
-    }
+    stats.dce_removed = phase("icbm.dce", || dce(func));
     after("dce-final", func)?;
     Ok(stats)
+}
+
+/// Runs `f` inside a trace span `name` of the `icbm` category. The spans
+/// land in the global tracer (inert single-atomic-load guards while tracing
+/// is disabled), so a `--trace` export breaks the icbm pipeline stage down
+/// into its speculate/match/restructure/motion/dce phases.
+fn phase<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
+    let _s = Span::enter(name, "icbm");
+    f()
 }
 
 #[cfg(test)]
@@ -363,6 +357,8 @@ mod tests {
     #[test]
     fn observer_sees_every_phase_in_order() {
         let mut g = motion_refusal();
+        let reason = crate::Skip::SpeculativeOnTrace.counter();
+        let before = reason.value();
         let mut phases = Vec::new();
         let stats = apply_icbm_observed(&mut g, &Profile::new(), &refusal_cfg(), |phase, _| {
             phases.push(phase);
@@ -384,6 +380,9 @@ mod tests {
         let motions = middle.iter().filter(|&&p| p == "motion").count();
         assert_eq!(motions, stats.cpr_blocks);
         assert!(rollbacks <= stats.skipped);
+        // The counter is process-wide, so concurrent tests may add to it,
+        // never take from it.
+        assert!(reason.value() - before >= rollbacks as u64, "rollback reason");
     }
 
     #[test]

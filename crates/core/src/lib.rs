@@ -37,6 +37,10 @@
 //! contrasts ICBM against is also provided ([`apply_full_cpr`]) so the
 //! operation-count/height trade-off can be measured.
 //!
+//! Restructure and motion refuse a CPR block, rather than generate the
+//! fully general FRP expression, by returning a named [`Skip`] reason; the
+//! driver counts each under `icbm.skipped{reason="…"}` in epic-obs.
+//!
 //! ```
 //! use epic_ir::{CmpCond, FunctionBuilder, Operand};
 //! use control_cpr::{apply_icbm, CprConfig};
@@ -58,6 +62,7 @@ mod fullcpr;
 mod matching;
 mod motion;
 mod restructure;
+mod skip;
 mod speculate;
 
 pub use config::CprConfig;
@@ -67,4 +72,5 @@ pub use fullcpr::{apply_full_cpr, FullCprStats};
 pub use matching::{match_cpr_blocks, CprBlock};
 pub use motion::off_trace_motion;
 pub use restructure::{restructure, Restructured};
+pub use skip::Skip;
 pub use speculate::{speculate, SpeculationStats};

@@ -142,24 +142,13 @@ pub fn match_cpr_blocks(
             }
             let cand = &infos[cand_idx];
             // Suitability growth step.
-            let (Some(c_cmpp), Some(c_guard)) = (cand.cmpp, cand.cmpp_guard) else {
-                if std::env::var("MATCH_DEBUG").is_ok() {
-                    eprintln!("MATCH-STOP: no suitable compare for {}", ops[cand.pos]);
-                }
-                break;
-            };
+            let (Some(c_cmpp), Some(c_guard)) = (cand.cmpp, cand.cmpp_guard) else { break };
             if !sp.contains(&c_guard) {
-                if std::env::var("MATCH_DEBUG").is_ok() {
-                    eprintln!("MATCH-STOP: guard {c_guard:?} of {} not in SP {sp:?}", ops[c_cmpp]);
-                }
                 break;
             }
             // Separability: the candidate's compare must not depend on any
             // compare already in the block.
             if succ.contains(&c_cmpp) {
-                if std::env::var("MATCH_DEBUG").is_ok() {
-                    eprintln!("MATCH-STOP: separability for {}", ops[c_cmpp]);
-                }
                 break;
             }
             // Predict-taken heuristic.

@@ -23,6 +23,7 @@ use epic_analysis::{DepGraph, DepKind, DepOptions, GlobalLiveness, PredFacts};
 use epic_ir::{Function, FxHashSet, Op, Opcode, PredReg};
 
 use crate::restructure::Restructured;
+use crate::skip::Skip;
 
 /// Applies off-trace motion for one restructured CPR block.
 ///
@@ -30,23 +31,25 @@ use crate::restructure::Restructured;
 /// ran for `r` (the driver keeps an [`epic_analysis::IncrementalLiveness`]
 /// cache current instead of recomputing liveness per CPR block).
 ///
-/// Returns `false` (leaving the function in its restructured-but-unmoved —
-/// still correct — state) when a legality check fails: a moved operation's
-/// inputs would be clobbered on-trace before the bypass, or memory ordering
-/// between moved and unmoved operations cannot be preserved.
-pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLiveness) -> bool {
+/// Returns the [`Skip`] reason (leaving the function in its
+/// restructured-but-unmoved — still correct — state) when a legality check
+/// fails, e.g. a moved operation's inputs would be clobbered on-trace
+/// before the bypass, or memory ordering between moved and unmoved
+/// operations cannot be preserved.
+pub fn off_trace_motion(
+    func: &mut Function,
+    r: &Restructured,
+    global: &GlobalLiveness,
+) -> Result<(), Skip> {
     let ops: Vec<Op> = func.block(r.block).ops.clone();
     let n = ops.len();
     let pos_of = |id: epic_ir::OpId| ops.iter().position(|o| o.id == id);
-    let Some(bypass_pos) = pos_of(r.bypass) else { return false };
+    let bypass_pos = pos_of(r.bypass).ok_or(Skip::StaleOp)?;
 
     // --- seeds: compares, moved branches, and their pbrs ---
     let mut seeds: Vec<usize> = Vec::new();
     for &id in r.compares.iter().chain(&r.moved_branches) {
-        match pos_of(id) {
-            Some(p) => seeds.push(p),
-            None => return false,
-        }
+        seeds.push(pos_of(id).ok_or(Skip::StaleOp)?);
     }
     for &id in &r.moved_branches {
         let bpos = pos_of(id).expect("checked above");
@@ -97,50 +100,29 @@ pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLi
             }
         }
     }
-    // The bypass itself must never be considered moved (it reads the
-    // off-trace FRP from the lookaheads, not the original compares).
+    // The bypass itself must never be considered moved.
     if set1.contains(&bypass_pos) {
-        if std::env::var("MATCH_DEBUG").is_ok() {
-            eprintln!("MOTION-FAIL: bypass in set1");
-        }
-        return false;
+        return Err(Skip::BypassMoved);
     }
-    // Only the matched branches may leave the on-trace path: the bypass
-    // FRP is exactly the disjunction of *their* taken conditions. A branch
-    // pulled into the closure through a guard dependence (its guard flows
-    // from a moved compare) is not covered by the bypass, so moving it
-    // would lose an on-trace exit.
+    // Only the matched branches may leave the on-trace path.
     let branch_positions: Vec<usize> =
         r.moved_branches.iter().filter_map(|&id| pos_of(id)).collect();
-    for &i in &set1 {
-        if ops[i].is_branch() && !branch_positions.contains(&i) {
-            if std::env::var("MATCH_DEBUG").is_ok() {
-                eprintln!("MOTION-FAIL: unmatched branch [{}] in set1", ops[i]);
-            }
-            return false;
-        }
+    if set1.iter().any(|&i| ops[i].is_branch() && !branch_positions.contains(&i)) {
+        return Err(Skip::UnmatchedBranchMoved);
     }
     // The bypass reads its guard FRP (and branch-target register) where it
-    // stands; split on-trace copies are re-inserted *after* it in the
-    // fall-through variation. A moved producer feeding the bypass — e.g. a
-    // lookahead accumulator pulled into the closure because its source is
-    // a moved load — would leave the bypass reading stale FRPs, so refuse.
-    for e in graph.edges() {
-        if e.kind == DepKind::Flow && e.to == bypass_pos && set1.contains(&e.from) {
-            if std::env::var("MATCH_DEBUG").is_ok() {
-                eprintln!("MOTION-FAIL: bypass reads moved [{}]", ops[e.from]);
-            }
-            return false;
-        }
+    // stands, so no moved op may feed it.
+    if graph
+        .edges()
+        .iter()
+        .any(|e| e.kind == DepKind::Flow && e.to == bypass_pos && set1.contains(&e.from))
+    {
+        return Err(Skip::BypassReadsMoved);
     }
     // Moving the matched branches off-trace makes every *unmoved* op
     // between them execute on-trace even when a branch above it would
-    // have been taken — implicit speculation. That is only legal when the
-    // op's effects are invisible on the off-trace path: it must not store,
-    // and must not define a register or predicate that is live where a
-    // moved branch resumes (or a designated live-out), unless its guard is
-    // provably disjoint from every earlier moved branch's taken condition
-    // (fall-through FRPs are: that is the FRP-converted common case).
+    // have been taken — implicit speculation, legal only for effects the
+    // off-trace path cannot observe.
     let mut off_trace_live_regs: FxHashSet<epic_ir::Reg> =
         func.live_outs().iter().copied().collect();
     let mut off_trace_live_preds: FxHashSet<PredReg> = FxHashSet::default();
@@ -171,10 +153,7 @@ pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLi
             .iter()
             .any(|&bp| bp < j && !facts.guards_disjoint(bp, j));
         if speculative {
-            if std::env::var("MATCH_DEBUG").is_ok() {
-                eprintln!("MOTION-FAIL: [{}] becomes speculative on-trace", ops[j]);
-            }
-            return false;
+            return Err(Skip::SpeculativeOnTrace);
         }
     }
 
@@ -189,17 +168,8 @@ pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLi
         if !hazardous {
             continue;
         }
-        // A moved op whose input is overwritten (or memory re-ordered) by an
-        // unmoved op at or before the bypass would observe the wrong state
-        // when the compensation block runs.
         if set1.contains(&e.from) && !set1.contains(&e.to) && e.to <= bypass_pos {
-            if std::env::var("MATCH_DEBUG").is_ok() {
-                eprintln!(
-                    "MOTION-FAIL: hazard {:?} [{}] -> [{}]",
-                    e.kind, ops[e.from], ops[e.to]
-                );
-            }
-            return false;
+            return Err(Skip::Hazard);
         }
     }
 
@@ -348,20 +318,12 @@ pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLi
             continue;
         }
         if matches!(def, Some(j) if set1.contains(&j) && !set2.contains(&j)) {
-            if std::env::var("MATCH_DEBUG").is_ok() {
-                eprintln!("MOTION-FAIL: split [{}] guard defined by a moved op", ops[i]);
-            }
-            return false;
+            return Err(Skip::SplitGuardMoved);
         }
-        // Same taken-variation exposure for a kept external guard: the
-        // copy fires whenever `g` is true, including on the fall-through
-        // to the compensation block. That is only sound when `g` cannot be
-        // true off-trace, i.e. when it implies the bypass condition.
+        // Same taken-variation exposure for a kept external guard: sound
+        // only when `g` implies the bypass condition.
         if r.taken_variation && !facts.guard_implies(i, bypass_pos) {
-            if std::env::var("MATCH_DEBUG").is_ok() {
-                eprintln!("MOTION-FAIL: split [{}] guard may fire off-trace", ops[i]);
-            }
-            return false;
+            return Err(Skip::SplitGuardOffTrace);
         }
     }
 
@@ -458,7 +420,7 @@ pub fn off_trace_motion(func: &mut Function, r: &Restructured, global: &GlobalLi
         });
     }
     func.block_mut(r.comp).ops = comp_ops;
-    true
+    Ok(())
 }
 
 #[cfg(test)]
@@ -506,7 +468,7 @@ mod tests {
         let live = GlobalLiveness::compute(f);
         let r = restructure(f, sb, &blocks[0], &live).expect("restructures");
         let live = GlobalLiveness::compute(f);
-        assert!(off_trace_motion(f, &r, &live), "motion must succeed");
+        off_trace_motion(f, &r, &live).expect("motion must succeed");
         r
     }
 

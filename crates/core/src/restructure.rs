@@ -17,10 +17,10 @@
 //! 4. re-wires every use of the original compares' predicates in operations
 //!    after the bypass to the on-trace FRP.
 //!
-//! Legality of the later off-trace motion is pre-checked here (guards of
-//! to-be-split operations must be block-internal FRPs, and no original
-//! predicate may be live outside the hyperblock); if the check fails the
-//! CPR block is skipped, leaving the code unchanged — mirroring the paper's
+//! Legality of the later off-trace motion is pre-checked here (no original
+//! predicate may be live outside the hyperblock or read as data below the
+//! first compare); if a check fails the CPR block is skipped with its
+//! [`Skip`] reason, leaving the code unchanged — mirroring the paper's
 //! policy of bailing out rather than generating the fully-general FRP
 //! expression.
 
@@ -30,6 +30,7 @@ use epic_ir::{
 };
 
 use crate::matching::CprBlock;
+use crate::skip::Skip;
 
 /// The artifacts of restructuring one CPR block, consumed by
 /// [`off_trace_motion`](crate::off_trace_motion).
@@ -79,35 +80,28 @@ impl Restructured {
 
 /// Applies the restructure step to one CPR block of `block`.
 ///
-/// Returns `None` (leaving the function unchanged) when the block is
-/// trivial, the taken variation is requested in an unsupported position
-/// (the final branch must be the hyperblock's last operation), or the
-/// legality pre-checks fail.
+/// Returns the [`Skip`] reason (leaving the function unchanged) when the
+/// block is trivial, names ops the hyperblock no longer holds, or fails a
+/// legality pre-check.
 pub fn restructure(
     func: &mut Function,
     block: BlockId,
     cpr: &CprBlock,
     live: &GlobalLiveness,
-) -> Option<Restructured> {
+) -> Result<Restructured, Skip> {
     if !cpr.is_nontrivial() || cpr.compares.len() != cpr.branches.len() {
-        return None;
+        return Err(Skip::Trivial);
     }
     let ops = &func.block(block).ops;
     // Resolve stable ids to current positions.
-    let pos_of = |id: epic_ir::OpId| ops.iter().position(|o| o.id == id);
-    let branch_pos: Vec<usize> = cpr.branches.iter().map(|&id| pos_of(id)).collect::<Option<_>>()?;
-    let cmpp_pos: Vec<usize> = cpr.compares.iter().map(|&id| pos_of(id)).collect::<Option<_>>()?;
+    let pos_of = |id: &epic_ir::OpId| ops.iter().position(|o| o.id == *id).ok_or(Skip::StaleOp);
+    let branch_pos: Vec<usize> = cpr.branches.iter().map(pos_of).collect::<Result<_, _>>()?;
+    let cmpp_pos: Vec<usize> = cpr.compares.iter().map(pos_of).collect::<Result<_, _>>()?;
     let last_branch = *branch_pos.last().expect("non-empty");
 
-    // The whole FRP plan — pinit above the first lookahead, one lookahead
-    // directly after each compare, fall-through guards that are prefix
-    // conjunctions — assumes the compares appear in *branch order*.
-    // Predicate reuse can pair a later branch with an earlier compare
-    // (out-of-order positions); both the bottom-up insertion plan and the
-    // split re-guarding rules are wrong there, so skip such blocks. Equal
-    // positions are fine: one two-output compare may feed two branches.
+    // The whole FRP plan assumes the compares appear in *branch order*.
     if !cmpp_pos.windows(2).all(|w| w[0] <= w[1]) {
-        return None;
+        return Err(Skip::OutOfOrderCompares);
     }
 
     let taken_variation = cpr.taken_variation;
@@ -138,27 +132,22 @@ pub fn restructure(
     }
 
     // --- legality pre-checks ---
-    // (a) No original predicate may be live outside this hyperblock: the
-    // compares move off-trace and downstream uses get re-wired to the
-    // on-trace FRP, which is only valid within the block.
+    // (a) No original predicate may be live outside this hyperblock.
     for succ in func.successors(block) {
         if let Some(lp) = live.live_in_preds.get(&succ) {
             if original_preds.iter().any(|p| lp.contains(p)) {
-                return None;
+                return Err(Skip::PredLiveOut);
             }
         }
     }
-    // (b) Every op between the first compare and the bypass point whose
-    // guard is an original predicate must be guarded by an *internal*
-    // (fall-through) predicate or by a taken predicate — both splittable /
-    // movable; any other use of an original predicate as a *data* operand in
-    // a non-compare op below is not handled.
+    // (b) Guards reading an original predicate are split or moved below;
+    // a *data* use of one in a non-compare op is not handled.
     {
         let mut pending = original_preds.clone();
         for (i, op) in ops.iter().enumerate() {
             if i > *cmpp_pos.first().expect("non-empty") {
                 if !op.is_cmpp() && op.uses_preds().any(|p| pending.contains(&p)) {
-                    return None;
+                    return Err(Skip::PredUsedAsData);
                 }
                 // Redefinitions below the block retire names (but the
                 // block's own compares keep theirs).
@@ -353,7 +342,7 @@ pub fn restructure(
         cpr.branches.clone()
     };
 
-    Some(Restructured {
+    Ok(Restructured {
         block,
         comp,
         on_frp,
@@ -488,7 +477,7 @@ mod tests {
             compares: vec![f.block(sb).ops[2].id],
             taken_variation: false,
         };
-        assert!(restructure(&mut f, sb, &trivial, &live).is_none());
+        assert_eq!(restructure(&mut f, sb, &trivial, &live).err(), Some(Skip::Trivial));
     }
 
     #[test]
@@ -512,8 +501,9 @@ mod tests {
         let cfg = CprConfig { enable_taken_variation: false, ..CprConfig::uniform() };
         let blocks = match_cpr_blocks(&f.block(sb).ops, &Profile::new(), &cfg, f.mem_classes());
         let live = GlobalLiveness::compute(&f);
-        assert!(
-            restructure(&mut f, sb, &blocks[0], &live).is_none(),
+        assert_eq!(
+            restructure(&mut f, sb, &blocks[0], &live).err(),
+            Some(Skip::PredLiveOut),
             "live-out original predicate must veto the transformation"
         );
     }

@@ -100,28 +100,12 @@ fn speculate_block(func: &mut Function, block: BlockId, global: &GlobalLiveness)
             continue;
         }
         let guard_bdd = facts.guard(i);
-        let mut ok = true;
-        for r in op.defs_regs() {
+        // Promoting is legal iff no destination is live below under ¬guard.
+        let legal = op.defs_regs().all(|r| {
             let lb = region.live_below(i, r);
-            // Promoting is legal iff r is not live below under ¬guard.
-            let m = facts.manager();
-            let off_guard = m.and_not(lb, guard_bdd);
-            if !off_guard.is_false() {
-                if std::env::var("SPEC_DEBUG").is_ok() {
-                    eprintln!(
-                        "SPEC-DETAIL {op}: dest {r} lb_true={} lb_false={}",
-                        lb.is_true(),
-                        lb.is_false()
-                    );
-                }
-                ok = false;
-                break;
-            }
-        }
-        if !ok {
-            if std::env::var("SPEC_DEBUG").is_ok() {
-                eprintln!("SPEC-REJECT {op}");
-            }
+            facts.manager().and_not(lb, guard_bdd).is_false()
+        });
+        if !legal {
             continue;
         }
         original_guard.insert(i, p);

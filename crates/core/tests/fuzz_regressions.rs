@@ -4,7 +4,7 @@
 //! checks it — so the bug class stays fixed. See EXPERIMENTS.md ("Fuzzing
 //! the pipeline") for the workflow that produced these.
 
-use control_cpr::{dce, match_cpr_blocks, off_trace_motion, restructure, CprConfig};
+use control_cpr::{dce, match_cpr_blocks, off_trace_motion, restructure, CprConfig, Skip};
 use epic_analysis::GlobalLiveness;
 use epic_ir::{BlockId, CmpCond, Function, FunctionBuilder, Opcode, Operand, Profile};
 use epic_interp::{diff_test, run, Input};
@@ -90,14 +90,12 @@ fn frp_convert_shared_compare_two_way_dispatch() {
     }
 }
 
-/// Shared helper: match the first CPR block of `sb` and restructure it.
-fn restructure_first(
-    f: &mut Function,
-    sb: BlockId,
-) -> Option<control_cpr::Restructured> {
+/// Shared helper: match the first non-trivial CPR block of `sb` and
+/// restructure it.
+fn restructure_first(f: &mut Function, sb: BlockId) -> Result<control_cpr::Restructured, Skip> {
     let cfg = cpr_cfg();
     let blocks = match_cpr_blocks(&f.block(sb).ops, &Profile::new(), &cfg, f.mem_classes());
-    let cpr = blocks.iter().find(|c| c.is_nontrivial())?;
+    let cpr = blocks.iter().find(|c| c.is_nontrivial()).expect("a non-trivial CPR block");
     let live = GlobalLiveness::compute(f);
     restructure(f, sb, cpr, &live)
 }
@@ -127,12 +125,13 @@ fn motion_bails_on_unguarded_live_out_between_branches() {
     let f = b.finish();
 
     let mut g = f.clone();
-    let Some(r) = restructure_first(&mut g, sb) else {
-        panic!("CPR block must restructure");
-    };
+    let r = restructure_first(&mut g, sb).expect("CPR block must restructure");
     let live = GlobalLiveness::compute(&g);
-    let moved = off_trace_motion(&mut g, &r, &live);
-    assert!(!moved, "motion must refuse to speculate a live-out def:\n{g}");
+    assert_eq!(
+        off_trace_motion(&mut g, &r, &live),
+        Err(Skip::SpeculativeOnTrace),
+        "motion must refuse to speculate a live-out def:\n{g}"
+    );
     epic_ir::verify(&g).unwrap();
     for (xv, yv) in [(10, 0), (20, 0), (20, 10)] {
         let input = Input::new().memory_size(4).with_reg(x, xv).with_reg(y, yv);
@@ -171,11 +170,9 @@ fn restructure_inverts_lookahead_for_complement_guarded_branch() {
     let f = b.finish();
 
     let mut g = f.clone();
-    let Some(r) = restructure_first(&mut g, sb) else {
-        panic!("CPR block must restructure");
-    };
+    let r = restructure_first(&mut g, sb).expect("CPR block must restructure");
     let live = GlobalLiveness::compute(&g);
-    off_trace_motion(&mut g, &r, &live);
+    off_trace_motion(&mut g, &r, &live).expect("motion succeeds");
     epic_ir::verify(&g).unwrap();
     for xv in [-1, 1] {
         let input = Input::new().memory_size(4).with_reg(x, xv);
@@ -225,7 +222,7 @@ fn motion_taken_variation_moves_fall_through_store_off_trace() {
     let live = GlobalLiveness::compute(&g);
     let r = restructure(&mut g, sb, cpr, &live).expect("restructures");
     let live = GlobalLiveness::compute(&g);
-    off_trace_motion(&mut g, &r, &live);
+    off_trace_motion(&mut g, &r, &live).expect("motion succeeds");
     epic_ir::verify(&g).unwrap();
     for (xv, yv) in [(5, 3), (5, 20), (-1, 3)] {
         let input = Input::new().memory_size(4).with_reg(x, xv).with_reg(y, yv);
@@ -268,8 +265,11 @@ fn restructure_skips_out_of_order_compare_branch_pairs() {
     let f = b.finish();
 
     let mut g = f.clone();
-    let r = restructure_first(&mut g, sb);
-    assert!(r.is_none(), "out-of-order compare/branch pairing must be skipped:\n{g}");
+    assert_eq!(
+        restructure_first(&mut g, sb).err(),
+        Some(Skip::OutOfOrderCompares),
+        "out-of-order compare/branch pairing must be skipped:\n{g}"
+    );
     assert_eq!(f.to_string(), g.to_string(), "skipped block must be untouched");
     epic_ir::verify(&g).unwrap();
     for (xv, yv) in [(3, 9), (9, 9), (9, -9)] {
@@ -320,12 +320,13 @@ fn motion_bails_when_bypass_reads_a_moved_lookahead() {
     let f = b.finish();
 
     let mut g = f.clone();
-    let Some(r) = restructure_first(&mut g, sb) else {
-        panic!("CPR block must restructure");
-    };
+    let r = restructure_first(&mut g, sb).expect("CPR block must restructure");
     let live = GlobalLiveness::compute(&g);
-    let moved = off_trace_motion(&mut g, &r, &live);
-    assert!(!moved, "motion must refuse when the bypass reads moved FRPs:\n{g}");
+    assert_eq!(
+        off_trace_motion(&mut g, &r, &live),
+        Err(Skip::BypassReadsMoved),
+        "motion must refuse when the bypass reads moved FRPs:\n{g}"
+    );
     epic_ir::verify(&g).unwrap();
     for yv in [-11, 4] {
         let input = Input::new()
@@ -380,7 +381,7 @@ fn motion_taken_variation_rewires_final_taken_guard() {
     let live = GlobalLiveness::compute(&g);
     let r = restructure(&mut g, sb, cpr, &live).expect("restructures");
     let live = GlobalLiveness::compute(&g);
-    assert!(off_trace_motion(&mut g, &r, &live), "motion must succeed:\n{g}");
+    assert_eq!(off_trace_motion(&mut g, &r, &live), Ok(()), "motion must succeed:\n{g}");
     epic_ir::verify(&g).unwrap();
     // The split on-trace store is re-guarded by the on-trace FRP.
     let on_store = g
@@ -446,7 +447,7 @@ fn motion_taken_variation_guards_unguarded_split_copy() {
     let live = GlobalLiveness::compute(&g);
     let r = restructure(&mut g, sb, cpr, &live).expect("restructures");
     let live = GlobalLiveness::compute(&g);
-    assert!(off_trace_motion(&mut g, &r, &live), "motion must succeed:\n{g}");
+    assert_eq!(off_trace_motion(&mut g, &r, &live), Ok(()), "motion must succeed:\n{g}");
     epic_ir::verify(&g).unwrap();
     // The only def of `out` left on-trace is the split copy; it must be
     // guarded by the on-trace FRP, not run unconditionally.
@@ -495,9 +496,7 @@ fn restructure_rewires_taken_pred_uses_to_false_past_bypass() {
     let f = b.finish();
 
     let mut g = f.clone();
-    let Some(r) = restructure_first(&mut g, sb) else {
-        panic!("CPR block must restructure");
-    };
+    let r = restructure_first(&mut g, sb).expect("CPR block must restructure");
     epic_ir::verify(&g).unwrap();
     for (xv, yv) in [(1, 5), (-1, -5), (-1, 5)] {
         let input = Input::new().memory_size(4).with_reg(x, xv).with_reg(y, yv);
@@ -505,7 +504,7 @@ fn restructure_rewires_taken_pred_uses_to_false_past_bypass() {
     }
     // And the full phase sequence stays equivalent too.
     let live = GlobalLiveness::compute(&g);
-    off_trace_motion(&mut g, &r, &live);
+    off_trace_motion(&mut g, &r, &live).expect("motion succeeds");
     epic_ir::verify(&g).unwrap();
     for (xv, yv) in [(1, 5), (-1, -5), (-1, 5)] {
         let input = Input::new().memory_size(4).with_reg(x, xv).with_reg(y, yv);

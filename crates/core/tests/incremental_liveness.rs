@@ -101,7 +101,7 @@ proptest! {
             if !cpr.is_nontrivial() {
                 continue;
             }
-            let Some(r) = restructure(&mut f, sb, cpr, cache.live()) else {
+            let Ok(r) = restructure(&mut f, sb, cpr, cache.live()) else {
                 continue;
             };
             cache.repair(&f, &r.touched_blocks());
@@ -111,7 +111,7 @@ proptest! {
                 "cache diverged after restructure"
             );
             mutations += 1;
-            if off_trace_motion(&mut f, &r, cache.live()) {
+            if off_trace_motion(&mut f, &r, cache.live()).is_ok() {
                 cache.repair(&f, &r.touched_blocks());
                 prop_assert_eq!(
                     cache.live(),

@@ -10,13 +10,31 @@
 //! ```
 //!
 //! `dump` prints the height-reduced code of a passing workload, or the
-//! input of the failing stage otherwise. Exits non-zero if any workload
-//! fails.
+//! input of the failing stage otherwise. Each workload's line names the
+//! CPR blocks ICBM skipped, by [`Skip`] reason, and a last line sums them
+//! over the run. Exits non-zero if any workload fails.
 
 use std::time::Instant;
 
+use control_cpr::Skip;
 use epic_bench::{compile, PipelineConfig};
 use epic_fuzz::{check_case, GenCase};
+
+/// The `icbm.skipped{reason}` counters, in [`Skip::ALL`] order.
+fn skip_counts() -> Vec<u64> {
+    Skip::ALL.iter().map(|s| s.counter().value()).collect()
+}
+
+/// `"reason n, ..."` for the non-zero counts, or `None` when there are none.
+fn describe(skips: &[u64]) -> Option<String> {
+    let named: Vec<String> = Skip::ALL
+        .iter()
+        .zip(skips)
+        .filter(|(_, &n)| n > 0)
+        .map(|(s, n)| format!("{} {n}", s.name()))
+        .collect();
+    (!named.is_empty()).then(|| named.join(", "))
+}
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "strcpy".into());
@@ -33,10 +51,16 @@ fn main() {
     let cfg = PipelineConfig::default();
     let t0 = Instant::now();
     let mut failed = 0;
+    let mut total_skips = vec![0; Skip::ALL.len()];
     for w in &workloads {
-        match check_case(&GenCase::from_workload(w, &cfg)) {
+        let before = skip_counts();
+        let checked = check_case(&GenCase::from_workload(w, &cfg));
+        let skips: Vec<u64> = skip_counts().iter().zip(before).map(|(now, b)| now - b).collect();
+        total_skips.iter_mut().zip(&skips).for_each(|(t, n)| *t += n);
+        let skips = describe(&skips).map_or(String::new(), |d| format!(" (skipped: {d})"));
+        match checked {
             Ok(()) => {
-                println!("{}: OK", w.name);
+                println!("{}: OK{skips}", w.name);
                 if dump {
                     let c = compile(w, &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
                     println!("{}", c.optimized);
@@ -44,13 +68,14 @@ fn main() {
             }
             Err(f) => {
                 failed += 1;
-                println!("{}: FAILED at {f}", w.name);
+                println!("{}: FAILED at {f}{skips}", w.name);
                 if dump {
                     println!("{}", f.before);
                 }
             }
         }
     }
+    println!("ICBM skips: {}", describe(&total_skips).as_deref().unwrap_or("none"));
     eprintln!(
         "{} of {} workload(s) verified in {:.1} s",
         workloads.len() - failed,

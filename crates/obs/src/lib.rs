@@ -26,8 +26,8 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    metric_name, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry,
-    Snapshot,
+    json_string, metric_name, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue,
+    MetricsRegistry, Snapshot,
 };
 pub use trace::{
     current_trace_id, next_trace_id, Span, TraceEvent, TraceIdGuard, Tracer,

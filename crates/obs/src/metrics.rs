@@ -348,9 +348,9 @@ pub fn metric_name(base: &str, labels: &[(&str, &str)]) -> String {
     format!("{base}{{{}}}", body.join(","))
 }
 
-/// Escapes `s` as a JSON string literal (quotes included). Duplicated from
-/// `epic-bench` by design: this crate is dependency-free so every other
-/// crate can report into it.
+/// Escapes `s` as a JSON string literal (quotes included). The one copy
+/// in the workspace: this crate is dependency-free, so every other crate
+/// (`epic-bench` re-exports it as `timing::json_string`) can use it.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -35,7 +35,7 @@ mod list;
 pub use list::{schedule_block, Schedule};
 
 use epic_analysis::{DepGraph, DepOptions, ExitLiveness, GlobalLiveness, PredFacts};
-use epic_ir::{BlockId, Function, FxHashMap, Opcode};
+use epic_ir::{BlockId, Function, FxHashMap};
 use epic_machine::Machine;
 
 /// Options for function scheduling.
@@ -138,29 +138,7 @@ pub fn schedule_function_suite(
     let mut out = vec![ScheduledFunction::new(); machines.len()];
     for block in func.blocks_in_layout() {
         let ops = &block.ops;
-        let mut exit_live = ExitLiveness::default();
-        for (i, op) in ops.iter().enumerate() {
-            if !op.is_branch() {
-                continue;
-            }
-            let (regs, preds) = match op.opcode {
-                Opcode::Branch => match op.branch_target() {
-                    Some(t) => (
-                        live.live_in_regs.get(&t).cloned().unwrap_or_default(),
-                        live.live_in_preds.get(&t).cloned().unwrap_or_default(),
-                    ),
-                    None => Default::default(),
-                },
-                _ => Default::default(),
-            };
-            exit_live.at_op.insert(i, (regs, preds));
-        }
-        if let Some(ft) = func.fallthrough_of(block.id) {
-            exit_live.at_end = (
-                live.live_in_regs.get(&ft).cloned().unwrap_or_default(),
-                live.live_in_preds.get(&ft).cloned().unwrap_or_default(),
-            );
-        }
+        let exit_live = ExitLiveness::of(func, block, &live);
         let mut facts = PredFacts::compute(ops);
         let lat_fns: Vec<_> =
             machines.iter().map(|m| move |op: &epic_ir::Op| m.latency_of(op)).collect();
@@ -177,7 +155,7 @@ pub fn schedule_function_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epic_ir::{CmpCond, FunctionBuilder, Operand};
+    use epic_ir::{CmpCond, FunctionBuilder, Opcode, Operand};
 
     #[test]
     fn sequential_machine_is_one_op_per_cycle() {

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use epic_analysis::{DepGraph, DepKind, DepOptions, ExitLiveness, GlobalLiveness, PredFacts};
-use epic_ir::{Block, BlockId, Function, Opcode, UnitClass};
+use epic_ir::{Block, BlockId, Function, UnitClass};
 use epic_machine::Machine;
 use epic_obs::{Counter, MetricsRegistry, Span};
 use epic_sched::{SchedOptions, Schedule, ScheduledFunction};
@@ -87,40 +87,6 @@ pub fn check_function(
     }
     violations_counter().add(violations.len() as u64);
     violations
-}
-
-/// Exit liveness of one block, rebuilt exactly as `schedule_function`
-/// derives it: each side exit sees the live-in set of its target; the
-/// fall-through end sees the live-in set of the layout successor.
-///
-/// Public so external tests can rebuild the same dependence graph the
-/// checker (and scheduler) use — e.g. to compare schedule lengths against
-/// the graph's critical-path height.
-pub fn exit_liveness_of(func: &Function, block: &Block, live: &GlobalLiveness) -> ExitLiveness {
-    let mut exit_live = ExitLiveness::default();
-    for (i, op) in block.ops.iter().enumerate() {
-        if !op.is_branch() {
-            continue;
-        }
-        let (regs, preds) = match op.opcode {
-            Opcode::Branch => match op.branch_target() {
-                Some(t) => (
-                    live.live_in_regs.get(&t).cloned().unwrap_or_default(),
-                    live.live_in_preds.get(&t).cloned().unwrap_or_default(),
-                ),
-                None => Default::default(),
-            },
-            _ => Default::default(),
-        };
-        exit_live.at_op.insert(i, (regs, preds));
-    }
-    if let Some(ft) = func.fallthrough_of(block.id) {
-        exit_live.at_end = (
-            live.live_in_regs.get(&ft).cloned().unwrap_or_default(),
-            live.live_in_preds.get(&ft).cloned().unwrap_or_default(),
-        );
-    }
-    exit_live
 }
 
 fn check_block(
@@ -213,7 +179,7 @@ fn check_block(
     }
 
     // 4. Dependence-edge latencies over the independently rebuilt graph.
-    let exit_live = exit_liveness_of(func, block, live);
+    let exit_live = ExitLiveness::of(func, block, live);
     let mut facts = PredFacts::compute(ops);
     let latency = |op: &epic_ir::Op| machine.latency_of(op);
     let graph = DepGraph::build(ops, &mut facts, &latency, dep_opts, Some(&exit_live));

@@ -45,7 +45,7 @@ mod mutate;
 mod replay;
 mod violation;
 
-pub use check::{check_function, exit_liveness_of};
+pub use check::check_function;
 pub use mutate::{mutate, mutation_kill_rate, Mutant, MutationKind, MutationReport};
 pub use replay::{check_replay, replay_cycles, replay_cycles_with, ReplayError};
 pub use violation::{ScheduleViolation, ViolationKind};

@@ -7,14 +7,14 @@
 
 use std::sync::{Arc, OnceLock};
 
-use epic_analysis::{DepGraph, DepKind, DepOptions, GlobalLiveness, PredFacts};
+use epic_analysis::{DepGraph, DepKind, DepOptions, ExitLiveness, GlobalLiveness, PredFacts};
 use epic_ir::{BlockId, Function, UnitClass};
 use epic_machine::Machine;
 use epic_obs::{Counter, MetricsRegistry, Span};
 use epic_sched::{schedule_function, SchedOptions, Schedule, ScheduledFunction};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::check::{check_function, exit_liveness_of};
+use crate::check::check_function;
 
 fn mutants_counter() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
@@ -126,7 +126,7 @@ pub fn mutate(
         });
 
         // Edge swaps need the same graph the checker rebuilds.
-        let exit_live = exit_liveness_of(func, block, &live);
+        let exit_live = ExitLiveness::of(func, block, &live);
         let mut facts = PredFacts::compute(ops);
         let latency = |op: &epic_ir::Op| machine.latency_of(op);
         let graph = DepGraph::build(ops, &mut facts, &latency, &dep_opts, Some(&exit_live));

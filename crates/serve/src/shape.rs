@@ -25,6 +25,8 @@
 
 use std::collections::HashMap;
 
+use epic_ir::Fnv64;
+
 /// Cost tier of one request's shape cluster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
@@ -91,12 +93,9 @@ impl Shape {
 
 /// 64-bit FNV-1a over a byte string (same mix the cache router uses).
 fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = Fnv64::new();
+    h.write_bytes(bytes);
+    h.finish()
 }
 
 /// One request classified before execution.
