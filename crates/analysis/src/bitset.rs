@@ -10,9 +10,8 @@
 //! Sets grow on demand: inserting bit `i` extends the word vector to cover
 //! `i`. Trailing zero words are ignored by comparisons, so two sets holding
 //! the same members are equal regardless of how they grew. This matters for
-//! [`IncrementalLiveness`](crate::IncrementalLiveness), whose cached block
-//! summaries may have been built before later passes allocated new
-//! registers.
+//! [`GlobalLiveness`](crate::GlobalLiveness), whose cached block summaries
+//! may have been built before later passes allocated new registers.
 
 /// A growable set of small unsigned integers, stored one bit per member.
 #[derive(Clone, Debug, Default)]
@@ -24,11 +23,6 @@ impl BitSet {
     /// Creates an empty set.
     pub fn new() -> BitSet {
         BitSet::default()
-    }
-
-    /// Creates an empty set with room for members `0..bits` preallocated.
-    pub fn with_capacity(bits: usize) -> BitSet {
-        BitSet { words: Vec::with_capacity(bits.div_ceil(64)) }
     }
 
     /// Adds `bit`; returns true when it was not already present.

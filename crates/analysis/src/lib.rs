@@ -32,7 +32,7 @@ pub mod reaching;
 pub use bdd::{Bdd, BddManager};
 pub use bitset::BitSet;
 pub use depgraph::{DepEdge, DepGraph, DepKind, DepOptions, ExitLiveness};
-pub use liveness::{GlobalLiveness, IncrementalLiveness, RegionLiveness};
+pub use liveness::{GlobalLiveness, RegionLiveness};
 pub use pred_facts::PredFacts;
 pub use reaching::{PredDef, PredReaching};
 

@@ -6,7 +6,9 @@
 //!   computing may-live register and predicate sets per block. Used to seed
 //!   region analyses with live-out information and by dead-code elimination.
 //!   It is conservative with respect to predication: a guarded definition
-//!   does not kill.
+//!   does not kill. It keeps the per-block summaries it was solved from, so
+//!   one context serves a whole compile: a pass that edits some blocks
+//!   [`repair`](GlobalLiveness::repair)s it instead of recomputing it.
 //! * [`RegionLiveness`] — the predicate-aware *liveness expressions* of
 //!   \[JS96\] that the paper's predicate speculation pass needs (§5.1): for
 //!   every operation, the boolean condition (as a [`Bdd`] over the region's
@@ -30,8 +32,19 @@ use crate::bdd::Bdd;
 use crate::bitset::BitSet;
 use crate::pred_facts::PredFacts;
 
-/// Per-block may-live register and predicate sets.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Per-block may-live register and predicate sets, plus the per-block
+/// summaries they were solved from.
+///
+/// [`compute`](GlobalLiveness::compute) does two very differently priced
+/// things: the predicate-aware gen/kill summaries (BDD work proportional to
+/// *every* op in the function) and the backward set fixpoint (cheap set
+/// unions). A pass that edits a few blocks calls
+/// [`repair`](GlobalLiveness::repair), which re-summarizes just those
+/// blocks before re-solving the fixpoint. The result is always identical to
+/// a from-scratch `compute`; the `incremental_liveness` property test in
+/// `control-cpr` asserts this after every speculate, ICBM, DCE and unroll
+/// step. Equality compares the solution only.
+#[derive(Clone, Debug, Default)]
 pub struct GlobalLiveness {
     /// Registers live on entry to each block.
     pub live_in_regs: FxHashMap<BlockId, FxHashSet<Reg>>,
@@ -41,7 +54,17 @@ pub struct GlobalLiveness {
     pub live_in_preds: FxHashMap<BlockId, FxHashSet<PredReg>>,
     /// Predicates live on exit from each block.
     pub live_out_preds: FxHashMap<BlockId, FxHashSet<PredReg>>,
+    summaries: FxHashMap<BlockId, BlockSummary>,
 }
+
+impl PartialEq for GlobalLiveness {
+    fn eq(&self, o: &GlobalLiveness) -> bool {
+        (&self.live_in_regs, &self.live_out_regs, &self.live_in_preds, &self.live_out_preds)
+            == (&o.live_in_regs, &o.live_out_regs, &o.live_in_preds, &o.live_out_preds)
+    }
+}
+
+impl Eq for GlobalLiveness {}
 
 impl GlobalLiveness {
     /// Computes liveness for every block of `func` by iterating to a fixed
@@ -49,11 +72,170 @@ impl GlobalLiveness {
     /// be nullified, leaving the previous value live through it); `cmpp`
     /// unconditional destinations always write and therefore kill.
     pub fn compute(func: &Function) -> GlobalLiveness {
-        let summaries: FxHashMap<BlockId, BlockSummary> = func
+        let summaries = func
             .blocks_in_layout()
             .map(|block| (block.id, BlockSummary::of(block, func.live_outs())))
             .collect();
-        solve(func, &summaries)
+        let mut live = GlobalLiveness { summaries, ..GlobalLiveness::default() };
+        live.solve(func);
+        live
+    }
+
+    /// Repairs the solution after the ops of `touched` blocks changed
+    /// (blocks newly added to the layout are picked up whether listed or
+    /// not, and summaries of blocks no longer in the layout are dropped).
+    /// Only the touched/new blocks pay the expensive summary recomputation;
+    /// the fixpoint is then re-solved from scratch, which is what keeps
+    /// may-liveness exact in the presence of removed edges.
+    pub fn repair(&mut self, func: &Function, touched: &[BlockId]) {
+        let in_layout: FxHashSet<BlockId> = func.layout.iter().copied().collect();
+        self.summaries.retain(|b, _| in_layout.contains(b));
+        for b in touched {
+            self.summaries.remove(b);
+        }
+        {
+            let _s = epic_obs::Span::enter("liveness.summary", "analysis");
+            for block in func.blocks_in_layout() {
+                let summary = || BlockSummary::of(block, func.live_outs());
+                self.summaries.entry(block.id).or_insert_with(summary);
+            }
+        }
+        let _s = epic_obs::Span::enter("liveness.solve", "analysis");
+        self.solve(func);
+    }
+
+    /// Whether both contexts hold the same per-block summaries. Equality
+    /// compares only the solution, and a stale summary (say, the kill set
+    /// of a pruned `cmpp` destination) may not move the solution until a
+    /// later repair solves from it; the property tests check this too.
+    #[doc(hidden)]
+    pub fn same_summaries(&self, other: &GlobalLiveness) -> bool {
+        self.summaries == other.summaries
+    }
+
+    /// The cheap half of liveness: the iterative backward fixpoint over the
+    /// per-block summaries. Always solved from empty sets — a may-liveness
+    /// restart from a stale solution is unsound because stale live bits can
+    /// self-sustain around loop cycles.
+    ///
+    /// Runs entirely on per-layout-position [`BitSet`]s; the CFG shape
+    /// (successor/fallthrough positions, exit routing) is resolved to dense
+    /// indices once up front so each fixpoint pass is pure word-parallel set
+    /// arithmetic.
+    fn solve(&mut self, func: &Function) {
+        let n = func.layout.len();
+        let pos_of: FxHashMap<BlockId, usize> =
+            func.layout.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+
+        struct BlockPlan<'a> {
+            summary: &'a BlockSummary,
+            succs: Vec<usize>,
+            /// Fallthrough position, already gated on the block not ending with
+            /// an unconditional exit.
+            fallthrough: Option<usize>,
+            /// `(target position, blocked regs, blocked preds)` per branch exit
+            /// whose target is in the layout.
+            exits: Vec<(usize, &'a BitSet, &'a BitSet)>,
+        }
+
+        let plans: Vec<BlockPlan> = func
+            .layout
+            .iter()
+            .map(|&b| {
+                let summary = &self.summaries[&b];
+                let succs = func
+                    .successors(b)
+                    .into_iter()
+                    .filter_map(|s| pos_of.get(&s).copied())
+                    .collect();
+                let fallthrough = if func.block(b).ends_with_unconditional_exit() {
+                    None
+                } else {
+                    func.fallthrough_of(b).and_then(|ft| pos_of.get(&ft).copied())
+                };
+                let exits = summary
+                    .exits
+                    .iter()
+                    .filter_map(|e| {
+                        pos_of
+                            .get(&e.target)
+                            .map(|&t| (t, &e.blocked_regs, &e.blocked_preds))
+                    })
+                    .collect();
+                BlockPlan { summary, succs, fallthrough, exits }
+            })
+            .collect();
+
+        let mut in_r = vec![BitSet::new(); n];
+        let mut out_r = vec![BitSet::new(); n];
+        let mut in_p = vec![BitSet::new(); n];
+        let mut out_p = vec![BitSet::new(); n];
+        let mut scratch = BitSet::new();
+
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for bi in (0..n).rev() {
+                let plan = &plans[bi];
+
+                // out = ∪ live-in of successors.
+                scratch.clear();
+                for &s in &plan.succs {
+                    scratch.union_with(&in_r[s]);
+                }
+                if scratch != out_r[bi] {
+                    changed = true;
+                    std::mem::swap(&mut out_r[bi], &mut scratch);
+                }
+                scratch.clear();
+                for &s in &plan.succs {
+                    scratch.union_with(&in_p[s]);
+                }
+                if scratch != out_p[bi] {
+                    changed = true;
+                    std::mem::swap(&mut out_p[bi], &mut scratch);
+                }
+
+                // Entry liveness is assembled per exit: each branch routes its
+                // target's live-ins through that branch's own blocked sets, and
+                // only the fallthrough edge is filtered by the whole-block kill
+                // sets. Filtering everything through the block kills would
+                // wrongly drop a value that a mid-block exit needs but a later
+                // definition overwrites.
+                scratch.clear();
+                if let Some(ft) = plan.fallthrough {
+                    scratch.union_with_difference(&in_r[ft], &plan.summary.kill_regs);
+                }
+                for &(t, blocked_regs, _) in &plan.exits {
+                    scratch.union_with_difference(&in_r[t], blocked_regs);
+                }
+                scratch.union_with(&plan.summary.gen_regs);
+                if scratch != in_r[bi] {
+                    changed = true;
+                    std::mem::swap(&mut in_r[bi], &mut scratch);
+                }
+                scratch.clear();
+                if let Some(ft) = plan.fallthrough {
+                    scratch.union_with_difference(&in_p[ft], &plan.summary.kill_preds);
+                }
+                for &(t, _, blocked_preds) in &plan.exits {
+                    scratch.union_with_difference(&in_p[t], blocked_preds);
+                }
+                scratch.union_with(&plan.summary.gen_preds);
+                if scratch != in_p[bi] {
+                    changed = true;
+                    std::mem::swap(&mut in_p[bi], &mut scratch);
+                }
+            }
+        }
+
+        let to_regs = |s: &BitSet| -> FxHashSet<Reg> { s.iter().map(Reg).collect() };
+        let to_preds = |s: &BitSet| -> FxHashSet<PredReg> { s.iter().map(PredReg).collect() };
+        let layout = || func.layout.iter().copied();
+        self.live_in_regs = layout().zip(&in_r).map(|(b, s)| (b, to_regs(s))).collect();
+        self.live_out_regs = layout().zip(&out_r).map(|(b, s)| (b, to_regs(s))).collect();
+        self.live_in_preds = layout().zip(&in_p).map(|(b, s)| (b, to_preds(s))).collect();
+        self.live_out_preds = layout().zip(&out_p).map(|(b, s)| (b, to_preds(s))).collect();
     }
 }
 
@@ -279,209 +461,6 @@ impl BlockSummary {
     }
 }
 
-/// The cheap half of liveness: the iterative backward fixpoint over
-/// precomputed per-block summaries. Always solved from empty sets — a
-/// may-liveness restart from a stale solution is unsound because stale live
-/// bits can self-sustain around loop cycles.
-///
-/// Runs entirely on per-layout-position [`BitSet`]s; the CFG shape
-/// (successor/fallthrough positions, exit routing) is resolved to dense
-/// indices once up front so each fixpoint pass is pure word-parallel set
-/// arithmetic.
-fn solve(func: &Function, summaries: &FxHashMap<BlockId, BlockSummary>) -> GlobalLiveness {
-    let n = func.layout.len();
-    let pos_of: FxHashMap<BlockId, usize> =
-        func.layout.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-
-    struct BlockPlan<'a> {
-        summary: &'a BlockSummary,
-        succs: Vec<usize>,
-        /// Fallthrough position, already gated on the block not ending with
-        /// an unconditional exit.
-        fallthrough: Option<usize>,
-        /// `(target position, blocked regs, blocked preds)` per branch exit
-        /// whose target is in the layout.
-        exits: Vec<(usize, &'a BitSet, &'a BitSet)>,
-    }
-
-    let plans: Vec<BlockPlan> = func
-        .layout
-        .iter()
-        .map(|&b| {
-            let summary = &summaries[&b];
-            let succs = func
-                .successors(b)
-                .into_iter()
-                .filter_map(|s| pos_of.get(&s).copied())
-                .collect();
-            let fallthrough = if func.block(b).ends_with_unconditional_exit() {
-                None
-            } else {
-                func.fallthrough_of(b).and_then(|ft| pos_of.get(&ft).copied())
-            };
-            let exits = summary
-                .exits
-                .iter()
-                .filter_map(|e| {
-                    pos_of
-                        .get(&e.target)
-                        .map(|&t| (t, &e.blocked_regs, &e.blocked_preds))
-                })
-                .collect();
-            BlockPlan { summary, succs, fallthrough, exits }
-        })
-        .collect();
-
-    let mut in_r = vec![BitSet::new(); n];
-    let mut out_r = vec![BitSet::new(); n];
-    let mut in_p = vec![BitSet::new(); n];
-    let mut out_p = vec![BitSet::new(); n];
-    let mut scratch = BitSet::new();
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for bi in (0..n).rev() {
-            let plan = &plans[bi];
-
-            // out = ∪ live-in of successors.
-            scratch.clear();
-            for &s in &plan.succs {
-                scratch.union_with(&in_r[s]);
-            }
-            if scratch != out_r[bi] {
-                changed = true;
-                std::mem::swap(&mut out_r[bi], &mut scratch);
-            }
-            scratch.clear();
-            for &s in &plan.succs {
-                scratch.union_with(&in_p[s]);
-            }
-            if scratch != out_p[bi] {
-                changed = true;
-                std::mem::swap(&mut out_p[bi], &mut scratch);
-            }
-
-            // Entry liveness is assembled per exit: each branch routes its
-            // target's live-ins through that branch's own blocked sets, and
-            // only the fallthrough edge is filtered by the whole-block kill
-            // sets. Filtering everything through the block kills would
-            // wrongly drop a value that a mid-block exit needs but a later
-            // definition overwrites.
-            scratch.clear();
-            if let Some(ft) = plan.fallthrough {
-                scratch.union_with_difference(&in_r[ft], &plan.summary.kill_regs);
-            }
-            for &(t, blocked_regs, _) in &plan.exits {
-                scratch.union_with_difference(&in_r[t], blocked_regs);
-            }
-            scratch.union_with(&plan.summary.gen_regs);
-            if scratch != in_r[bi] {
-                changed = true;
-                std::mem::swap(&mut in_r[bi], &mut scratch);
-            }
-            scratch.clear();
-            if let Some(ft) = plan.fallthrough {
-                scratch.union_with_difference(&in_p[ft], &plan.summary.kill_preds);
-            }
-            for &(t, _, blocked_preds) in &plan.exits {
-                scratch.union_with_difference(&in_p[t], blocked_preds);
-            }
-            scratch.union_with(&plan.summary.gen_preds);
-            if scratch != in_p[bi] {
-                changed = true;
-                std::mem::swap(&mut in_p[bi], &mut scratch);
-            }
-        }
-    }
-
-    let to_regs = |s: &BitSet| -> FxHashSet<Reg> { s.iter().map(Reg).collect() };
-    let to_preds = |s: &BitSet| -> FxHashSet<PredReg> { s.iter().map(PredReg).collect() };
-    GlobalLiveness {
-        live_in_regs: func.layout.iter().enumerate().map(|(i, &b)| (b, to_regs(&in_r[i]))).collect(),
-        live_out_regs: func
-            .layout
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (b, to_regs(&out_r[i])))
-            .collect(),
-        live_in_preds: func
-            .layout
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (b, to_preds(&in_p[i])))
-            .collect(),
-        live_out_preds: func
-            .layout
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (b, to_preds(&out_p[i])))
-            .collect(),
-    }
-}
-
-/// A liveness cache that survives CFG edits.
-///
-/// [`GlobalLiveness::compute`] does two very differently priced things: the
-/// predicate-aware gen/kill summaries (BDD work proportional to *every* op
-/// in the function) and the backward set fixpoint (cheap set unions). The
-/// ICBM driver edits only one or two blocks per CPR restructuring, so this
-/// cache keeps the summaries and, on [`repair`](IncrementalLiveness::repair),
-/// recomputes them for just the touched blocks before re-solving the cheap
-/// fixpoint. The result is always identical to a from-scratch `compute` —
-/// the `incremental_liveness` property test in `control-cpr` asserts this
-/// after every ICBM mutation.
-#[derive(Clone, Debug)]
-pub struct IncrementalLiveness {
-    summaries: FxHashMap<BlockId, BlockSummary>,
-    live: GlobalLiveness,
-}
-
-impl IncrementalLiveness {
-    /// Computes liveness from scratch and caches the per-block summaries.
-    pub fn new(func: &Function) -> IncrementalLiveness {
-        let summaries: FxHashMap<BlockId, BlockSummary> = func
-            .blocks_in_layout()
-            .map(|block| (block.id, BlockSummary::of(block, func.live_outs())))
-            .collect();
-        let live = solve(func, &summaries);
-        IncrementalLiveness { summaries, live }
-    }
-
-    /// The current (always up-to-date) liveness solution.
-    pub fn live(&self) -> &GlobalLiveness {
-        &self.live
-    }
-
-    /// Repairs the cache after the ops of `touched` blocks changed (blocks
-    /// newly added to the layout are picked up whether listed or not, and
-    /// summaries of blocks no longer in the layout are dropped). Only the
-    /// touched/new blocks pay the expensive summary recomputation; the
-    /// fixpoint is then re-solved from scratch, which is what keeps
-    /// may-liveness exact in the presence of removed edges.
-    pub fn repair(&mut self, func: &Function, touched: &[BlockId]) {
-        let in_layout: FxHashSet<BlockId> = func.layout.iter().copied().collect();
-        self.summaries.retain(|b, _| in_layout.contains(b));
-        {
-            let _s = epic_obs::Span::enter("liveness.summary", "analysis");
-            for &b in touched {
-                if in_layout.contains(&b) {
-                    self.summaries.insert(b, BlockSummary::of(func.block(b), func.live_outs()));
-                }
-            }
-            for block in func.blocks_in_layout() {
-                if let std::collections::hash_map::Entry::Vacant(e) =
-                    self.summaries.entry(block.id)
-                {
-                    e.insert(BlockSummary::of(block, func.live_outs()));
-                }
-            }
-        }
-        let _s = epic_obs::Span::enter("liveness.solve", "analysis");
-        self.live = solve(func, &self.summaries);
-    }
-}
-
 /// The pre-bitset `GlobalLiveness` implementation, kept verbatim as a
 /// differential oracle for the dense solver above. Deliberately untouched
 /// by performance work; only test code should call this.
@@ -652,7 +631,13 @@ pub mod reference {
             }
         }
 
-        GlobalLiveness { live_in_regs, live_out_regs, live_in_preds, live_out_preds }
+        GlobalLiveness {
+            live_in_regs,
+            live_out_regs,
+            live_in_preds,
+            live_out_preds,
+            ..GlobalLiveness::default()
+        }
     }
 }
 
@@ -807,17 +792,17 @@ mod tests {
         b.ret();
         let mut f = b.finish();
         // Without designation, x is dead past its definition.
-        let live = GlobalLiveness::compute(&f);
-        assert!(!live.live_in_regs[&b1].contains(&x));
+        let mut before = GlobalLiveness::compute(&f);
+        assert!(!before.live_in_regs[&b1].contains(&x));
         // Designating x live-out makes it live through to the ret.
         f.mark_live_out(x);
         let live = GlobalLiveness::compute(&f);
         assert!(live.live_in_regs[&b1].contains(&x));
         assert!(live.live_out_regs[&b0].contains(&x));
         assert_eq!(live, reference::compute(&f));
-        // Incremental liveness agrees.
-        let inc = IncrementalLiveness::new(&f);
-        assert_eq!(inc.live(), &live);
+        // Repairing the block whose `ret` now reads x agrees.
+        before.repair(&f, &[b1]);
+        assert_eq!(before, live);
     }
 
     #[test]

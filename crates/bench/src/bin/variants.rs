@@ -14,6 +14,7 @@
 //! in parallel; rows print in workload order.
 
 use control_cpr::dce;
+use epic_analysis::GlobalLiveness;
 use epic_bench::{compile, PipelineConfig};
 use epic_ir::{Function, Profile};
 use epic_machine::Machine;
@@ -35,7 +36,8 @@ fn decompose(w: &Workload, cfg: &PipelineConfig, m: &Machine) -> (f64, f64, f64)
         let mut f = c.baseline.clone();
         frp_convert(&mut f);
         transform(&mut f);
-        dce(&mut f);
+        let mut live = GlobalLiveness::compute(&f);
+        dce(&mut f, &mut live);
         let (p, _) = profile_and_count(&f, &w.training).expect("runs");
         cycles(&f, &p).max(1)
     };

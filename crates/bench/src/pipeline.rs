@@ -37,6 +37,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use control_cpr::apply_icbm_observed;
+use epic_analysis::GlobalLiveness;
 use epic_interp::Input;
 use epic_ir::{combine_hashes, Function, Profile};
 use epic_machine::Machine;
@@ -183,10 +184,12 @@ impl<'a> Pipeline<'a> {
                 .map_err(|t| CompileError::trap_at(stage::PROFILE_UNROLL, t))?;
             tm.push(stage::PROFILE_UNROLL, t0.elapsed(), n, n);
             let t0 = Instant::now();
-            unroll_hot_loops(&mut base, &p1, unroll, cfg.trace.min_count);
+            let mut live = GlobalLiveness::compute(&base);
+            unroll_hot_loops(&mut base, &p1, unroll, cfg.trace.min_count, &mut live);
             // Clean the baseline too (fair comparison: the optimized side
-            // gets a DCE pass as part of ICBM).
-            control_cpr::dce(&mut base);
+            // gets a DCE pass as part of ICBM), reusing unroll's repaired
+            // liveness context.
+            control_cpr::dce(&mut base, &mut live);
             tm.push(stage::UNROLL, t0.elapsed(), n, base.static_op_count());
             let n = base.static_op_count();
             let t0 = Instant::now();

@@ -7,14 +7,16 @@
 //! example removes the second destination of op 13 after the strcpy
 //! transformation).
 
+use epic_analysis::GlobalLiveness;
 use epic_ir::{BlockId, Dest, Function, FxHashSet, Opcode, PredReg, Reg};
 
-/// Runs dead code elimination to a fixed point. Returns the number of
+/// Runs dead code elimination to a fixed point. `live` must be exact for
+/// `func`, and stays exact: see [`dce_pass`]. Returns the number of
 /// operations removed (pruned destinations do not count).
-pub fn dce(func: &mut Function) -> usize {
+pub fn dce(func: &mut Function, live: &mut GlobalLiveness) -> usize {
     let mut removed = 0;
     loop {
-        let pass = dce_pass(func);
+        let pass = dce_pass(func, live);
         if pass == 0 {
             return removed;
         }
@@ -22,12 +24,16 @@ pub fn dce(func: &mut Function) -> usize {
     }
 }
 
-fn dce_pass(func: &mut Function) -> usize {
-    let live = epic_analysis::GlobalLiveness::compute(func);
+/// One backward sweep over every block: removes the dead operations and
+/// prunes dead `cmpp` destinations that `live` shows, then repairs `live`
+/// for the blocks it changed. Returns the number of operations removed.
+pub fn dce_pass(func: &mut Function, live: &mut GlobalLiveness) -> usize {
     let live_outs: Vec<Reg> = func.live_outs().to_vec();
     let mut removed = 0;
+    let mut changed = Vec::new();
     let blocks: Vec<BlockId> = func.layout.clone();
     for b in blocks {
+        let mut pruned = false;
         // Backward scan with running live sets seeded from block live-out.
         let mut live_regs: FxHashSet<Reg> = live.live_out_regs[&b].clone();
         let mut live_preds: FxHashSet<PredReg> = live.live_out_preds[&b].clone();
@@ -65,10 +71,12 @@ fn dce_pass(func: &mut Function) -> usize {
             }
             // Prune dead predicate destinations of live cmpps.
             if matches!(op.opcode, Opcode::Cmpp(_)) && op.dests.len() > 1 {
+                let n = op.dests.len();
                 op.dests.retain(|d| match d {
                     Dest::Pred(p, _) => live_preds.contains(p),
                     Dest::Reg(_) => true,
                 });
+                pruned |= op.dests.len() != n;
             }
             // Transfer: defs kill (only unguarded defs kill reliably, but
             // for DCE "possibly dead" must err towards live, so only
@@ -92,17 +100,30 @@ fn dce_pass(func: &mut Function) -> usize {
                 live_preds.insert(p);
             }
         }
+        if pruned || keep.contains(&false) {
+            changed.push(b);
+        }
         let mut it = keep.iter();
         func.block_mut(b).ops.retain(|_| *it.next().expect("same length"));
+    }
+    if !changed.is_empty() {
+        live.repair(func, &changed);
     }
     removed
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use epic_ir::{CmpCond, FunctionBuilder, Operand};
     use epic_interp::{diff_test, Input};
+
+    /// Cleans `f` against a fresh liveness context.
+    fn clean(f: &mut Function) -> usize {
+        let mut live = GlobalLiveness::compute(f);
+        dce(f, &mut live)
+    }
 
     #[test]
     fn removes_dead_arithmetic() {
@@ -115,7 +136,7 @@ mod tests {
         b.store(d, x.into());
         b.ret();
         let mut f = b.finish();
-        let n = dce(&mut f);
+        let n = clean(&mut f);
         assert_eq!(n, 1);
         assert!(f.block(e).ops.iter().all(|o| o.opcode != Opcode::Add));
     }
@@ -130,7 +151,7 @@ mod tests {
         let _z = b.add(y.into(), Operand::Imm(3)); // chain only feeds itself
         b.ret();
         let mut f = b.finish();
-        let n = dce(&mut f);
+        let n = clean(&mut f);
         assert_eq!(n, 3);
         assert_eq!(f.block(e).ops.len(), 1); // just ret
     }
@@ -148,7 +169,7 @@ mod tests {
         b.set_guard(None);
         b.ret();
         let mut f = b.finish();
-        dce(&mut f);
+        clean(&mut f);
         let cmpp = f.block(e).ops.iter().find(|o| o.is_cmpp()).unwrap();
         assert_eq!(cmpp.dests.len(), 1, "dead UC destination pruned");
     }
@@ -172,7 +193,7 @@ mod tests {
         b.ret();
         let mut f = b.finish();
         let before = f.static_op_count();
-        dce(&mut f);
+        clean(&mut f);
         assert_eq!(f.static_op_count(), before);
     }
 
@@ -190,7 +211,7 @@ mod tests {
         b.ret();
         let f = b.finish();
         let mut g = f.clone();
-        dce(&mut g);
+        clean(&mut g);
         diff_test(&f, &g, &Input::new().memory_size(4)).unwrap();
         assert!(g.static_op_count() < f.static_op_count());
     }

@@ -9,16 +9,47 @@
 
 use std::convert::Infallible;
 
-use epic_analysis::IncrementalLiveness;
-use epic_ir::{BlockId, Function, Profile};
+use epic_analysis::GlobalLiveness;
+use epic_ir::{Function, Profile};
 use epic_obs::Span;
 
 use crate::config::CprConfig;
 use crate::dce::dce;
-use crate::matching::match_cpr_blocks;
+use crate::matching::{hot_hyperblocks, match_cpr_blocks};
 use crate::motion::off_trace_motion;
 use crate::restructure::restructure;
+use crate::skip::Skip;
 use crate::speculate::speculate;
+
+/// An ICBM phase that rewrote the function, as [`apply_icbm_observed`]
+/// hands it to its observer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IcbmPhase {
+    /// Predicate speculation over the whole function.
+    Speculate,
+    /// One CPR block restructured.
+    Restructure,
+    /// Off-trace motion finished that CPR block.
+    Motion,
+    /// Motion refused for this reason and the restructure was undone.
+    Rollback(Skip),
+    /// The final dead code elimination.
+    DceFinal,
+}
+
+impl IcbmPhase {
+    /// The phase's stage name: `speculate`, `restructure`, `motion`,
+    /// `rollback` or `dce-final`.
+    pub fn name(self) -> &'static str {
+        match self {
+            IcbmPhase::Speculate => "speculate",
+            IcbmPhase::Restructure => "restructure",
+            IcbmPhase::Motion => "motion",
+            IcbmPhase::Rollback(_) => "rollback",
+            IcbmPhase::DceFinal => "dce-final",
+        }
+    }
+}
 
 /// Statistics from one [`apply_icbm`] run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -57,22 +88,27 @@ pub fn apply_icbm(func: &mut Function, profile: &Profile, cfg: &CprConfig) -> Ic
 }
 
 /// [`apply_icbm`], calling `after(phase, func)` once each phase has
-/// rewritten `func`: `"speculate"` (when enabled), then per CPR block
-/// `"restructure"` followed by `"motion"` — or by `"rollback"` when motion
-/// refused and the restructure was undone — and finally `"dce-final"`.
-/// Every skipped CPR block, whichever phase refused it, adds one to
-/// [`IcbmStats::skipped`] and to its reason's
-/// [`Skip::counter`](crate::Skip::counter).
+/// rewritten `func`: [`Speculate`](IcbmPhase::Speculate) (when enabled),
+/// then per CPR block [`Restructure`](IcbmPhase::Restructure) followed by
+/// [`Motion`](IcbmPhase::Motion) — or by [`Rollback`](IcbmPhase::Rollback)
+/// with motion's refusal when the restructure was undone — and finally
+/// [`DceFinal`](IcbmPhase::DceFinal). Every skipped CPR block, whichever
+/// phase refused it, adds one to [`IcbmStats::skipped`] and to its reason's
+/// [`Skip::counter`].
+///
+/// Liveness is computed once per run, before speculation; every phase then
+/// repairs the blocks it edited, so no phase re-analyzes the function.
 ///
 /// # Errors
 ///
 /// The first error `after` returns; the run stops there, leaving `func`
 /// as that phase produced it.
+#[allow(clippy::disallowed_methods)]
 pub fn apply_icbm_observed<E>(
     func: &mut Function,
     profile: &Profile,
     cfg: &CprConfig,
-    mut after: impl FnMut(&'static str, &Function) -> Result<(), E>,
+    mut after: impl FnMut(IcbmPhase, &Function) -> Result<(), E>,
 ) -> Result<IcbmStats, E> {
     let mut stats = IcbmStats::default();
 
@@ -80,35 +116,16 @@ pub fn apply_icbm_observed<E>(
         return Ok(stats);
     }
 
+    let mut live = phase("icbm.liveness", || GlobalLiveness::compute(func));
     if cfg.speculate {
-        let s = phase("icbm.speculate", || speculate(func));
+        let (s, changed) = phase("icbm.speculate", || speculate(func, &live));
+        phase("icbm.liveness", || live.repair(func, &changed));
         stats.promoted = s.promoted;
         stats.demoted = s.demoted;
-        after("speculate", func)?;
+        after(IcbmPhase::Speculate, func)?;
     }
 
-    let hyperblocks: Vec<BlockId> = func
-        .layout
-        .iter()
-        .copied()
-        .filter(|&b| {
-            let branch_count = func
-                .block(b)
-                .ops
-                .iter()
-                .filter(|o| o.opcode == epic_ir::Opcode::Branch && o.guard.is_some())
-                .count();
-            branch_count >= 2 && profile.entry_count(b) >= cfg.min_entry_count
-        })
-        .collect();
-
-    // Liveness is maintained incrementally: restructure and off-trace motion
-    // touch exactly the CPR block and its compensation block, so only those
-    // two summaries are recomputed per mutation instead of re-analyzing the
-    // whole function per CPR block.
-    let mut live = phase("icbm.liveness", || IncrementalLiveness::new(func));
-
-    for hb in hyperblocks {
+    for hb in hot_hyperblocks(func, profile, cfg) {
         stats.hyperblocks += 1;
         let cpr_blocks = phase("icbm.match", || {
             match_cpr_blocks(&func.block(hb).ops, profile, cfg, func.mem_classes())
@@ -129,14 +146,16 @@ pub fn apply_icbm_observed<E>(
             // undone.
             let (skip, undo) = 'cpr: {
                 let restructured =
-                    phase("icbm.restructure", || restructure(func, hb, cpr, live.live()));
+                    phase("icbm.restructure", || restructure(func, hb, cpr, &live));
                 let r = match restructured {
                     Ok(r) => r,
                     Err(skip) => break 'cpr (skip, None),
                 };
-                after("restructure", func)?;
+                after(IcbmPhase::Restructure, func)?;
+                // Restructure and motion edit exactly the CPR block and its
+                // compensation block.
                 phase("icbm.liveness", || live.repair(func, &r.touched_blocks()));
-                let moved = phase("icbm.motion", || off_trace_motion(func, &r, live.live()));
+                let moved = phase("icbm.motion", || off_trace_motion(func, &r, &live));
                 if let Err(skip) = moved {
                     break 'cpr (skip, Some(r.comp));
                 }
@@ -146,7 +165,7 @@ pub fn apply_icbm_observed<E>(
                     stats.taken_blocks += 1;
                 }
                 stats.branches_collapsed += cpr.branches.len();
-                after("motion", func)?;
+                after(IcbmPhase::Motion, func)?;
                 continue 'cprs;
             };
             stats.skipped += 1;
@@ -157,13 +176,13 @@ pub fn apply_icbm_observed<E>(
                 func.block_mut(hb).ops = saved_ops;
                 func.layout.retain(|&b| b != comp);
                 phase("icbm.liveness", || live.repair(func, &[hb]));
-                after("rollback", func)?;
+                after(IcbmPhase::Rollback(skip), func)?;
             }
         }
     }
 
-    stats.dce_removed = phase("icbm.dce", || dce(func));
-    after("dce-final", func)?;
+    stats.dce_removed = phase("icbm.dce", || dce(func, &mut live));
+    after(IcbmPhase::DceFinal, func)?;
     Ok(stats)
 }
 
@@ -179,7 +198,7 @@ fn phase<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epic_ir::{CmpCond, FunctionBuilder, Operand};
+    use epic_ir::{BlockId, CmpCond, FunctionBuilder, Operand};
     use epic_interp::{diff_test, run, Input};
 
     /// Builds the full pre-ICBM pipeline shape by hand: an FRP-converted,
@@ -357,32 +376,19 @@ mod tests {
     #[test]
     fn observer_sees_every_phase_in_order() {
         let mut g = motion_refusal();
-        let reason = crate::Skip::SpeculativeOnTrace.counter();
-        let before = reason.value();
         let mut phases = Vec::new();
         let stats = apply_icbm_observed(&mut g, &Profile::new(), &refusal_cfg(), |phase, _| {
             phases.push(phase);
             Ok::<(), ()>(())
         })
         .unwrap();
-        assert!(stats.skipped > 0, "{stats:?}");
-        assert!(phases.contains(&"rollback"), "{phases:?}");
-        // speculate, (restructure, motion|rollback)*, dce-final
-        assert_eq!(phases.first(), Some(&"speculate"), "{phases:?}");
-        assert_eq!(phases.last(), Some(&"dce-final"), "{phases:?}");
-        let middle = &phases[1..phases.len() - 1];
-        assert_eq!(middle.len() % 2, 0, "{phases:?}");
-        for pair in middle.chunks(2) {
-            assert_eq!(pair[0], "restructure", "{phases:?}");
-            assert!(matches!(pair[1], "motion" | "rollback"), "{phases:?}");
-        }
-        let rollbacks = middle.iter().filter(|&&p| p == "rollback").count();
-        let motions = middle.iter().filter(|&&p| p == "motion").count();
-        assert_eq!(motions, stats.cpr_blocks);
-        assert!(rollbacks <= stats.skipped);
-        // The counter is process-wide, so concurrent tests may add to it,
-        // never take from it.
-        assert!(reason.value() - before >= rollbacks as u64, "rollback reason");
+        assert_eq!((stats.cpr_blocks, stats.skipped), (0, 1), "{stats:?}");
+        // The one CPR block restructures, motion refuses to run the
+        // live-out definition between its branches speculatively, and the
+        // rollback carries that refusal.
+        use IcbmPhase::*;
+        let rollback = Rollback(Skip::SpeculativeOnTrace);
+        assert_eq!(phases, [Speculate, Restructure, rollback, DceFinal]);
     }
 
     #[test]
@@ -391,14 +397,14 @@ mod tests {
         let mut phases = Vec::new();
         let err = apply_icbm_observed(&mut g, &Profile::new(), &refusal_cfg(), |phase, _| {
             phases.push(phase);
-            if phase == "restructure" {
-                Err(phase)
+            if phase == IcbmPhase::Restructure {
+                Err(phase.name())
             } else {
                 Ok(())
             }
         });
         assert_eq!(err, Err("restructure"));
-        assert_eq!(phases, ["speculate", "restructure"]);
+        assert_eq!(phases, [IcbmPhase::Speculate, IcbmPhase::Restructure]);
     }
 
     #[test]

@@ -19,12 +19,13 @@
 //! removed: the code is *redundant*, with Θ(n²) inserted compares, which is
 //! exactly the trade-off ICBM was designed to avoid.
 
+use epic_analysis::GlobalLiveness;
 use epic_ir::{
     BlockId, Dest, Function, Op, Opcode, Operand, PredAction, Profile,
 };
 
 use crate::config::CprConfig;
-use crate::matching::match_cpr_blocks;
+use crate::matching::{hot_hyperblocks, match_cpr_blocks};
 
 /// Statistics from one [`apply_full_cpr`] run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -41,12 +42,14 @@ pub struct FullCprStats {
 /// as ICBM (separability is stricter than full CPR strictly needs, which
 /// only makes the comparison conservative in ICBM's favor on code where
 /// both apply).
+#[allow(clippy::disallowed_methods)]
 pub fn apply_full_cpr(func: &mut Function, profile: &Profile, cfg: &CprConfig) -> FullCprStats {
     let mut stats = FullCprStats::default();
     if cfg.speculate {
         // Same preparation as ICBM: without speculation, separability fails
-        // at almost every FRP-converted block (§5.1).
-        crate::speculate(func);
+        // at almost every FRP-converted block (§5.1). Nothing after it
+        // reads liveness, so the context is dropped unrepaired.
+        crate::speculate(func, &GlobalLiveness::compute(func));
     }
     let uniform = CprConfig {
         exit_weight_threshold: f64::INFINITY,
@@ -55,21 +58,7 @@ pub fn apply_full_cpr(func: &mut Function, profile: &Profile, cfg: &CprConfig) -
         enable_taken_variation: false,
         ..*cfg
     };
-    let hyperblocks: Vec<BlockId> = func
-        .layout
-        .iter()
-        .copied()
-        .filter(|&b| {
-            let n = func
-                .block(b)
-                .ops
-                .iter()
-                .filter(|o| o.opcode == Opcode::Branch && o.guard.is_some())
-                .count();
-            n >= 2 && profile.entry_count(b) >= cfg.min_entry_count
-        })
-        .collect();
-    for hb in hyperblocks {
+    for hb in hot_hyperblocks(func, profile, cfg) {
         let blocks = match_cpr_blocks(&func.block(hb).ops, profile, &uniform, func.mem_classes());
         for chain in &blocks {
             if !chain.is_nontrivial() {

@@ -67,7 +67,11 @@ mod speculate;
 
 pub use config::CprConfig;
 pub use dce::dce;
-pub use driver::{apply_icbm, apply_icbm_observed, IcbmStats};
+/// One DCE pass, exported so the liveness property test can check the
+/// context between passes.
+#[doc(hidden)]
+pub use dce::dce_pass;
+pub use driver::{apply_icbm, apply_icbm_observed, IcbmPhase, IcbmStats};
 pub use fullcpr::{apply_full_cpr, FullCprStats};
 pub use matching::{match_cpr_blocks, CprBlock};
 pub use motion::off_trace_motion;

@@ -18,9 +18,24 @@
 //!   joins the block as its final branch and flags the *taken variation*.
 
 use epic_analysis::{DepGraph, DepKind, PredDef, PredReaching};
-use epic_ir::{FxHashSet, Op, OpId, Opcode, PredActionKind, PredReg, Profile};
+use epic_ir::{BlockId, Function, FxHashSet, Op, OpId, Opcode, PredActionKind, PredReg, Profile};
 
 use crate::config::CprConfig;
+
+/// The hyperblocks of `func` that CPR considers, in layout order: at least
+/// two conditional branches and an entry count of at least
+/// `cfg.min_entry_count`.
+pub(crate) fn hot_hyperblocks(func: &Function, profile: &Profile, cfg: &CprConfig) -> Vec<BlockId> {
+    let conditional_branches =
+        |b| func.block(b).ops.iter().filter(|o| o.opcode == Opcode::Branch && o.guard.is_some());
+    func.layout
+        .iter()
+        .copied()
+        .filter(|&b| {
+            conditional_branches(b).count() >= 2 && profile.entry_count(b) >= cfg.min_entry_count
+        })
+        .collect()
+}
 
 /// One CPR block: a run of consecutive branches of a hyperblock, identified
 /// by stable operation ids (positions shift as earlier blocks restructure).

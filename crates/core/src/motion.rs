@@ -28,8 +28,8 @@ use crate::skip::Skip;
 /// Applies off-trace motion for one restructured CPR block.
 ///
 /// `global` must reflect `func` *after* [`restructure`](crate::restructure)
-/// ran for `r` (the driver keeps an [`epic_analysis::IncrementalLiveness`]
-/// cache current instead of recomputing liveness per CPR block).
+/// ran for `r` (the driver [`repair`](GlobalLiveness::repair)s its one
+/// liveness context instead of recomputing liveness per CPR block).
 ///
 /// Returns the [`Skip`] reason (leaving the function in its
 /// restructured-but-unmoved — still correct — state) when a legality check
@@ -424,6 +424,7 @@ pub fn off_trace_motion(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::config::CprConfig;

@@ -70,9 +70,8 @@ pub struct Restructured {
 impl Restructured {
     /// The blocks whose ops restructure (and the subsequent off-trace
     /// motion) edit: exactly the transformed hyperblock and its compensation
-    /// block. This is the invalidation set an
-    /// [`epic_analysis::IncrementalLiveness`] cache must repair after each
-    /// phase.
+    /// block. This is the set a [`GlobalLiveness`] context must
+    /// [`repair`](GlobalLiveness::repair) after each phase.
     pub fn touched_blocks(&self) -> [BlockId; 2] {
         [self.block, self.comp]
     }
@@ -358,6 +357,7 @@ pub fn restructure(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::config::CprConfig;

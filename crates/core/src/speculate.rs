@@ -33,17 +33,24 @@ pub struct SpeculationStats {
     pub demoted: usize,
 }
 
-/// Runs predicate speculation over every block of `func`.
-pub fn speculate(func: &mut Function) -> SpeculationStats {
-    let global = GlobalLiveness::compute(func);
+/// Runs predicate speculation over every block of `func`, reading `live`,
+/// the pre-speculation solution, for every block. Returns the counters and
+/// the blocks whose ops it changed; `live` is stale for exactly those until
+/// the caller [`repair`](GlobalLiveness::repair)s it.
+pub fn speculate(func: &mut Function, live: &GlobalLiveness) -> (SpeculationStats, Vec<BlockId>) {
     let blocks: Vec<BlockId> = func.layout.clone();
     let mut stats = SpeculationStats::default();
+    let mut changed = Vec::new();
     for b in blocks {
-        let s = speculate_block(func, b, &global);
+        let s = speculate_block(func, b, live);
+        // Every promotion is either kept or demoted.
+        if s.promoted + s.demoted > 0 {
+            changed.push(b);
+        }
         stats.promoted += s.promoted;
         stats.demoted += s.demoted;
     }
-    stats
+    (stats, changed)
 }
 
 fn eligible(op: &epic_ir::Op) -> bool {
@@ -167,10 +174,17 @@ fn speculate_block(func: &mut Function, block: BlockId, global: &GlobalLiveness)
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use epic_ir::{CmpCond, FunctionBuilder, Operand};
     use epic_interp::{diff_test, Input};
+
+    /// Speculates `f` against a fresh liveness context.
+    fn spec(f: &mut Function) -> SpeculationStats {
+        let live = GlobalLiveness::compute(f);
+        speculate(f, &live).0
+    }
 
     /// FRP-converted two-branch chain where the second compare's source is
     /// a load guarded by the first fall-through FRP.
@@ -203,7 +217,7 @@ mod tests {
     #[test]
     fn promotes_loads_and_address_arithmetic() {
         let (mut f, _a, sb) = frp_block();
-        let stats = speculate(&mut f);
+        let stats = spec(&mut f);
         assert!(stats.promoted >= 2, "{stats:?}");
         let ops = &f.block(sb).ops;
         // The add and the second load are promoted to T; the store stays
@@ -225,7 +239,7 @@ mod tests {
     fn speculation_preserves_semantics() {
         let (f, a, _sb) = frp_block();
         let mut g = f.clone();
-        speculate(&mut g);
+        spec(&mut g);
         for image in [vec![0i64, 9], vec![3, 0], vec![3, 4]] {
             let input = Input::new().memory_size(16).with_memory(0, &image).with_reg(a, 0);
             diff_test(&f, &g, &input).unwrap();
@@ -252,7 +266,7 @@ mod tests {
         let mut f = fb.finish();
         let idx = 2; // the guarded mov
         assert_eq!(f.block(sb).ops[idx].guard, Some(p));
-        speculate(&mut f);
+        spec(&mut f);
         assert_eq!(
             f.block(sb).ops[idx].guard,
             Some(p),
@@ -280,7 +294,7 @@ mod tests {
         let mut f = fb.finish();
         let add_idx = 2;
         assert_eq!(f.block(sb).ops[add_idx].opcode, Opcode::Add);
-        let stats = speculate(&mut f);
+        let stats = spec(&mut f);
         // The add depends on x (load) just like the cmpp: est(add) ==
         // est(cmpp) < est(cmpp)+1 … so whether it demotes depends on the
         // est comparison; what must hold is that promoted+demoted is
@@ -295,11 +309,11 @@ mod tests {
     #[test]
     fn stats_add_up() {
         let (mut f, _a, _sb) = frp_block();
-        let stats = speculate(&mut f);
+        let stats = spec(&mut f);
         // demoted ops are not counted as promoted.
         let promoted_now = stats.promoted;
         let mut again = f.clone();
-        let stats2 = speculate(&mut again);
+        let stats2 = spec(&mut again);
         // A second run can only promote what is still guarded.
         assert!(stats2.promoted <= promoted_now + stats.demoted);
     }

@@ -4,6 +4,8 @@
 //! checks it — so the bug class stays fixed. See EXPERIMENTS.md ("Fuzzing
 //! the pipeline") for the workflow that produced these.
 
+#![allow(clippy::disallowed_methods)]
+
 use control_cpr::{dce, match_cpr_blocks, off_trace_motion, restructure, CprConfig, Skip};
 use epic_analysis::GlobalLiveness;
 use epic_ir::{BlockId, CmpCond, Function, FunctionBuilder, Opcode, Operand, Profile};
@@ -39,7 +41,7 @@ fn dce_keeps_def_live_only_at_mid_block_exit() {
     let f = b.finish();
 
     let mut g = f.clone();
-    dce(&mut g);
+    dce(&mut g, &mut GlobalLiveness::compute(&f));
     epic_ir::verify(&g).unwrap();
     for xv in [-1, 5] {
         let input = Input::new().memory_size(4).with_reg(x, xv);

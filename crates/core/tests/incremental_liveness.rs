@@ -1,18 +1,26 @@
-//! Property test: the incremental liveness cache the ICBM driver maintains
-//! is indistinguishable from recomputing `GlobalLiveness` from scratch
-//! after every mutation.
+//! Property tests: the one liveness context a compile keeps is
+//! indistinguishable from recomputing `GlobalLiveness` from scratch after
+//! every mutation.
 //!
-//! The test mirrors `apply_icbm`'s exact loop structure through the public
-//! phase APIs (speculate → match → restructure → off-trace motion),
-//! repairing an [`IncrementalLiveness`] with the passes' touched-block sets
-//! and comparing against a from-scratch solution at each step. Any missed
-//! invalidation — a block the passes edit but do not report — shows up as
-//! an inequality here.
+//! The tests mirror `apply_icbm`'s exact loop structure through the public
+//! phase APIs (speculate → match → restructure → off-trace motion or
+//! rollback → DCE pass by pass), and the unroll stage's (unroll, then
+//! induction flattening, per hot self-loop), repairing one
+//! [`GlobalLiveness`] with the passes' touched-block sets and comparing it
+//! against a from-scratch build at each step: both the solution and the
+//! per-block summaries a later repair solves from. Any missed invalidation
+//! — a block a pass edits but does not report — shows up as an inequality
+//! here. Each case also checks the final context against the pre-bitset
+//! `liveness::reference` oracle.
 
-use control_cpr::{match_cpr_blocks, off_trace_motion, restructure, speculate, CprConfig};
-use epic_analysis::{GlobalLiveness, IncrementalLiveness};
+#![allow(clippy::disallowed_methods)]
+
+use control_cpr::{dce_pass, match_cpr_blocks, off_trace_motion, restructure, speculate, CprConfig};
+use epic_analysis::liveness::reference;
+use epic_analysis::GlobalLiveness;
 use epic_interp::{run, Input};
 use epic_ir::{BlockId, CmpCond, Function, FunctionBuilder, Operand, Reg};
+use epic_regions::{flatten_induction, unroll_hot_loops, unroll_loop};
 use proptest::prelude::*;
 
 /// An FRP-converted string-scan superblock with `links` compare/branch/store
@@ -67,6 +75,84 @@ fn training_input(a: Reg, iterations: usize) -> Input {
     Input::new().memory_size(400).with_memory(0, &image).with_reg(a, 0)
 }
 
+/// Two strcpy-style self-loops in sequence, each copying words until a
+/// zero terminator; the first loop's destination pointer is a live-out, so
+/// it stays live through the second loop. Returns the training input and
+/// both loop heads.
+fn two_loops() -> (Function, Input, [BlockId; 2]) {
+    let mut fb = FunctionBuilder::new("two_loops");
+    let heads = [fb.block("l1"), fb.block("l2")];
+    let exit = fb.block("exit");
+    let image = [7, 7, 5, 0, 0, 0, 0, 0, 3, 2, 1, 0];
+    let mut input = Input::new().memory_size(64).with_memory(0, &image);
+    for (k, &head) in heads.iter().enumerate() {
+        fb.switch_to(head);
+        let (src, dst) = (fb.reg(), fb.reg());
+        input = input.with_reg(src, 8 * k as i64).with_reg(dst, 32 + 16 * k as i64);
+        let v = fb.load(src);
+        fb.store(dst, v.into());
+        let src2 = fb.add(src.into(), Operand::Imm(1));
+        fb.mov_to(src, src2.into());
+        let dst2 = fb.add(dst.into(), Operand::Imm(1));
+        fb.mov_to(dst, dst2.into());
+        let (cont, _stop) = fb.cmpp_un_uc(CmpCond::Ne, v.into(), Operand::Imm(0));
+        fb.branch_if(cont, head);
+        if k == 0 {
+            fb.mark_live_out(dst);
+        }
+    }
+    fb.switch_to(exit);
+    fb.ret();
+    (fb.finish(), input, heads)
+}
+
+/// Checks `live` against a from-scratch build of `f`: the solution and the
+/// per-block summaries.
+fn exact(live: &GlobalLiveness, f: &Function, after: &str) -> Result<(), TestCaseError> {
+    let scratch = GlobalLiveness::compute(f);
+    prop_assert_eq!(live, &scratch, "solution diverged after {}", after);
+    prop_assert!(live.same_summaries(&scratch), "summaries diverged after {}", after);
+    Ok(())
+}
+
+/// Runs DCE to its fixed point one pass at a time, checking the context
+/// `dce_pass` repaired after each pass.
+fn dce_checked(f: &mut Function, live: &mut GlobalLiveness) -> Result<(), TestCaseError> {
+    loop {
+        let removed = dce_pass(f, live);
+        exact(live, f, "a DCE pass")?;
+        if removed == 0 {
+            return Ok(());
+        }
+    }
+}
+
+#[test]
+fn cache_matches_scratch_after_each_unroll_step() {
+    for factor in 2..=5 {
+        let (mut f, input, heads) = two_loops();
+        let mut live = GlobalLiveness::compute(&f);
+        for head in heads {
+            assert!(unroll_loop(&mut f, head, factor, &live), "factor {factor}");
+            live.repair(&f, &[head]);
+            exact(&live, &f, &format!("unrolling, factor {factor}")).unwrap();
+            flatten_induction(&mut f, head);
+            live.repair(&f, &[head]);
+            exact(&live, &f, &format!("flattening, factor {factor}")).unwrap();
+        }
+
+        // The unroll stage as the pipeline runs it: one context, built
+        // before `unroll_hot_loops`, repaired by it and handed on to DCE.
+        let (mut g, _, _) = two_loops();
+        let profile = run(&g, &input).unwrap().profile;
+        let mut live = GlobalLiveness::compute(&g);
+        assert_eq!(unroll_hot_loops(&mut g, &profile, factor, 1, &mut live), 2);
+        exact(&live, &g, &format!("unroll_hot_loops, factor {factor}")).unwrap();
+        dce_checked(&mut g, &mut live).unwrap();
+        assert_eq!(live, reference::compute(&g), "factor {factor}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -87,13 +173,22 @@ proptest! {
             ..CprConfig::default()
         };
 
-        // Mirror apply_icbm: speculate first, then one cache for the whole
-        // function, repaired per mutation.
+        // Every chain's back-edge compare has a dead `_stop` destination and
+        // nothing else is dead, so the first DCE pass only prunes it.
+        let mut pruned = f.clone();
+        let mut pruned_live = GlobalLiveness::compute(&pruned);
+        prop_assert_eq!(dce_pass(&mut pruned, &mut pruned_live), 0);
+        prop_assert!(pruned.to_string() != f.to_string(), "no cmpp destination pruned");
+        exact(&pruned_live, &pruned, "a prune-only DCE pass")?;
+
+        // Mirror apply_icbm: one context for the whole function, built
+        // before speculation and repaired per mutation.
+        let mut cache = GlobalLiveness::compute(&f);
         if cfg.speculate {
-            speculate(&mut f);
+            let (_, changed) = speculate(&mut f, &cache);
+            cache.repair(&f, &changed);
+            exact(&cache, &f, "speculate")?;
         }
-        let mut cache = IncrementalLiveness::new(&f);
-        prop_assert_eq!(cache.live(), &GlobalLiveness::compute(&f));
 
         let mut mutations = 0usize;
         let cpr_blocks = match_cpr_blocks(&f.block(sb).ops, &profile, &cfg, f.mem_classes());
@@ -101,28 +196,27 @@ proptest! {
             if !cpr.is_nontrivial() {
                 continue;
             }
-            let Ok(r) = restructure(&mut f, sb, cpr, cache.live()) else {
+            let saved_ops = f.block(sb).ops.clone();
+            let Ok(r) = restructure(&mut f, sb, cpr, &cache) else {
                 continue;
             };
             cache.repair(&f, &r.touched_blocks());
-            prop_assert_eq!(
-                cache.live(),
-                &GlobalLiveness::compute(&f),
-                "cache diverged after restructure"
-            );
+            exact(&cache, &f, "restructure")?;
             mutations += 1;
-            if off_trace_motion(&mut f, &r, cache.live()).is_ok() {
+            if off_trace_motion(&mut f, &r, &cache).is_ok() {
                 cache.repair(&f, &r.touched_blocks());
-                prop_assert_eq!(
-                    cache.live(),
-                    &GlobalLiveness::compute(&f),
-                    "cache diverged after off-trace motion"
-                );
-                mutations += 1;
+            } else {
+                f.block_mut(sb).ops = saved_ops;
+                f.layout.retain(|&b| b != r.comp);
+                cache.repair(&f, &[sb]);
             }
+            exact(&cache, &f, "off-trace motion or its rollback")?;
         }
         // The generator must actually exercise the cache: every case has a
         // non-trivial chain, so at least one restructure must land.
         prop_assert!(mutations >= 1, "no ICBM mutation fired for links={links}");
+
+        dce_checked(&mut f, &mut cache)?;
+        prop_assert_eq!(&cache, &reference::compute(&f));
     }
 }

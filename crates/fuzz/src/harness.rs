@@ -10,7 +10,8 @@
 //! or rollback, and the final DCE — so a divergence is pinned to a phase
 //! of exactly the code that ships.
 
-use control_cpr::{apply_icbm_observed, dce};
+use control_cpr::{apply_icbm_observed, dce, IcbmPhase};
+use epic_analysis::GlobalLiveness;
 use epic_interp::{diff_test, run, Input};
 use epic_ir::{verify, Function, Profile};
 use epic_machine::Machine;
@@ -174,12 +175,15 @@ pub fn check_from(src: &Function, case: &GenCase) -> Result<(), Failure> {
     cur = checked("superblock", &cur, next, &case.inputs)?;
 
     let profile = profiled(&cur, training, "unroll")?;
+    // DCE takes the context unroll repaired, as the pipeline does, so the
+    // stage runs on the same repaired context the shipped baseline does.
     let mut next = cur.clone();
-    unroll_hot_loops(&mut next, &profile, case.unroll_factor, case.trace.min_count);
+    let mut live = GlobalLiveness::compute(&next);
+    unroll_hot_loops(&mut next, &profile, case.unroll_factor, case.trace.min_count, &mut live);
     cur = checked("unroll", &cur, next, &case.inputs)?;
 
     let mut next = cur.clone();
-    dce(&mut next);
+    dce(&mut next, &mut live);
     cur = checked("dce", &cur, next, &case.inputs)?;
 
     let mut next = cur.clone();
@@ -192,7 +196,12 @@ pub fn check_from(src: &Function, case: &GenCase) -> Result<(), Failure> {
     let profile = profiled(&cur, training, "icbm")?;
     let mut prev = cur.clone();
     apply_icbm_observed(&mut cur, &profile, &case.cpr, |phase, f| {
-        prev = checked(phase, &prev, f.clone(), &case.inputs)?;
+        prev = checked(phase.name(), &prev, f.clone(), &case.inputs).map_err(|mut e| {
+            if let IcbmPhase::Rollback(skip) = phase {
+                e.detail = format!("{} (motion refused: {})", e.detail, skip.name());
+            }
+            e
+        })?;
         Ok(())
     })?;
     Ok(())

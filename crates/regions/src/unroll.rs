@@ -144,36 +144,42 @@ impl Renamer {
 ///   exits from within the body: intermediate copies simply drop the back
 ///   edge.
 ///
+/// `live` must be exact for `func`; unrolling edits only `head`, which the
+/// caller then [`repair`](GlobalLiveness::repair)s.
+///
 /// Returns `true` when the loop was unrolled; `false` when the block does
 /// not match either pattern.
-pub fn unroll_loop(func: &mut Function, head: BlockId, factor: u32) -> bool {
+pub fn unroll_loop(func: &mut Function, head: BlockId, factor: u32, live: &GlobalLiveness) -> bool {
     if factor < 2 {
         return true;
     }
-    let Some(exit_target) = func.fallthrough_of(head) else { return false };
+    let Some(exit_target) = loop_exit(func, head) else { return false };
     let ops = func.block(head).ops.clone();
-    let Some(back) = ops.last() else { return false };
-    if back.opcode != Opcode::Branch || back.branch_target() != Some(head) {
-        return false;
-    }
-    let live = GlobalLiveness::compute(func);
-    match back.guard {
-        None => unroll_top_test(func, head, factor, &ops, &live),
-        Some(guard) => unroll_bottom_test(func, head, factor, &ops, guard, exit_target, &live),
-    }
+    let exit = match ops[ops.len() - 1].guard {
+        Some(guard) => match back_edge_compare(&ops, guard) {
+            Some((def_idx, cond, action)) => Some((def_idx, cond, action, exit_target)),
+            None => return false,
+        },
+        // A top-test body must contain a conditional exit, otherwise the
+        // loop is infinite and unrolling is pointless.
+        None if ops.iter().any(|o| o.opcode == Opcode::Branch && o.guard.is_some()) => None,
+        None => return false,
+    };
+    unroll_copies(func, head, factor, &ops, exit, live);
+    true
 }
 
-fn unroll_bottom_test(
-    func: &mut Function,
-    head: BlockId,
-    factor: u32,
-    ops: &[Op],
-    guard: PredReg,
-    exit_target: BlockId,
-    live: &GlobalLiveness,
-) -> bool {
-    // Find the unique defining cmpp of the back-edge guard, with an
-    // unconditional action.
+/// The fall-through exit of `head` when it is a self-loop superblock: its
+/// last op branches back to `head` and a block follows it in the layout.
+fn loop_exit(func: &Function, head: BlockId) -> Option<BlockId> {
+    let back = func.block(head).ops.last()?;
+    let self_loop = back.opcode == Opcode::Branch && back.branch_target() == Some(head);
+    func.fallthrough_of(head).filter(|_| self_loop)
+}
+
+/// The unique defining `cmpp` of the back-edge guard, with an
+/// unconditional action: its index, condition and action.
+fn back_edge_compare(ops: &[Op], guard: PredReg) -> Option<(usize, CmpCond, PredAction)> {
     let mut def: Option<(usize, CmpCond, PredAction)> = None;
     for (i, op) in ops.iter().enumerate() {
         for d in &op.dests {
@@ -185,99 +191,81 @@ fn unroll_bottom_test(
                         {
                             def = Some((i, c, action))
                         }
-                        _ => return false, // multiple defs or non-cmpp def
+                        _ => return None, // multiple defs or non-cmpp def
                     }
                 }
             }
         }
     }
-    let Some((def_idx, cond, action)) = def else { return false };
+    def
+}
 
+/// Replaces `head`'s ops with `factor` renamed copies of `ops`.
+/// Intermediate copies drop the back edge; for a bottom-test loop, `exit`
+/// (the back-edge compare's index, condition and action, and the exit
+/// target) replaces it with an exit branch guarded by an inverted compare.
+fn unroll_copies(
+    func: &mut Function,
+    head: BlockId,
+    factor: u32,
+    ops: &[Op],
+    exit: Option<(usize, CmpCond, PredAction, BlockId)>,
+    live: &GlobalLiveness,
+) {
     let mut ren = Renamer::new(func, head, live);
     let mut new_ops: Vec<Op> = Vec::with_capacity(ops.len() * factor as usize);
     for copy in 0..factor {
         let last_copy = copy == factor - 1;
-        let exit_pred = if last_copy { None } else { Some(func.new_pred()) };
+        let exit_pred = if last_copy || exit.is_none() { None } else { Some(func.new_pred()) };
         for (i, op) in ops.iter().enumerate() {
             // Drop the back-edge pbr in intermediate copies.
             if !last_copy && op.opcode == Opcode::Pbr && op.branch_target() == Some(head) {
                 continue;
             }
             if !last_copy && i == ops.len() - 1 {
-                // The back-edge branch becomes an exit branch guarded by
-                // the inverted condition.
-                let btr = func.new_reg();
-                new_ops.push(Op {
-                    id: func.new_op_id(),
-                    opcode: Opcode::Pbr,
-                    dests: vec![Dest::Reg(btr)],
-                    srcs: vec![Operand::Label(exit_target)],
-                    guard: None,
-                });
-                new_ops.push(Op {
-                    id: func.new_op_id(),
-                    opcode: Opcode::Branch,
-                    dests: vec![],
-                    srcs: vec![Operand::Reg(btr), Operand::Label(exit_target)],
-                    guard: exit_pred,
-                });
+                if let Some((_, _, _, exit_target)) = exit {
+                    // The back-edge branch becomes an exit branch guarded by
+                    // the inverted condition.
+                    let btr = func.new_reg();
+                    new_ops.push(Op {
+                        id: func.new_op_id(),
+                        opcode: Opcode::Pbr,
+                        dests: vec![Dest::Reg(btr)],
+                        srcs: vec![Operand::Label(exit_target)],
+                        guard: None,
+                    });
+                    new_ops.push(Op {
+                        id: func.new_op_id(),
+                        opcode: Opcode::Branch,
+                        dests: vec![],
+                        srcs: vec![Operand::Reg(btr), Operand::Label(exit_target)],
+                        guard: exit_pred,
+                    });
+                }
                 continue;
             }
             let mut cloned = func.clone_op(op);
             ren.apply(func, &mut cloned, last_copy);
-            let cloned_srcs = cloned.srcs.clone();
-            let cloned_guard = cloned.guard;
-            new_ops.push(cloned);
-            if !last_copy && i == def_idx {
+            let inverted = match (exit_pred, exit) {
                 // Inverted compare right after the defining cmpp, observing
                 // the same (renamed) sources.
-                let inv_cond = match action.sense {
-                    epic_ir::PredSense::Normal => cond.invert(),
-                    epic_ir::PredSense::Complement => cond,
-                };
-                new_ops.push(Op {
+                (Some(p), Some((def_idx, cond, action, _))) if i == def_idx => Some(Op {
                     id: func.new_op_id(),
-                    opcode: Opcode::Cmpp(inv_cond),
-                    dests: vec![Dest::Pred(exit_pred.expect("intermediate"), PredAction::UN)],
-                    srcs: cloned_srcs,
-                    guard: cloned_guard,
-                });
-            }
-        }
-    }
-    func.block_mut(head).ops = new_ops;
-    true
-}
-
-fn unroll_top_test(
-    func: &mut Function,
-    head: BlockId,
-    factor: u32,
-    ops: &[Op],
-    live: &GlobalLiveness,
-) -> bool {
-    // The body must contain at least one conditional exit, otherwise the
-    // loop is infinite and unrolling is pointless.
-    if !ops.iter().any(|o| o.opcode == Opcode::Branch && o.guard.is_some()) {
-        return false;
-    }
-    let mut ren = Renamer::new(func, head, live);
-    let mut new_ops: Vec<Op> = Vec::with_capacity(ops.len() * factor as usize);
-    for copy in 0..factor {
-        let last_copy = copy == factor - 1;
-        for (i, op) in ops.iter().enumerate() {
-            let is_back_pbr = op.opcode == Opcode::Pbr && op.branch_target() == Some(head);
-            let is_back_branch = i == ops.len() - 1;
-            if !last_copy && (is_back_pbr || is_back_branch) {
-                continue;
-            }
-            let mut cloned = func.clone_op(op);
-            ren.apply(func, &mut cloned, last_copy);
+                    opcode: Opcode::Cmpp(match action.sense {
+                        epic_ir::PredSense::Normal => cond.invert(),
+                        epic_ir::PredSense::Complement => cond,
+                    }),
+                    dests: vec![Dest::Pred(p, PredAction::UN)],
+                    srcs: cloned.srcs.clone(),
+                    guard: cloned.guard,
+                }),
+                _ => None,
+            };
             new_ops.push(cloned);
+            new_ops.extend(inverted);
         }
     }
     func.block_mut(head).ops = new_ops;
-    true
 }
 
 /// Unrolls every hot self-loop superblock in `func` by `factor`.
@@ -285,11 +273,15 @@ fn unroll_top_test(
 /// A block qualifies when its entry count is at least `min_count` and it
 /// matches the [`unroll_loop`] pattern. Returns the number of loops
 /// unrolled.
+///
+/// `live` must be exact for `func`; it is repaired after every loop, so it
+/// is still exact on return.
 pub fn unroll_hot_loops(
     func: &mut Function,
     profile: &epic_ir::Profile,
     factor: u32,
     min_count: u64,
+    live: &mut GlobalLiveness,
 ) -> usize {
     let candidates: Vec<BlockId> = func
         .layout
@@ -299,22 +291,30 @@ pub fn unroll_hot_loops(
         .collect();
     let mut n = 0;
     for b in candidates {
-        if unroll_loop(func, b, factor) && factor >= 2 {
+        if unroll_loop(func, b, factor, live) && factor >= 2 {
             // unroll_loop returns true for factor<2 too; only count real work
             if func.block(b).branch_count() >= factor as usize {
                 crate::flatten_induction(func, b);
                 n += 1;
             }
+            live.repair(func, &[b]);
         }
     }
     n
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use epic_ir::FunctionBuilder;
     use epic_interp::{diff_test, run, Input};
+
+    /// Unrolls the loop at `head` against a fresh liveness context.
+    fn unroll(f: &mut Function, head: BlockId, factor: u32) -> bool {
+        let live = GlobalLiveness::compute(f);
+        unroll_loop(f, head, factor, &live)
+    }
 
     /// strcpy-style loop: copy words from src (reg a) to dst (reg b2)
     /// until a zero terminator.
@@ -351,7 +351,7 @@ mod tests {
         for factor in [2u32, 4, 8] {
             let (f, a, d, head) = strcpy_loop();
             let mut u = f.clone();
-            assert!(unroll_loop(&mut u, head, factor), "factor {factor}");
+            assert!(unroll(&mut u, head, factor), "factor {factor}");
             epic_ir::verify(&u).unwrap();
             diff_test(&f, &u, &strcpy_input(a, d)).unwrap();
             // Exactly `factor` branches in the unrolled body.
@@ -363,7 +363,7 @@ mod tests {
     fn unrolled_loop_executes_fewer_branch_fetches_per_element() {
         let (f, a, d, head) = strcpy_loop();
         let mut u = f.clone();
-        unroll_loop(&mut u, head, 4);
+        unroll(&mut u, head, 4);
         let base = run(&f, &strcpy_input(a, d)).unwrap();
         let unrolled = run(&u, &strcpy_input(a, d)).unwrap();
         assert_eq!(
@@ -378,7 +378,7 @@ mod tests {
     fn factor_one_is_identity() {
         let (f, _a, _d, head) = strcpy_loop();
         let mut u = f.clone();
-        assert!(unroll_loop(&mut u, head, 1));
+        assert!(unroll(&mut u, head, 1));
         assert_eq!(u.block(head).ops.len(), f.block(head).ops.len());
     }
 
@@ -389,7 +389,7 @@ mod tests {
         fb.switch_to(e);
         fb.ret();
         let mut f = fb.finish();
-        assert!(!unroll_loop(&mut f, e, 4));
+        assert!(!unroll(&mut f, e, 4));
     }
 
     #[test]
@@ -397,12 +397,15 @@ mod tests {
         let (f, a, d, head) = strcpy_loop();
         let profile = run(&f, &strcpy_input(a, d)).unwrap().profile;
         let mut u = f.clone();
-        let n = unroll_hot_loops(&mut u, &profile, 4, 1);
+        let mut live = GlobalLiveness::compute(&u);
+        let n = unroll_hot_loops(&mut u, &profile, 4, 1, &mut live);
         assert_eq!(n, 1);
         diff_test(&f, &u, &strcpy_input(a, d)).unwrap();
         // With a sky-high threshold nothing unrolls.
         let mut u2 = f.clone();
-        assert_eq!(unroll_hot_loops(&mut u2, &profile, 4, u64::MAX), 0);
+        let mut live = GlobalLiveness::compute(&u2);
+        assert_eq!(unroll_hot_loops(&mut u2, &profile, 4, u64::MAX, &mut live), 0);
+        assert_eq!(live, GlobalLiveness::compute(&u2));
         assert_eq!(u2.block(head).ops.len(), f.block(head).ops.len());
     }
 }

@@ -8,6 +8,7 @@
 //! cargo run -p epic-bench --example strcpy_walkthrough
 //! ```
 
+use epic_analysis::GlobalLiveness;
 use epic_bench::PipelineConfig;
 use epic_machine::Machine;
 use epic_perf::profile_and_count;
@@ -29,8 +30,9 @@ fn main() {
     let (p0, _) = profile_and_count(&w.func, &w.training).expect("profiles");
     let mut unrolled = form_superblocks(&w.func, &p0, &cfg.trace);
     let (p1, _) = profile_and_count(&unrolled, &w.training).expect("profiles");
-    unroll_hot_loops(&mut unrolled, &p1, 4, cfg.trace.min_count);
-    control_cpr::dce(&mut unrolled);
+    let mut live = GlobalLiveness::compute(&unrolled);
+    unroll_hot_loops(&mut unrolled, &p1, 4, cfg.trace.min_count, &mut live);
+    control_cpr::dce(&mut unrolled, &mut live);
     let (profile, _) = profile_and_count(&unrolled, &w.training).expect("profiles");
     let loop_blk = hot_block(&unrolled, &profile);
     println!("=== unrolled loop (Figure 6(b) analogue) ===");
@@ -45,7 +47,7 @@ fn main() {
 
     // --- predicate speculation (Figure 7(a)) ---
     let mut spec = frp.clone();
-    let s = control_cpr::speculate(&mut spec);
+    let (s, _) = control_cpr::speculate(&mut spec, &GlobalLiveness::compute(&frp));
     println!("=== after predicate speculation: {s:?} ===");
     println!("{}", spec.block(loop_blk));
 

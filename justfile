@@ -1,13 +1,16 @@
 # Project task runner. `just --list` shows recipes.
 
 # Full pre-merge gate: release build, tests, clippy and rustdoc clean,
-# fuzz corpus, compile-server smoke, event-server load smoke,
-# observability smoke, schedule validation, perf gate.
+# perfbench build, fuzz corpus, compile-server smoke, event-server load
+# smoke, observability smoke, schedule validation, perf gate.
 bench-check: fuzz-smoke riscfe-check serve-smoke serve-bench obs-smoke sched-check perf-check tune-smoke
     cargo build --release
     cargo test -q
     cargo clippy --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+    # perfbench is its own workspace, so nothing above compiles it; build
+    # it into the directory perfbench/run.py uses.
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir .bench_build
 
 # Performance gate: serial table2 (one warmup, min of 3 runs) must stay
 # within 25% of the committed BENCH_table2.json snapshot; a snapshot that

@@ -122,7 +122,8 @@ fn full_cpr_correctness_across_suite() {
         frp_convert(&mut red);
         let (bp, _) = profile_and_count(&c.baseline, &w.training).unwrap();
         apply_full_cpr(&mut red, &bp, &CprConfig::default());
-        control_cpr::dce(&mut red);
+        let mut live = epic_analysis::GlobalLiveness::compute(&red);
+        control_cpr::dce(&mut red, &mut live);
         epic_ir::verify(&red).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         for input in std::iter::once(&w.training).chain(&w.evaluation) {
             diff_test(&w.func, &red, input).unwrap_or_else(|e| panic!("{}: {e}", w.name));

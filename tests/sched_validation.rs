@@ -9,6 +9,7 @@
 //! and the checker must kill every seeded schedule mutation.
 
 use control_cpr::{apply_icbm, dce};
+use epic_analysis::GlobalLiveness;
 use epic_bench::{compile, PipelineConfig};
 use epic_ir::Function;
 use epic_machine::{Frontend, Machine};
@@ -54,8 +55,9 @@ fn every_pipeline_stage_schedules_validly() {
         let (p1, _) = profile_and_count(&sb, &w.training)
             .unwrap_or_else(|t| panic!("{name}: superblock trap: {t}"));
         let mut base = sb.clone();
-        unroll_hot_loops(&mut base, &p1, w.unroll, cfg.trace.min_count);
-        dce(&mut base);
+        let mut live = GlobalLiveness::compute(&base);
+        unroll_hot_loops(&mut base, &p1, w.unroll, cfg.trace.min_count, &mut live);
+        dce(&mut base, &mut live);
         assert_valid(name, "unroll", &base);
 
         let (bp, _) = profile_and_count(&base, &w.training)
