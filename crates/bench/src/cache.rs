@@ -31,7 +31,6 @@ use control_cpr::IcbmStats;
 use epic_ir::{BlockId, Function, OpId, Profile};
 use epic_perf::OpCounts;
 
-use crate::error::CompileError;
 use crate::json::Json;
 use crate::timing::json_string;
 
@@ -328,11 +327,11 @@ impl CompileCache {
     /// # Errors
     ///
     /// Whatever `compute` returns.
-    pub fn get_or_compute(
+    pub fn get_or_compute<E>(
         &self,
         key: CacheKey,
-        compute: impl FnOnce() -> Result<StageArtifact, CompileError>,
-    ) -> Result<CacheOutcome, CompileError> {
+        compute: impl FnOnce() -> Result<StageArtifact, E>,
+    ) -> Result<CacheOutcome, E> {
         let _probe = epic_obs::Span::enter(key.stage, "cache");
         let mut compute = Some(compute);
         loop {
@@ -669,6 +668,7 @@ pub fn artifact_from_json(text: &str) -> Result<StageArtifact, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CompileError;
     use crate::timing::stage;
 
     fn sample_func() -> Function {
@@ -684,7 +684,7 @@ mod tests {
         let cache = CompileCache::new();
         let f = sample_func();
         let fp = f.fingerprint();
-        let make = || Ok(StageArtifact::Func(sample_func()));
+        let make = || Ok::<_, CompileError>(StageArtifact::Func(sample_func()));
         let first = cache.get_or_compute(key(1), make).unwrap();
         assert!(!first.hit);
         let second = cache.get_or_compute(key(1), make).unwrap();
@@ -698,7 +698,7 @@ mod tests {
     #[test]
     fn distinct_stage_or_config_is_a_distinct_entry() {
         let cache = CompileCache::new();
-        let make = || Ok(StageArtifact::Func(sample_func()));
+        let make = || Ok::<_, CompileError>(StageArtifact::Func(sample_func()));
         cache.get_or_compute(key(1), make).unwrap();
         let other_cfg = CacheKey { config: 8, ..key(1) };
         assert!(!cache.get_or_compute(other_cfg, make).unwrap().hit);
@@ -711,7 +711,7 @@ mod tests {
     fn fifo_eviction_bounds_residency() {
         // One shard gives the exact global FIFO bound.
         let cache = CompileCache::with_capacity_and_shards(2, 1);
-        let make = || Ok(StageArtifact::Func(sample_func()));
+        let make = || Ok::<_, CompileError>(StageArtifact::Func(sample_func()));
         for n in 0..3 {
             cache.get_or_compute(key(n), make).unwrap();
         }
@@ -726,7 +726,7 @@ mod tests {
     #[test]
     fn sharded_eviction_bounds_total_residency() {
         let cache = CompileCache::with_capacity_and_shards(16, 4);
-        let make = || Ok(StageArtifact::Func(sample_func()));
+        let make = || Ok::<_, CompileError>(StageArtifact::Func(sample_func()));
         for n in 0..64 {
             cache.get_or_compute(key(n), make).unwrap();
         }
@@ -779,7 +779,7 @@ mod tests {
                         let fp = if n % 2 == 0 { n } else { t * 1000 + n };
                         let out = cache
                             .get_or_compute(key(fp), || {
-                                Ok(StageArtifact::Func(sample_func()))
+                                Ok::<_, CompileError>(StageArtifact::Func(sample_func()))
                             })
                             .unwrap();
                         assert!(StdArc::strong_count(&out.artifact) >= 1);
@@ -823,7 +823,7 @@ mod tests {
                                 spins += 1;
                                 assert!(spins < 1_000_000_000, "waiters never arrived");
                             }
-                            Ok(StageArtifact::Func(sample_func()))
+                            Ok::<_, CompileError>(StageArtifact::Func(sample_func()))
                         })
                         .unwrap();
                     assert!(Arc::strong_count(&out.artifact) >= 1);
@@ -862,7 +862,7 @@ mod tests {
         let waiter = {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
-                cache.get_or_compute(key(5), || Ok(StageArtifact::Func(sample_func())))
+                cache.get_or_compute(key(5), || Ok::<_, CompileError>(StageArtifact::Func(sample_func())))
             })
         };
         // Release the leader once the waiter is blocked on the flight.
@@ -892,7 +892,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.entries), (1, 0));
         let ok = cache
-            .get_or_compute(key(9), || Ok(StageArtifact::Func(sample_func())))
+            .get_or_compute(key(9), || Ok::<_, CompileError>(StageArtifact::Func(sample_func())))
             .unwrap();
         assert!(!ok.hit);
     }

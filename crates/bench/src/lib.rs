@@ -26,10 +26,10 @@ pub use compile::{check_equivalence, compile, compile_cached, Compiled, Pipeline
 pub use error::CompileError;
 pub use json::{Json, JsonError};
 pub use knobs::{ConfigDelta, KnobError, KnobKind, KnobSpace, KnobSpec, KnobValue, TunedConfig};
-pub use pipeline::Pipeline;
+pub use pipeline::{Pipeline, Step};
 pub use schedules::{
     check_all_schedules, check_pair_schedules, check_workload_schedules,
-    take_check_schedules_flag,
+    take_check_schedules_flag, validated_schedule,
 };
 pub use tables::{
     cycle_speedup, meld_matrix, meld_matrix_configs, meld_matrix_machines, render_meld_matrix,

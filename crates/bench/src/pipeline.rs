@@ -8,8 +8,14 @@
 //! helper; unrolling and ICBM also measure their output, so they produce
 //! richer artifacts.
 //!
+//! [`Pipeline::run_observed`] is the same run with an observer that sees
+//! the function after every stage and every ICBM phase ([`Step`]). The
+//! fuzz harness, `inspect` and the stage-by-stage schedule test check the
+//! code that ships through it instead of keeping their own copy of the
+//! stage sequence.
+//!
 //! Attach a [`CompileCache`] with [`Pipeline::with_cache`] and every
-//! stage except FRP first consults the cache under
+//! stage first consults the cache under
 //! `(input fingerprint, stage, stage-config hash)`; without a cache the
 //! stages compute directly, with bit-identical results.
 //!
@@ -27,16 +33,19 @@
 //! has passed the compile fails with [`CompileError::Deadline`]. Errors
 //! are never cached, so an expired compile leaves no trace in the cache.
 //!
-//! The FRP stage is deliberately *not* memoized: `frp_convert` preserves
-//! operation ids so the baseline's profile stays valid for the ICBM
-//! heuristics, and serving its output from a cache (whose artifacts may
-//! carry renumbered ids after a disk round trip) would silently break that
-//! id agreement. It is also the cheapest stage — no profiling run.
+//! FRP conversion is not a cached stage of its own: it runs inside the
+//! ICBM stage's compute, on a copy of the baseline, so an ICBM hit does no
+//! FRP work and records no `frp-convert` timing (the hit's record counts
+//! the baseline's ops as its input). Caching its output separately would
+//! be unsound: `frp_convert` preserves operation ids so the baseline's
+//! profile stays valid for the ICBM heuristics, and a cached copy (whose
+//! ids may be renumbered after a disk round trip) would silently break
+//! that id agreement.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use control_cpr::apply_icbm_observed;
+use control_cpr::{apply_icbm_observed, IcbmPhase};
 use epic_analysis::GlobalLiveness;
 use epic_interp::Input;
 use epic_ir::{combine_hashes, Function, Profile};
@@ -72,6 +81,30 @@ impl PipelineConfig {
             optional(self.if_convert.is_some(), stage::IF_CONVERT),
             optional(self.meld.is_some(), stage::MELD),
         ])
+    }
+}
+
+/// A point at which [`Pipeline::run_observed`] shows the function to its
+/// observer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// The output of the [`stage`] so named: if-convert, meld,
+    /// superblock, unroll (before its DCE) or frp-convert.
+    Stage(&'static str),
+    /// The finished baseline: the unrolled function after its DCE.
+    BaselineDce,
+    /// The output of one ICBM phase.
+    Icbm(IcbmPhase),
+}
+
+impl Step {
+    /// The step's name: the stage name, `"dce"`, or the phase name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Step::Stage(name) => name,
+            Step::BaselineDce => "dce",
+            Step::Icbm(phase) => phase.name(),
+        }
     }
 }
 
@@ -139,7 +172,25 @@ impl<'a> Pipeline<'a> {
     ///
     /// A profiling trap, or [`CompileError::Deadline`] once the deadline
     /// has passed.
-    pub fn run(mut self) -> Result<Compiled, CompileError> {
+    pub fn run(self) -> Result<Compiled, CompileError> {
+        self.run_observed(|_, _| Ok(()))
+    }
+
+    /// [`Pipeline::run`], handing the function to `after` once each step
+    /// the compile computes has produced it: if-convert and meld (when
+    /// enabled), superblock, unroll, the baseline DCE, frp-convert, then
+    /// every [`IcbmPhase`] (see [`control_cpr::apply_icbm_observed`]). A
+    /// stage served from the cache computes nothing and is not observed,
+    /// so an observer that must see every step runs without a cache.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::run`], plus the first error `after` returns; the
+    /// compile stops there.
+    pub fn run_observed<E: From<CompileError>>(
+        mut self,
+        mut after: impl FnMut(Step, &Function) -> Result<(), E>,
+    ) -> Result<Compiled, E> {
         let cfg = self.cfg;
         let mut source = self.func.clone();
         let mut source_fp = self.fingerprint(&source);
@@ -147,7 +198,7 @@ impl<'a> Pipeline<'a> {
         // runs without traditional if-conversion or melding).
         if let Some(ic) = &cfg.if_convert {
             let stages = (stage::IF_CONVERT, stage::PROFILE_IF_CONVERT);
-            source = self.transform(&source, source_fp, stages, |f, p| {
+            source = self.transform(&source, source_fp, stages, &mut after, |f, p| {
                 let mut out = f.clone();
                 if_convert(&mut out, p, ic);
                 out
@@ -156,7 +207,7 @@ impl<'a> Pipeline<'a> {
         }
         if let Some(mc) = &cfg.meld {
             let stages = (stage::MELD, stage::PROFILE_MELD);
-            source = self.transform(&source, source_fp, stages, |f, p| {
+            source = self.transform(&source, source_fp, stages, &mut after, |f, p| {
                 let mut out = f.clone();
                 meld(&mut out, p, mc);
                 out
@@ -164,7 +215,7 @@ impl<'a> Pipeline<'a> {
             source_fp = self.fingerprint(&source);
         }
         let stages = (stage::SUPERBLOCK, stage::PROFILE_TRACE);
-        let sb = self.transform(&source, source_fp, stages, |f, p| {
+        let sb = self.transform(&source, source_fp, stages, &mut after, |f, p| {
             form_superblocks(f, p, &cfg.trace)
         })?;
 
@@ -176,7 +227,7 @@ impl<'a> Pipeline<'a> {
             config: cfg.stage_hash(stage::UNROLL, &[self.unroll as u64]),
         };
         let (training, unroll) = (self.training, self.unroll);
-        let artifact = self.stage(key, sb.static_op_count(), |tm| {
+        let artifact = self.stage::<E>(key, sb.static_op_count(), |tm| {
             let mut base = sb.clone();
             let n = base.static_op_count();
             let t0 = Instant::now();
@@ -186,11 +237,13 @@ impl<'a> Pipeline<'a> {
             let t0 = Instant::now();
             let mut live = GlobalLiveness::compute(&base);
             unroll_hot_loops(&mut base, &p1, unroll, cfg.trace.min_count, &mut live);
+            after(Step::Stage(stage::UNROLL), &base)?;
             // Clean the baseline too (fair comparison: the optimized side
             // gets a DCE pass as part of ICBM), reusing unroll's repaired
             // liveness context.
             control_cpr::dce(&mut base, &mut live);
             tm.push(stage::UNROLL, t0.elapsed(), n, base.static_op_count());
+            after(Step::BaselineDce, &base)?;
             let n = base.static_op_count();
             let t0 = Instant::now();
             let (profile, counts) = profile_and_count(&base, training)
@@ -204,38 +257,35 @@ impl<'a> Pipeline<'a> {
             unreachable!("unroll stage artifacts are always Baseline");
         };
 
-        // FRP-convert a copy of the baseline. Always computed, never
-        // cached — see the module docs.
-        let n = base.static_op_count();
-        let mut opt = base.clone();
-        let t0 = Instant::now();
-        frp_convert(&mut opt);
-        self.timings.push(stage::FRP_CONVERT, t0.elapsed(), n, opt.static_op_count());
-
-        // ICBM, keyed on the *baseline*, not the FRP copy: `frp_convert` is
-        // a deterministic function of the baseline, but its fresh predicate
-        // and op ids depend on the in-process id space, so hashing the copy
-        // itself would make keys differ across processes (and defeat the
-        // disk layer). The Optimized artifact is self-contained — function,
-        // stats, profile, counts — so serving it against a
-        // differently-numbered FRP copy is sound.
+        // FRP conversion and ICBM, keyed on the *baseline*, not the FRP
+        // copy: `frp_convert` is a deterministic function of the baseline,
+        // but its fresh predicate and op ids depend on the in-process id
+        // space, so hashing the copy itself would make keys differ across
+        // processes (and defeat the disk layer). The Optimized artifact is
+        // self-contained — function, stats, profile, counts — so a hit
+        // needs no FRP copy at all.
         let key = CacheKey {
             input_fp: self.fingerprint(base),
             stage: stage::ICBM,
             config: cfg.stage_hash(stage::ICBM, &[]),
         };
         let deadline = self.deadline;
-        let artifact = self.stage(key, opt.static_op_count(), |tm| {
-            // FRP conversion preserves block and branch ids, so the
-            // baseline profile remains valid for the ICBM heuristics.
-            let mut opt = opt.clone();
+        let artifact = self.stage::<E>(key, base.static_op_count(), |tm| {
+            let mut opt = base.clone();
             let n = opt.static_op_count();
             let t0 = Instant::now();
-            let stats = apply_icbm_observed(&mut opt, base_profile, &cfg.cpr, |_, _| {
+            frp_convert(&mut opt);
+            tm.push(stage::FRP_CONVERT, t0.elapsed(), n, opt.static_op_count());
+            after(Step::Stage(stage::FRP_CONVERT), &opt)?;
+            // FRP conversion preserves block and branch ids, so the
+            // baseline profile remains valid for the ICBM heuristics.
+            let n = opt.static_op_count();
+            let t0 = Instant::now();
+            let stats = apply_icbm_observed(&mut opt, base_profile, &cfg.cpr, |phase, f| {
                 if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Err(CompileError::Deadline { stage: stage::ICBM });
+                    return Err(CompileError::Deadline { stage: stage::ICBM }.into());
                 }
-                Ok(())
+                after(Step::Icbm(phase), f)
             })?;
             tm.push(stage::ICBM, t0.elapsed(), n, opt.static_op_count());
             let n = opt.static_op_count();
@@ -270,17 +320,19 @@ impl<'a> Pipeline<'a> {
 
     /// A "profile, then transform" stage (if-convert, meld, superblock):
     /// profiles `src` on the training input, timed as `profile_stage`,
-    /// then runs `pass` on it, timed as `name`.
-    fn transform(
+    /// then runs `pass` on it, timed as `name`, and shows the output to
+    /// `after`.
+    fn transform<E: From<CompileError>>(
         &mut self,
         src: &Function,
         input_fp: u64,
         (name, profile_stage): (&'static str, &'static str),
+        after: &mut impl FnMut(Step, &Function) -> Result<(), E>,
         pass: impl FnOnce(&Function, &Profile) -> Function,
-    ) -> Result<Function, CompileError> {
+    ) -> Result<Function, E> {
         let key = CacheKey { input_fp, stage: name, config: self.cfg.stage_hash(name, &[]) };
         let training = self.training;
-        let artifact = self.stage(key, src.static_op_count(), |tm| {
+        let artifact = self.stage::<E>(key, src.static_op_count(), |tm| {
             let n = src.static_op_count();
             let t0 = Instant::now();
             let (p, _) = profile_and_count(src, training)
@@ -289,6 +341,7 @@ impl<'a> Pipeline<'a> {
             let t0 = Instant::now();
             let out = pass(src, &p);
             tm.push(name, t0.elapsed(), n, out.static_op_count());
+            after(Step::Stage(name), &out)?;
             Ok(StageArtifact::Func(out))
         })?;
         Ok(artifact.function().clone())
@@ -299,14 +352,14 @@ impl<'a> Pipeline<'a> {
     /// the lookup; on a miss `compute` records its own (finer-grained)
     /// entries. Fails without touching the cache once the deadline has
     /// passed.
-    fn stage(
+    fn stage<E: From<CompileError>>(
         &mut self,
         key: CacheKey,
         ops_before: usize,
-        compute: impl FnOnce(&mut PassTimings) -> Result<StageArtifact, CompileError>,
-    ) -> Result<Arc<StageArtifact>, CompileError> {
+        compute: impl FnOnce(&mut PassTimings) -> Result<StageArtifact, E>,
+    ) -> Result<Arc<StageArtifact>, E> {
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(CompileError::Deadline { stage: key.stage });
+            return Err(CompileError::Deadline { stage: key.stage }.into());
         }
         let Some(cache) = self.cache else {
             return compute(&mut self.timings).map(Arc::new);
@@ -376,6 +429,78 @@ mod tests {
         );
         // Without a cache attached there are no cache interactions.
         assert_eq!((c.cache_hits, c.cache_misses), (0, 0));
+    }
+
+    #[test]
+    fn observed_steps_are_the_functions_the_compile_returns() {
+        // The default config, and if-conversion on with a non-default
+        // sub-knob: the observer sees the stages in order, the baseline
+        // DCE's output is `Compiled::baseline` and the final ICBM DCE's is
+        // `Compiled::optimized`.
+        let if_converting = PipelineConfig {
+            if_convert: Some(IfConvertConfig { max_ops: 8, ..IfConvertConfig::default() }),
+            ..PipelineConfig::default()
+        };
+        for cfg in [PipelineConfig::default(), if_converting] {
+            let stages: Vec<&str> = (cfg.if_convert.iter().map(|_| stage::IF_CONVERT))
+                .chain([stage::SUPERBLOCK, stage::UNROLL, "dce", stage::FRP_CONVERT])
+                .collect();
+            for w in epic_workloads::all() {
+                let (mut steps, mut baseline, mut optimized) = (Vec::new(), None, None);
+                let c = Pipeline::new(&w, &cfg)
+                    .run_observed(|step, f| {
+                        match step {
+                            Step::BaselineDce => baseline = Some(f.to_string()),
+                            Step::Icbm(IcbmPhase::DceFinal) => optimized = Some(f.to_string()),
+                            _ => {}
+                        }
+                        steps.push(step);
+                        Ok::<(), CompileError>(())
+                    })
+                    .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+                let names: Vec<&str> = steps.iter().map(|s| s.name()).collect();
+                assert_eq!(names[..stages.len()], stages, "{}: {names:?}", w.name);
+                assert_eq!(steps.last(), Some(&Step::Icbm(IcbmPhase::DceFinal)), "{}", w.name);
+                assert_eq!(baseline, Some(c.baseline.to_string()), "{}", w.name);
+                assert_eq!(optimized, Some(c.optimized.to_string()), "{}", w.name);
+            }
+        }
+    }
+
+    #[test]
+    fn cache_hits_are_not_observed() {
+        let w = epic_workloads::by_name("strcpy").unwrap();
+        let cfg = PipelineConfig::default();
+        let cache = CompileCache::new();
+        crate::compile::compile_cached(&w, &cfg, &cache).unwrap();
+        let mut seen = Vec::new();
+        let c = Pipeline::new(&w, &cfg)
+            .with_cache(&cache)
+            .run_observed(|step, _| {
+                seen.push(step);
+                Ok::<(), CompileError>(())
+            })
+            .unwrap();
+        assert_eq!((c.cache_hits, c.cache_misses), (3, 0));
+        assert!(seen.is_empty(), "{seen:?}");
+        // A hit does no FRP work: the ICBM hit is the only record after
+        // the baseline, and it counts the baseline's ops as its input.
+        let stages: Vec<&str> = c.timings.stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(stages, [stage::SUPERBLOCK, stage::UNROLL, stage::ICBM]);
+        assert_eq!(c.timings.stages[2].ops_before, c.baseline.static_op_count());
+    }
+
+    #[test]
+    fn an_observer_error_stops_the_compile() {
+        let w = epic_workloads::by_name("strcpy").unwrap();
+        let cfg = PipelineConfig::default();
+        let e = Pipeline::new(&w, &cfg)
+            .run_observed(|step, _| match step {
+                Step::Stage(stage::UNROLL) => Err(CompileError::Deadline { stage: stage::UNROLL }),
+                _ => Ok(()),
+            })
+            .expect_err("the observer's error ends the run");
+        assert_eq!(e, CompileError::Deadline { stage: stage::UNROLL });
     }
 
     /// The stage keys of `p` under unroll factor 2, `None` for an optional

@@ -7,9 +7,10 @@
 //! stdout stays byte-identical whether or not the flag is passed. A
 //! violation is a compiler bug, so it panics with the full report.
 
+use epic_ir::Function;
 use epic_machine::Machine;
 use epic_perf::weighted_cycles_with;
-use epic_sched::{schedule_function, SchedOptions};
+use epic_sched::{schedule_function, SchedOptions, ScheduledFunction};
 use epic_schedcheck::{check_function, replay_cycles_with};
 use epic_workloads::Workload;
 use rayon::prelude::*;
@@ -25,6 +26,22 @@ pub fn take_check_schedules_flag(args: &mut Vec<String>) -> bool {
     args.len() != before
 }
 
+/// Schedules `func` on `m` and runs the independent validator over the
+/// schedule — the one schedule check every caller shares.
+///
+/// # Errors
+///
+/// `"on <machine>: <first violation> (<n> violations)"`.
+pub fn validated_schedule(func: &Function, m: &Machine) -> Result<ScheduledFunction, String> {
+    let opts = SchedOptions::default();
+    let sched = schedule_function(func, m, &opts);
+    let violations = check_function(func, m, &sched, &opts);
+    match violations.first() {
+        Some(v) => Err(format!("on {}: {v} ({} violations)", m.name(), violations.len())),
+        None => Ok(sched),
+    }
+}
+
 /// Validates the baseline and height-reduced schedules of one compiled
 /// workload under each of `machines`.
 ///
@@ -36,18 +53,9 @@ pub fn check_pair_schedules(
     c: &Compiled,
     machines: &[Machine],
 ) -> Result<(), String> {
-    let opts = SchedOptions::default();
     for m in machines {
         for (what, func) in [("baseline", &c.baseline), ("optimized", &c.optimized)] {
-            let sched = schedule_function(func, m, &opts);
-            let violations = check_function(func, m, &sched, &opts);
-            if let Some(v) = violations.first() {
-                return Err(format!(
-                    "{name} {what} on {}: {v} ({} violations)",
-                    m.name(),
-                    violations.len()
-                ));
-            }
+            validated_schedule(func, m).map_err(|e| format!("{name} {what} {e}"))?;
         }
     }
     Ok(())
@@ -67,14 +75,13 @@ pub fn check_workload_schedules(
     c: &Compiled,
     machines: &[Machine],
 ) -> Result<(), String> {
-    check_pair_schedules(w.name, c, machines)?;
-    let opts = SchedOptions::default();
     let sides =
         [("baseline", &c.baseline, &c.base_profile), ("optimized", &c.optimized, &c.opt_profile)];
     for m in machines {
         let fe = m.frontend();
         for (what, func, profile) in sides {
-            let sched = schedule_function(func, m, &opts);
+            let sched =
+                validated_schedule(func, m).map_err(|e| format!("{} {what} {e}", w.name))?;
             let replayed = replay_cycles_with(func, &w.training, &sched, &fe)
                 .map_err(|e| format!("{} {what} on {}: replay failed: {e}", w.name, m.name()))?;
             let estimated = weighted_cycles_with(func, profile, &sched, &fe);

@@ -20,7 +20,7 @@
 //! (stores interleave correctly with the moved exit branches).
 
 use epic_analysis::{DepGraph, DepKind, DepOptions, GlobalLiveness, PredFacts};
-use epic_ir::{Function, FxHashSet, Op, Opcode, PredReg};
+use epic_ir::{Function, FxHashMap, FxHashSet, Op, OpId, Opcode, PredReg};
 
 use crate::restructure::Restructured;
 use crate::skip::Skip;
@@ -41,9 +41,12 @@ pub fn off_trace_motion(
     r: &Restructured,
     global: &GlobalLiveness,
 ) -> Result<(), Skip> {
-    let ops: Vec<Op> = func.block(r.block).ops.clone();
+    // The legality checks only read the hyperblock; the motion below takes
+    // its ops out to rebuild them.
+    let ops = &func.block(r.block).ops;
     let n = ops.len();
-    let pos_of = |id: epic_ir::OpId| ops.iter().position(|o| o.id == id);
+    let index: FxHashMap<OpId, usize> = ops.iter().enumerate().map(|(i, o)| (o.id, i)).collect();
+    let pos_of = |id: OpId| index.get(&id).copied();
     let bypass_pos = pos_of(r.bypass).ok_or(Skip::StaleOp)?;
 
     // --- seeds: compares, moved branches, and their pbrs ---
@@ -66,13 +69,13 @@ pub fn off_trace_motion(
     let (mut facts, graph) = {
         let mut facts = {
             let _s = epic_obs::Span::enter("motion.facts", "icbm");
-            PredFacts::compute(&ops)
+            PredFacts::compute(ops)
         };
         let _s = epic_obs::Span::enter("motion.deps", "icbm");
         let dep_opts = DepOptions::for_function(func);
         // Motion only follows flow/memory edges and checks anti/output
         // hazards; the data-only build skips the control construction.
-        let graph = DepGraph::build_data(&ops, &mut facts, &dep_opts);
+        let graph = DepGraph::build_data(ops, &mut facts, &dep_opts);
         (facts, graph)
     };
 
@@ -365,6 +368,7 @@ pub fn off_trace_motion(
     }
 
     // --- perform the motion ---
+    let ops = std::mem::take(&mut func.block_mut(r.block).ops);
     let moved: FxHashSet<usize> = set1.union(&set3).copied().collect();
     let mut comp_ops: Vec<Op> = Vec::new();
     let mut on_trace_copies: Vec<Op> = Vec::new();

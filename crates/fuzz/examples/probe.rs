@@ -26,7 +26,7 @@ fn main() {
                 println!("minimized source:\n{min}");
                 println!("stage input (before):\n{}", f2.before);
             }
-            Ok(()) => println!("shrink lost the failure; original source:\n{}", case.func),
+            Ok(_) => println!("shrink lost the failure; original source:\n{}", case.func),
         }
         return;
     }

@@ -9,15 +9,16 @@
 //! cargo run --release -p epic-fuzz --bin inspect -- strcpy dump   # + code dump
 //! ```
 //!
-//! `dump` prints the height-reduced code of a passing workload, or the
-//! input of the failing stage otherwise. Each workload's line names the
-//! CPR blocks ICBM skipped, by [`Skip`] reason, and a last line sums them
-//! over the run. Exits non-zero if any workload fails.
+//! `dump` prints the height-reduced code that the checked compile of a
+//! passing workload produced, or the input of the failing stage otherwise.
+//! Each workload's line names the CPR blocks ICBM skipped, by [`Skip`]
+//! reason, and a last line sums them over the run. Exits non-zero if any
+//! workload fails.
 
 use std::time::Instant;
 
 use control_cpr::Skip;
-use epic_bench::{compile, PipelineConfig};
+use epic_bench::PipelineConfig;
 use epic_fuzz::{check_case, GenCase};
 
 /// The `icbm.skipped{reason}` counters, in [`Skip::ALL`] order.
@@ -59,10 +60,9 @@ fn main() {
         total_skips.iter_mut().zip(&skips).for_each(|(t, n)| *t += n);
         let skips = describe(&skips).map_or(String::new(), |d| format!(" (skipped: {d})"));
         match checked {
-            Ok(()) => {
+            Ok(c) => {
                 println!("{}: OK{skips}", w.name);
                 if dump {
-                    let c = compile(w, &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
                     println!("{}", c.optimized);
                 }
             }

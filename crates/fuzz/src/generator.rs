@@ -24,11 +24,9 @@
 //! designated live-out so register results are observable to the oracle
 //! even in store-free programs.
 
-use control_cpr::CprConfig;
 use epic_bench::{ConfigDelta, KnobSpace, KnobValue, PipelineConfig};
 use epic_interp::Input;
 use epic_ir::{BlockId, CmpCond, Dest, Function, FunctionBuilder, Opcode, Operand, PredReg, Reg};
-use epic_regions::{MeldConfig, TraceConfig};
 use epic_workloads::Workload;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,35 +46,53 @@ pub struct GenCase {
     /// Differential-test inputs; `inputs[0]` doubles as the training input
     /// that produces the profiles driving the profile-guided stages.
     pub inputs: Vec<Input>,
-    /// Whether the optional if-conversion stage runs for this case.
-    pub use_if_convert: bool,
-    /// Parameters for the optional melding stage; `None` skips it.
-    pub meld: Option<MeldConfig>,
-    /// Unroll factor passed to `unroll_hot_loops`.
-    pub unroll_factor: u32,
-    /// Superblock-formation parameters.
-    pub trace: TraceConfig,
-    /// ICBM parameters.
-    pub cpr: CprConfig,
+    /// The pipeline configuration the case is compiled under.
+    pub cfg: PipelineConfig,
+    /// The hot-loop unroll factor.
+    pub unroll: u32,
 }
 
 impl GenCase {
     /// The case that pushes a suite workload through the harness under
-    /// `cfg`: its training input first, then its evaluation inputs. The
-    /// optional if-conversion stage runs with default parameters when
-    /// `cfg` enables it.
+    /// `cfg`: its training input first, then its evaluation inputs.
     pub fn from_workload(w: &Workload, cfg: &PipelineConfig) -> GenCase {
         GenCase {
             seed: 0,
             func: w.func.clone(),
             inputs: std::iter::once(&w.training).chain(&w.evaluation).cloned().collect(),
-            use_if_convert: cfg.if_convert.is_some(),
-            meld: cfg.meld,
-            unroll_factor: w.unroll,
-            trace: cfg.trace,
-            cpr: cfg.cpr,
+            cfg: cfg.clone(),
+            unroll: w.unroll,
         }
     }
+}
+
+/// Samples a fuzz case's pipeline configuration and unroll factor from
+/// `rng`. Values go through the knob registry — the same named, validated
+/// assignment path the tuner and the serve override parser use — so a fuzz
+/// config can never drift outside the documented knob space. The draw
+/// order is fixed: every seed keeps yielding the same case.
+pub(crate) fn sample_config(rng: &mut StdRng) -> (PipelineConfig, u32) {
+    let space = KnobSpace::global();
+    let mut delta = ConfigDelta::new();
+    let mut knob = |name: &str, v: KnobValue| {
+        delta.set(space, name, v).unwrap_or_else(|e| panic!("fuzz config knob: {e}"))
+    };
+    let (f, u) = (KnobValue::F64, KnobValue::U64);
+    knob("trace.min_prob", f([0.5, 0.65, 0.8][rng.gen_range(0usize..3)]));
+    knob("trace.max_ops", u(400));
+    knob("trace.min_count", u([1, 2, 8][rng.gen_range(0usize..3)]));
+    knob("cpr.min_entry_count", u(1));
+    knob("cpr.exit_weight_threshold", f([0.35, 0.7, 1.0][rng.gen_range(0usize..3)]));
+    knob("cpr.enable_taken_variation", KnobValue::Bool(rng.gen_range(0u32..2) == 0));
+    knob("if_convert.enable", KnobValue::Bool(rng.gen_range(0u32..10) < 3));
+    let unroll = rng.gen_range(2u32..=4);
+    // Melding draws come *after* every older draw so older seeds keep
+    // generating the exact program and configuration they always did.
+    if rng.gen_range(0u32..10) < 3 {
+        knob("meld.enable", KnobValue::Bool(true));
+        knob("meld.max_ops", u([8, 24, 48][rng.gen_range(0usize..3)]));
+    }
+    (delta.apply(space).pipeline, unroll)
 }
 
 struct Gen {
@@ -379,58 +395,8 @@ pub fn generate(seed: u64) -> GenCase {
         })
         .collect();
 
-    // Config sampling goes through the knob registry — the same named,
-    // validated assignment path the tuner and the serve override parser
-    // use — so a fuzz config can never drift outside the documented knob
-    // space. The sampled values and RNG call order are unchanged.
-    let space = KnobSpace::global();
-    let mut delta = ConfigDelta::new();
-    let knob = |d: &mut ConfigDelta, name: &str, v: KnobValue| {
-        d.set(space, name, v).unwrap_or_else(|e| panic!("fuzz config knob: {e}"))
-    };
-    let f = KnobValue::F64;
-    let u = KnobValue::U64;
-    knob(&mut delta, "trace.min_prob", f([0.5, 0.65, 0.8][g.rng.gen_range(0usize..3)]));
-    knob(&mut delta, "trace.max_ops", u(400));
-    knob(&mut delta, "trace.min_count", u([1, 2, 8][g.rng.gen_range(0usize..3)]));
-    knob(&mut delta, "cpr.min_entry_count", u(1));
-    knob(
-        &mut delta,
-        "cpr.exit_weight_threshold",
-        f([0.35, 0.7, 1.0][g.rng.gen_range(0usize..3)]),
-    );
-    knob(
-        &mut delta,
-        "cpr.enable_taken_variation",
-        KnobValue::Bool(g.rng.gen_range(0u32..2) == 0),
-    );
-    let tuned = delta.apply(space);
-    let (trace, cpr) = (tuned.pipeline.trace, tuned.pipeline.cpr);
-
-    let use_if_convert = g.rng.gen_range(0u32..10) < 3;
-    let unroll_factor = g.rng.gen_range(2u32..=4);
-    // Melding draws come *after* every pre-existing draw so older seeds
-    // keep generating the exact program and configuration they always did;
-    // the new draws only extend the stream.
-    let meld = if g.rng.gen_range(0u32..10) < 3 {
-        let mut d = ConfigDelta::new();
-        knob(&mut d, "meld.enable", KnobValue::Bool(true));
-        knob(&mut d, "meld.max_ops", u([8, 24, 48][g.rng.gen_range(0usize..3)]));
-        d.apply(space).pipeline.meld
-    } else {
-        None
-    };
-
-    GenCase {
-        seed,
-        func,
-        inputs,
-        use_if_convert,
-        meld,
-        unroll_factor,
-        trace,
-        cpr,
-    }
+    let (cfg, unroll) = sample_config(&mut g.rng);
+    GenCase { seed, func, inputs, cfg, unroll }
 }
 
 #[cfg(test)]
@@ -443,17 +409,31 @@ mod tests {
         let a = generate(42);
         let b = generate(42);
         assert_eq!(a.func.to_string(), b.func.to_string());
-        assert_eq!(a.use_if_convert, b.use_if_convert);
-        assert_eq!(a.meld.is_some(), b.meld.is_some());
-        assert_eq!(a.meld.map(|m| m.max_ops), b.meld.map(|m| m.max_ops));
-        assert_eq!(a.unroll_factor, b.unroll_factor);
+        assert_eq!(a.cfg.config_hash(), b.cfg.config_hash());
+        assert_eq!(a.unroll, b.unroll);
+    }
+
+    #[test]
+    fn the_sampled_corpus_is_pinned() {
+        // Digest of (program text, config hash, unroll factor) over native
+        // seeds 0..256 and RISC-lite seeds 0..48, recorded before the two
+        // generators shared one sampler: a changed draw order or knob
+        // value shows up here as a different corpus.
+        let mut h = epic_ir::Fnv64::new();
+        let riscfe = (0..48).map(|seed| crate::riscfe_case(seed).1);
+        for case in (0..256).map(generate).chain(riscfe) {
+            h.write_str(&case.func.to_string());
+            h.write_u64(case.cfg.config_hash());
+            h.write_u64(u64::from(case.unroll));
+        }
+        assert_eq!(h.finish(), 0xbd45_3b7b_d526_0772);
     }
 
     #[test]
     fn meld_cases_are_sampled() {
         // Roughly 30% of cases should carry a meld config; with 64 seeds
         // both outcomes must occur.
-        let on = (0..64).filter(|&s| generate(s).meld.is_some()).count();
+        let on = (0..64).filter(|&s| generate(s).cfg.meld.is_some()).count();
         assert!(on > 0, "no melding case in 64 seeds");
         assert!(on < 64, "every case melds");
     }

@@ -1,26 +1,20 @@
 //! The per-stage differential harness.
 //!
-//! A program is pushed through the same stage sequence as the bench
-//! pipeline (`Pipeline::run` in `crates/bench/src/pipeline.rs`), but with
-//! the verifier and the differential oracle run after **every** stage
-//! against that stage's own input program, so a failure names the guilty
-//! stage instead of surfacing as an end-to-end mystery. ICBM runs through
-//! the one driver the pipeline ships, [`apply_icbm_observed`], whose
-//! observer checks each phase — speculate, every restructure, every motion
-//! or rollback, and the final DCE — so a divergence is pinned to a phase
-//! of exactly the code that ships.
+//! A program is compiled by the bench pipeline itself, and the harness
+//! observes it ([`Pipeline::run_observed`]): the verifier, the
+//! differential oracle and the schedule validator run after **every**
+//! stage against that stage's own input program, so a failure names the
+//! guilty stage instead of surfacing as an end-to-end mystery. The
+//! observer also sees each ICBM phase — speculate, every restructure,
+//! every motion or rollback, and the final DCE — so a divergence is pinned
+//! to a phase of exactly the code that ships.
 
-use control_cpr::{apply_icbm_observed, dce, IcbmPhase};
-use epic_analysis::GlobalLiveness;
+use control_cpr::IcbmPhase;
+use epic_bench::{stage, validated_schedule, CompileError, Compiled, Pipeline, Step};
 use epic_interp::{diff_test, run, Input};
-use epic_ir::{verify, Function, Profile};
+use epic_ir::{verify, Function};
 use epic_machine::Machine;
-use epic_perf::profile_and_count;
-use epic_regions::{
-    form_superblocks, frp_convert, if_convert, meld, unroll_hot_loops, IfConvertConfig,
-};
-use epic_sched::{schedule_function, SchedOptions};
-use epic_schedcheck::{check_function, replay_cycles};
+use epic_schedcheck::replay_cycles;
 
 use crate::generator::GenCase;
 
@@ -42,32 +36,34 @@ impl std::fmt::Display for Failure {
     }
 }
 
-/// Verifies `after` and diffs it against `before` on every input; on
-/// success the stage output becomes the next stage's input.
+/// Why the observed compile stopped: a stage failed its checks, or the
+/// pipeline itself failed (a profiling run trapped).
+enum Halt {
+    Failed(Failure),
+    Pipeline(CompileError),
+}
+
+impl From<CompileError> for Halt {
+    fn from(e: CompileError) -> Halt {
+        Halt::Pipeline(e)
+    }
+}
+
+/// Verifies `after` and diffs it against `before` on every input, then
+/// validates its schedules.
 fn checked(
     stage: &'static str,
     before: &Function,
-    after: Function,
+    after: &Function,
     inputs: &[Input],
-) -> Result<Function, Failure> {
-    if let Err(e) = verify(&after) {
-        return Err(Failure {
-            stage,
-            detail: format!("verifier rejected stage output: {e}"),
-            before: before.clone(),
-        });
-    }
+) -> Result<(), Failure> {
+    let fail = |detail: String| Failure { stage, detail, before: before.clone() };
+    verify(after).map_err(|e| fail(format!("verifier rejected stage output: {e}")))?;
     for (k, input) in inputs.iter().enumerate() {
-        if let Err(e) = diff_test(before, &after, input) {
-            return Err(Failure {
-                stage,
-                detail: format!("divergence on input {k}: {e}"),
-                before: before.clone(),
-            });
-        }
+        diff_test(before, after, input)
+            .map_err(|e| fail(format!("divergence on input {k}: {e}")))?;
     }
-    sched_validated(stage, &after, inputs)?;
-    Ok(after)
+    sched_validated(stage, after, inputs)
 }
 
 /// The `sched` fuzz stage: schedules `func` under both the widest and the
@@ -77,51 +73,38 @@ fn checked(
 /// and triage like miscompiles) and name the pipeline stage whose output
 /// was being scheduled.
 fn sched_validated(stage: &'static str, func: &Function, inputs: &[Input]) -> Result<(), Failure> {
-    let opts = SchedOptions::default();
+    let fail = |detail: String| Failure { stage: "sched", detail, before: func.clone() };
     for machine in [Machine::wide(), Machine::sequential()] {
-        let sched = schedule_function(func, &machine, &opts);
-        let violations = check_function(func, &machine, &sched, &opts);
-        if let Some(v) = violations.first() {
-            return Err(Failure {
-                stage: "sched",
-                detail: format!(
-                    "schedule of `{stage}` output invalid on {}: {v} ({} violations)",
-                    machine.name(),
-                    violations.len()
-                ),
-                before: func.clone(),
-            });
-        }
+        let sched = validated_schedule(func, &machine)
+            .map_err(|e| fail(format!("schedule of `{stage}` output invalid {e}")))?;
         if let Some(input) = inputs.first() {
-            if let Err(e) = replay_cycles(func, input, &sched) {
-                return Err(Failure {
-                    stage: "sched",
-                    detail: format!(
-                        "replay of `{stage}` output on {}: {e}",
-                        machine.name()
-                    ),
-                    before: func.clone(),
-                });
-            }
+            replay_cycles(func, input, &sched).map_err(|e| {
+                fail(format!("replay of `{stage}` output on {}: {e}", machine.name()))
+            })?;
         }
     }
     Ok(())
 }
 
-fn profiled(f: &Function, input: &Input, stage: &'static str) -> Result<Profile, Failure> {
-    profile_and_count(f, input).map(|(p, _)| p).map_err(|t| Failure {
-        stage,
-        detail: format!("profiling run trapped: {t}"),
-        before: f.clone(),
-    })
+/// The stage whose input a pipeline profiling run measures; a trap there
+/// is reported against that stage.
+fn profiled_for(profile_stage: &'static str) -> &'static str {
+    match profile_stage {
+        stage::PROFILE_IF_CONVERT => stage::IF_CONVERT,
+        stage::PROFILE_MELD => stage::MELD,
+        stage::PROFILE_TRACE => stage::SUPERBLOCK,
+        stage::PROFILE_UNROLL => stage::UNROLL,
+        stage::PROFILE_BASELINE => stage::FRP_CONVERT,
+        other => other,
+    }
 }
 
-/// Runs the staged pipeline over `case`'s generated program.
+/// Compiles `case`'s generated program, checking every stage.
 ///
 /// # Errors
 ///
 /// Returns the first per-stage [`Failure`].
-pub fn check_case(case: &GenCase) -> Result<(), Failure> {
+pub fn check_case(case: &GenCase) -> Result<Compiled, Failure> {
     check_from(&case.func, case)
 }
 
@@ -131,80 +114,38 @@ pub fn check_case(case: &GenCase) -> Result<(), Failure> {
 /// # Errors
 ///
 /// Returns the first per-stage [`Failure`].
-pub fn check_from(src: &Function, case: &GenCase) -> Result<(), Failure> {
+pub fn check_from(src: &Function, case: &GenCase) -> Result<Compiled, Failure> {
     // Stage 0: the generator's own promises. A violation here is a bug in
     // the generator (or a shrink candidate to reject), not in the pipeline.
-    if let Err(e) = verify(src) {
-        return Err(Failure {
-            stage: "generate",
-            detail: format!("generated program does not verify: {e}"),
-            before: src.clone(),
-        });
-    }
+    let fail = |detail: String| Failure { stage: "generate", detail, before: src.clone() };
+    verify(src).map_err(|e| fail(format!("generated program does not verify: {e}")))?;
     for (k, input) in case.inputs.iter().enumerate() {
-        if let Err(t) = run(src, input) {
-            return Err(Failure {
-                stage: "generate",
-                detail: format!("reference run trapped on input {k}: {t}"),
-                before: src.clone(),
-            });
-        }
+        run(src, input).map_err(|t| fail(format!("reference run trapped on input {k}: {t}")))?;
     }
-
     sched_validated("generate", src, &case.inputs)?;
 
-    let training = &case.inputs[0];
-    let mut cur = src.clone();
-
-    if case.use_if_convert {
-        let profile = profiled(&cur, training, "if-convert")?;
-        let mut next = cur.clone();
-        if_convert(&mut next, &profile, &IfConvertConfig::default());
-        cur = checked("if-convert", &cur, next, &case.inputs)?;
-    }
-
-    if let Some(mc) = &case.meld {
-        let profile = profiled(&cur, training, "meld")?;
-        let mut next = cur.clone();
-        meld(&mut next, &profile, mc);
-        cur = checked("meld", &cur, next, &case.inputs)?;
-    }
-
-    let profile = profiled(&cur, training, "superblock")?;
-    let next = form_superblocks(&cur, &profile, &case.trace);
-    cur = checked("superblock", &cur, next, &case.inputs)?;
-
-    let profile = profiled(&cur, training, "unroll")?;
-    // DCE takes the context unroll repaired, as the pipeline does, so the
-    // stage runs on the same repaired context the shipped baseline does.
-    let mut next = cur.clone();
-    let mut live = GlobalLiveness::compute(&next);
-    unroll_hot_loops(&mut next, &profile, case.unroll_factor, case.trace.min_count, &mut live);
-    cur = checked("unroll", &cur, next, &case.inputs)?;
-
-    let mut next = cur.clone();
-    dce(&mut next, &mut live);
-    cur = checked("dce", &cur, next, &case.inputs)?;
-
-    let mut next = cur.clone();
-    frp_convert(&mut next);
-    cur = checked("frp-convert", &cur, next, &case.inputs)?;
-
-    // The ICBM heuristics are profile-driven but must preserve semantics
-    // under any profile; FRP conversion preserves block/branch ids, so the
-    // post-FRP profile is also the one the real pipeline would use.
-    let profile = profiled(&cur, training, "icbm")?;
-    let mut prev = cur.clone();
-    apply_icbm_observed(&mut cur, &profile, &case.cpr, |phase, f| {
-        prev = checked(phase.name(), &prev, f.clone(), &case.inputs).map_err(|mut e| {
-            if let IcbmPhase::Rollback(skip) = phase {
-                e.detail = format!("{} (motion refused: {})", e.detail, skip.name());
-            }
-            e
-        })?;
-        Ok(())
-    })?;
-    Ok(())
+    // Every later stage is checked against the last function observed,
+    // which is that stage's input.
+    let mut prev = src.clone();
+    let compiled = Pipeline::for_function(&src.name, src, &case.inputs[0], case.unroll, &case.cfg)
+        .run_observed(|step, f| {
+            checked(step.name(), &prev, f, &case.inputs).map_err(|mut e| {
+                if let Step::Icbm(IcbmPhase::Rollback(skip)) = step {
+                    e.detail = format!("{} (motion refused: {})", e.detail, skip.name());
+                }
+                Halt::Failed(e)
+            })?;
+            prev = f.clone();
+            Ok(())
+        });
+    compiled.map_err(|halt| match halt {
+        Halt::Failed(f) => f,
+        Halt::Pipeline(e) => Failure {
+            stage: e.stage().map_or("pipeline", profiled_for),
+            detail: format!("profiling run trapped: {e}"),
+            before: prev,
+        },
+    })
 }
 
 #[cfg(test)]

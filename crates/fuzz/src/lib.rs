@@ -9,14 +9,16 @@
 //!   control shape (counted loops, biased side exits, two-target compare
 //!   chains) plus the inputs and randomized pipeline configuration each
 //!   program is exercised with;
-//! * [`check_case`] — a per-stage harness that runs every pipeline stage
-//!   (if-conversion, superblock formation, unrolling, DCE, FRP conversion,
-//!   then ICBM through the shipped driver, observed after speculate, every
-//!   restructure, every motion or rollback, and the final DCE) and, after
-//!   each stage, verifies the output and differentially tests it against
-//!   the stage's input on several inputs, so a failure names the guilty
-//!   stage. [`GenCase::from_workload`] feeds a suite workload through the
-//!   same checks (the `inspect` binary);
+//! * [`check_case`] — a per-stage harness that compiles the program with
+//!   the bench pipeline itself and observes it
+//!   ([`epic_bench::Pipeline::run_observed`]): after every stage
+//!   (if-conversion, melding, superblock formation, unrolling, DCE, FRP
+//!   conversion) and every ICBM phase (speculate, every restructure, every
+//!   motion or rollback, the final DCE) it verifies the output and
+//!   differentially tests it against the stage's input on several inputs,
+//!   so a failure names the guilty stage of the code that ships.
+//!   [`GenCase::from_workload`] feeds a suite workload through the same
+//!   checks (the `inspect` binary);
 //! * [`shrink_case`] — greedy op-deletion minimization that preserves the
 //!   failing stage, producing reproducers small enough to check in.
 //!
@@ -66,18 +68,21 @@ impl std::fmt::Display for FailureReport {
 /// Generates, checks, and (on failure) shrinks one case.
 pub fn fuzz_one(seed: u64) -> Option<FailureReport> {
     let case = generate(seed);
-    let failure = match check_case(&case) {
-        Ok(()) => return None,
-        Err(f) => f,
-    };
-    let min = shrink_case(&case, &failure);
+    let failure = check_case(&case).err()?;
+    Some(shrink_and_report(&case, failure))
+}
+
+/// Shrinks `case` while it keeps failing at `failure`'s stage and reports
+/// the minimized program.
+fn shrink_and_report(case: &GenCase, failure: Failure) -> FailureReport {
+    let min = shrink_case(case, &failure);
     // Prefer the minimized program's own failure detail; fall back to the
     // original if shrinking somehow lost the failure.
-    let detail = match check_from(&min, &case) {
+    let detail = match check_from(&min, case) {
         Err(f) if f.stage == failure.stage => f.detail,
-        _ => failure.detail.clone(),
+        _ => failure.detail,
     };
-    Some(FailureReport { seed, stage: failure.stage, detail, minimized: min.to_string() })
+    FailureReport { seed: case.seed, stage: failure.stage, detail, minimized: min.to_string() }
 }
 
 /// Runs `cases` consecutive seeds starting at `base_seed`, returning every

@@ -25,9 +25,8 @@ use epic_riscfe::{conformance_check, translate, CorpusProgram, CorpusStyle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use epic_bench::{ConfigDelta, KnobSpace, KnobValue};
-
-use crate::{check_from, shrink_case, FailureReport, GenCase};
+use crate::generator::sample_config;
+use crate::{check_from, shrink_and_report, FailureReport, GenCase};
 
 /// Builds the RISC-lite fuzz case for `seed`: a small corpus program plus
 /// the translated function and a sampled pipeline configuration, packaged
@@ -40,44 +39,8 @@ pub fn riscfe_case(seed: u64) -> (CorpusProgram, GenCase) {
     let cp = generate_corpus(&format!("riscfuzz_{seed}"), seed, target_ops, style);
     let func = translate(&cp.prog);
 
-    // Sample the pipeline configuration through the knob registry, same as
-    // the native generator.
-    let space = KnobSpace::global();
-    let mut delta = ConfigDelta::new();
-    let knob = |d: &mut ConfigDelta, name: &str, v: KnobValue| {
-        d.set(space, name, v).unwrap_or_else(|e| panic!("riscfe fuzz config knob: {e}"))
-    };
-    let f = KnobValue::F64;
-    let u = KnobValue::U64;
-    knob(&mut delta, "trace.min_prob", f([0.5, 0.65, 0.8][rng.gen_range(0usize..3)]));
-    knob(&mut delta, "trace.max_ops", u(400));
-    knob(&mut delta, "trace.min_count", u([1, 2, 8][rng.gen_range(0usize..3)]));
-    knob(&mut delta, "cpr.min_entry_count", u(1));
-    knob(&mut delta, "cpr.exit_weight_threshold", f([0.35, 0.7, 1.0][rng.gen_range(0usize..3)]));
-    knob(&mut delta, "cpr.enable_taken_variation", KnobValue::Bool(rng.gen_range(0u32..2) == 0));
-    let use_if_convert = rng.gen_range(0u32..10) < 3;
-    let unroll_factor = rng.gen_range(2u32..=4);
-    let meld = if rng.gen_range(0u32..10) < 3 {
-        let mut d = ConfigDelta::new();
-        knob(&mut d, "meld.enable", KnobValue::Bool(true));
-        knob(&mut d, "meld.max_ops", u([8, 24, 48][rng.gen_range(0usize..3)]));
-        d.apply(space).pipeline.meld
-    } else {
-        None
-    };
-    let tuned = delta.apply(space);
-    let (trace, cpr) = (tuned.pipeline.trace, tuned.pipeline.cpr);
-
-    let case = GenCase {
-        seed,
-        func,
-        inputs: cp.inputs.clone(),
-        use_if_convert,
-        meld,
-        unroll_factor,
-        trace,
-        cpr,
-    };
+    let (cfg, unroll) = sample_config(&mut rng);
+    let case = GenCase { seed, func, inputs: cp.inputs.clone(), cfg, unroll };
     (cp, case)
 }
 
@@ -99,16 +62,8 @@ pub fn fuzz_riscfe_one(seed: u64) -> Option<FailureReport> {
     }
 
     // Layer 2: the full staged pipeline over the translated function.
-    let failure = match check_from(&case.func, &case) {
-        Ok(()) => return None,
-        Err(f) => f,
-    };
-    let min = shrink_case(&case, &failure);
-    let detail = match check_from(&min, &case) {
-        Err(f) if f.stage == failure.stage => f.detail,
-        _ => failure.detail.clone(),
-    };
-    Some(FailureReport { seed, stage: failure.stage, detail, minimized: min.to_string() })
+    let failure = check_from(&case.func, &case).err()?;
+    Some(shrink_and_report(&case, failure))
 }
 
 /// Runs `cases` consecutive RISC-lite seeds starting at `base_seed`.
@@ -127,8 +82,8 @@ mod tests {
         let (cp_b, b) = riscfe_case(7);
         assert_eq!(cp_a.text, cp_b.text);
         assert_eq!(a.func.fingerprint(), b.func.fingerprint());
-        assert_eq!(a.unroll_factor, b.unroll_factor);
-        assert_eq!(a.use_if_convert, b.use_if_convert);
+        assert_eq!(a.unroll, b.unroll);
+        assert_eq!(a.cfg.config_hash(), b.cfg.config_hash());
     }
 
     #[test]

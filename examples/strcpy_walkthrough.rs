@@ -3,16 +3,16 @@
 //! and the final operation-count / height accounting (the paper reports
 //! 30 ops → 28 on-trace + 11 compensation, height 8 → 7 for unroll 4; exact
 //! numbers differ with our op set, but the same quantities are printed).
+//! The phases shown are those of the shipped pipeline, observed through
+//! `Pipeline::run_observed` at the paper's unroll factor.
 //!
 //! ```sh
 //! cargo run -p epic-bench --example strcpy_walkthrough
 //! ```
 
-use epic_analysis::GlobalLiveness;
-use epic_bench::PipelineConfig;
+use control_cpr::IcbmPhase;
+use epic_bench::{stage, CompileError, Pipeline, PipelineConfig, Step};
 use epic_machine::Machine;
-use epic_perf::profile_and_count;
-use epic_regions::{form_superblocks, frp_convert, unroll_hot_loops};
 use epic_sched::{schedule_function, SchedOptions};
 
 fn hot_block(f: &epic_ir::Function, p: &epic_ir::Profile) -> epic_ir::BlockId {
@@ -25,36 +25,36 @@ fn hot_block(f: &epic_ir::Function, p: &epic_ir::Profile) -> epic_ir::BlockId {
 fn main() {
     let w = epic_workloads::by_name("strcpy").expect("strcpy workload");
     let cfg = PipelineConfig::default();
+    let (mut frp, mut spec) = (None, None);
+    let c = Pipeline::for_function(w.name, &w.func, &w.training, 4, &cfg)
+        .run_observed(|step, f| {
+            match step {
+                Step::Stage(stage::FRP_CONVERT) => frp = Some(f.clone()),
+                Step::Icbm(IcbmPhase::Speculate) => spec = Some(f.clone()),
+                _ => {}
+            }
+            Ok::<(), CompileError>(())
+        })
+        .expect("strcpy compiles");
+    let (unrolled, done) = (&c.baseline, &c.optimized);
 
     // --- unrolled input (the paper's Figure 6(b)) ---
-    let (p0, _) = profile_and_count(&w.func, &w.training).expect("profiles");
-    let mut unrolled = form_superblocks(&w.func, &p0, &cfg.trace);
-    let (p1, _) = profile_and_count(&unrolled, &w.training).expect("profiles");
-    let mut live = GlobalLiveness::compute(&unrolled);
-    unroll_hot_loops(&mut unrolled, &p1, 4, cfg.trace.min_count, &mut live);
-    control_cpr::dce(&mut unrolled, &mut live);
-    let (profile, _) = profile_and_count(&unrolled, &w.training).expect("profiles");
-    let loop_blk = hot_block(&unrolled, &profile);
+    let loop_blk = hot_block(unrolled, &c.base_profile);
     println!("=== unrolled loop (Figure 6(b) analogue) ===");
     println!("{}", unrolled.block(loop_blk));
     let ops_before = unrolled.block(loop_blk).ops.len();
 
     // --- FRP conversion (Figure 6(c)) ---
-    let mut frp = unrolled.clone();
-    let converted = frp_convert(&mut frp);
-    println!("=== after FRP conversion: {converted} branches converted ===");
-    println!("{}", frp.block(loop_blk));
+    println!("=== after FRP conversion ===");
+    println!("{}", frp.expect("FRP conversion ran").block(loop_blk));
 
     // --- predicate speculation (Figure 7(a)) ---
-    let mut spec = frp.clone();
-    let (s, _) = control_cpr::speculate(&mut spec, &GlobalLiveness::compute(&frp));
-    println!("=== after predicate speculation: {s:?} ===");
-    println!("{}", spec.block(loop_blk));
+    let (promoted, demoted) = (c.stats.promoted, c.stats.demoted);
+    println!("=== after predicate speculation: {promoted} promoted, {demoted} demoted ===");
+    println!("{}", spec.expect("speculation ran").block(loop_blk));
 
     // --- match + restructure + off-trace motion + DCE (Figure 7(b,c)) ---
-    let mut done = frp.clone();
-    let stats = control_cpr::apply_icbm(&mut done, &profile, &cfg.cpr);
-    println!("=== after ICBM ({stats:?}) ===");
+    println!("=== after ICBM ({:?}) ===", c.stats);
     println!("{done}");
 
     // --- the paper's accounting ---
@@ -65,10 +65,10 @@ fn main() {
         .map(|b| b.ops.len())
         .sum();
     let m = Machine::medium();
-    let h_before = schedule_function(&unrolled, &m, &SchedOptions::default())
+    let h_before = schedule_function(unrolled, &m, &SchedOptions::default())
         .block(loop_blk)
         .length;
-    let h_after = schedule_function(&done, &m, &SchedOptions::default())
+    let h_after = schedule_function(done, &m, &SchedOptions::default())
         .block(loop_blk)
         .length;
     println!("loop operations:       {ops_before} -> {ops_on_trace} on-trace + {comp_ops} compensation");

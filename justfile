@@ -2,8 +2,8 @@
 
 # Full pre-merge gate: release build, tests, clippy and rustdoc clean,
 # perfbench build, fuzz corpus, compile-server smoke, event-server load
-# smoke, observability smoke, schedule validation, perf gate.
-bench-check: fuzz-smoke riscfe-check serve-smoke serve-bench obs-smoke sched-check perf-check tune-smoke
+# smoke, observability smoke, schedule validation, perf gate, examples.
+bench-check: fuzz-smoke riscfe-check serve-smoke serve-bench obs-smoke sched-check perf-check tune-smoke examples
     cargo build --release
     cargo test -q
     cargo clippy --all-targets -- -D warnings
@@ -17,6 +17,13 @@ bench-check: fuzz-smoke riscfe-check serve-smoke serve-bench obs-smoke sched-che
 # timed a different number of workloads is stale and exits 2.
 perf-check:
     cargo run --release -p epic-bench --bin bench_snapshot -- --check
+
+# The examples, each of which asserts its own claims (the strcpy
+# walkthrough: irredundant on-trace code, schedule height does not grow).
+examples:
+    cargo run --release -q -p epic-bench --example quickstart > /dev/null
+    cargo run --release -q -p epic-bench --example strcpy_walkthrough > /dev/null
+    cargo run --release -q -p epic-bench --example machine_sweep > /dev/null
 
 # Schedule translation validation: the independent checker's negative
 # suite and mutation kill-rate harness, plus whole-suite stage validation,

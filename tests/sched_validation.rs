@@ -8,66 +8,41 @@
 //! estimate must equal a cycle-accurate scheduled replay on every input,
 //! and the checker must kill every seeded schedule mutation.
 
-use control_cpr::{apply_icbm, dce};
-use epic_analysis::GlobalLiveness;
-use epic_bench::{compile, PipelineConfig};
+use epic_bench::{compile, validated_schedule, CompileError, Pipeline, PipelineConfig};
 use epic_ir::Function;
 use epic_machine::{Frontend, Machine};
-use epic_perf::{profile_and_count, weighted_cycles_with};
-use epic_regions::{form_superblocks, frp_convert, unroll_hot_loops, MeldConfig};
+use epic_perf::weighted_cycles_with;
+use epic_regions::MeldConfig;
 use epic_sched::{schedule_function, SchedOptions};
-use epic_schedcheck::{check_function, mutation_kill_rate, replay_cycles, replay_cycles_with};
+use epic_schedcheck::{mutation_kill_rate, replay_cycles, replay_cycles_with};
 
 /// Schedules `func` on the wide and sequential extremes and runs the
 /// independent checker over the result.
 fn assert_valid(name: &str, stage: &str, func: &Function) {
-    let opts = SchedOptions::default();
     for m in [Machine::wide(), Machine::sequential()] {
-        let sched = schedule_function(func, &m, &opts);
-        let violations = check_function(func, &m, &sched, &opts);
-        assert!(
-            violations.is_empty(),
-            "{name} {stage} on {}: {} violations, first: {}",
-            m.name(),
-            violations.len(),
-            violations[0]
-        );
+        if let Err(e) = validated_schedule(func, &m) {
+            panic!("{name} {stage} {e}");
+        }
     }
 }
 
 /// Every intermediate function of the pipeline — source, superblock,
-/// unrolled baseline, FRP copy, ICBM output — schedules validly under the
-/// independent checker on every workload. The stages are re-derived here
-/// by hand (mirroring `Pipeline`) so the test sees the intermediates the
-/// cached pipeline never exposes.
+/// unrolled baseline, FRP copy, each ICBM phase's output — schedules
+/// validly under the independent checker on every workload. The test
+/// observes `Pipeline::run_observed`, so it sees the intermediates of the
+/// compile that ships.
 #[test]
 fn every_pipeline_stage_schedules_validly() {
     let cfg = PipelineConfig::default();
     for w in epic_workloads::all() {
         let name = w.name;
         assert_valid(name, "source", &w.func);
-
-        let (p0, _) = profile_and_count(&w.func, &w.training)
-            .unwrap_or_else(|t| panic!("{name}: source trap: {t}"));
-        let sb = form_superblocks(&w.func, &p0, &cfg.trace);
-        assert_valid(name, "superblock", &sb);
-
-        let (p1, _) = profile_and_count(&sb, &w.training)
-            .unwrap_or_else(|t| panic!("{name}: superblock trap: {t}"));
-        let mut base = sb.clone();
-        let mut live = GlobalLiveness::compute(&base);
-        unroll_hot_loops(&mut base, &p1, w.unroll, cfg.trace.min_count, &mut live);
-        dce(&mut base, &mut live);
-        assert_valid(name, "unroll", &base);
-
-        let (bp, _) = profile_and_count(&base, &w.training)
-            .unwrap_or_else(|t| panic!("{name}: baseline trap: {t}"));
-        let mut opt = base.clone();
-        frp_convert(&mut opt);
-        assert_valid(name, "frp", &opt);
-
-        apply_icbm(&mut opt, &bp, &cfg.cpr);
-        assert_valid(name, "icbm", &opt);
+        Pipeline::new(&w, &cfg)
+            .run_observed(|step, f| {
+                assert_valid(name, step.name(), f);
+                Ok::<(), CompileError>(())
+            })
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
@@ -113,14 +88,8 @@ fn melded_outputs_validate_replay_and_kill_mutants() {
             ("optimized", &c.optimized, &c.opt_profile),
         ];
         for (what, func, profile) in sides {
-            let sched = schedule_function(func, &modern, &opts);
-            let violations = check_function(func, &modern, &sched, &opts);
-            assert!(
-                violations.is_empty(),
-                "{name} {what}: {} violations, first: {}",
-                violations.len(),
-                violations[0]
-            );
+            let sched =
+                validated_schedule(func, &modern).unwrap_or_else(|e| panic!("{name} {what} {e}"));
             let estimated = weighted_cycles_with(func, profile, &sched, &fe);
             let replayed = replay_cycles_with(func, &w.training, &sched, &fe)
                 .unwrap_or_else(|e| panic!("{name} {what}: {e}"));
