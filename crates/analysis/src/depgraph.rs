@@ -21,12 +21,18 @@
 //!   values get `latency − branch_latency` edges to the branch (possibly
 //!   negative, i.e. only a weak ordering).
 //!
+//! What is live at an exit comes from [`GlobalLiveness::at_exit`], the one
+//! exit rule every pass reads: a branch sees its target's live-in sets and
+//! a `ret` the function's live-outs, so no `ret` issues before the values
+//! it hands back are available. The fall-through end of a region needs no
+//! answer here: a block's schedule length counts every op's latency, so
+//! every value is available when control falls through. The scheduler and
+//! the schedule checker build their graphs from the same rule.
+//!
 //! All edges point forward in program order, so program order is a
 //! topological order of the graph.
 
-use epic_ir::{
-    Block, BlockId, Function, FxHashMap, FxHashSet, Op, OpId, Opcode, PredActionKind, PredReg, Reg,
-};
+use epic_ir::{Function, FxHashMap, FxHashSet, Op, OpId, Opcode, PredActionKind, PredReg, Reg};
 
 use crate::liveness::GlobalLiveness;
 use crate::pred_facts::PredFacts;
@@ -90,44 +96,6 @@ impl<'a> DepOptions<'a> {
     }
 }
 
-/// Registers and predicates live at each exit of a region.
-///
-/// `at_op[i]` is `Some((regs, preds))` for each branch op index `i`, giving
-/// what is live at that branch's target (empty sets for `ret`); `at_end` is
-/// what is live when the region falls through.
-#[derive(Clone, Debug, Default)]
-pub struct ExitLiveness {
-    /// Live sets at each branch (indexed by op position).
-    pub at_op: FxHashMap<usize, (FxHashSet<Reg>, FxHashSet<PredReg>)>,
-    /// Live set at the fall-through end of the region.
-    pub at_end: (FxHashSet<Reg>, FxHashSet<PredReg>),
-}
-
-impl ExitLiveness {
-    /// The exit liveness of `block`, read off the whole-function solution
-    /// `live`: each side exit sees the live-in sets of its target (a `ret`
-    /// sees nothing), and the fall-through end sees those of the layout
-    /// successor. The scheduler and the schedule checker both build their
-    /// graphs from this.
-    pub fn of(func: &Function, block: &Block, live: &GlobalLiveness) -> ExitLiveness {
-        let live_in = |b: BlockId| {
-            (
-                live.live_in_regs.get(&b).cloned().unwrap_or_default(),
-                live.live_in_preds.get(&b).cloned().unwrap_or_default(),
-            )
-        };
-        let mut exit_live = ExitLiveness::default();
-        for (i, op) in block.ops.iter().enumerate().filter(|(_, op)| op.is_branch()) {
-            let target = if op.opcode == Opcode::Branch { op.branch_target() } else { None };
-            exit_live.at_op.insert(i, target.map(live_in).unwrap_or_default());
-        }
-        if let Some(ft) = func.fallthrough_of(block.id) {
-            exit_live.at_end = live_in(ft);
-        }
-        exit_live
-    }
-}
-
 /// The dependence graph of one region.
 #[derive(Clone, Debug)]
 pub struct DepGraph {
@@ -142,16 +110,18 @@ impl DepGraph {
     ///
     /// * `facts` — symbolic predicate analysis of the same op slice.
     /// * `latency` — producer latency of each op on the target machine.
-    /// * `exit_live` — liveness at each exit; when `None`, every register
-    ///   and predicate is conservatively assumed live at every exit.
+    /// * `live` — the function's liveness, read at each exit through
+    ///   [`GlobalLiveness::at_exit`]; when `None`, every register and
+    ///   predicate written so far is conservatively assumed live at every
+    ///   exit.
     pub fn build(
         ops: &[Op],
         facts: &mut PredFacts,
         latency: &dyn Fn(&Op) -> u32,
         opts: &DepOptions,
-        exit_live: Option<&ExitLiveness>,
+        live: Option<&GlobalLiveness>,
     ) -> DepGraph {
-        DepGraph::build_suite(ops, facts, &[latency], std::slice::from_ref(opts), exit_live)
+        DepGraph::build_suite(ops, facts, &[latency], std::slice::from_ref(opts), live)
             .pop()
             .expect("one latency model in, one graph out")
     }
@@ -172,7 +142,7 @@ impl DepGraph {
         facts: &mut PredFacts,
         latencies: &[&dyn Fn(&Op) -> u32],
         opts: &[DepOptions],
-        exit_live: Option<&ExitLiveness>,
+        live: Option<&GlobalLiveness>,
     ) -> Vec<DepGraph> {
         assert_eq!(latencies.len(), opts.len(), "one latency model per option set");
         debug_assert!(
@@ -180,7 +150,7 @@ impl DepGraph {
                 && w[0].mem_classes == w[1].mem_classes),
             "suite options must only differ in branch latency"
         );
-        DepGraph::build_inner(ops, facts, latencies, opts, exit_live, true)
+        DepGraph::build_inner(ops, facts, latencies, opts, live, true)
     }
 
     /// Builds only the *data* half of the graph: flow, anti, output and
@@ -201,7 +171,7 @@ impl DepGraph {
         facts: &mut PredFacts,
         latencies: &[&dyn Fn(&Op) -> u32],
         opts: &[DepOptions],
-        exit_live: Option<&ExitLiveness>,
+        live: Option<&GlobalLiveness>,
         control: bool,
     ) -> Vec<DepGraph> {
         let classes: Vec<Option<u32>> = ops
@@ -213,7 +183,7 @@ impl DepGraph {
             facts,
             opts: &opts[0],
             classes,
-            exit_live,
+            live,
             control,
             edges: Vec::new(),
             reg_writers: Vec::new(),
@@ -485,7 +455,7 @@ struct Builder<'a> {
     facts: &'a mut PredFacts,
     opts: &'a DepOptions<'a>,
     classes: Vec<Option<u32>>,
-    exit_live: Option<&'a ExitLiveness>,
+    live: Option<&'a GlobalLiveness>,
     /// Emit branch control / availability edges (see
     /// [`DepGraph::build_data`] for the data-only mode that skips them).
     control: bool,
@@ -717,12 +687,12 @@ impl<'a> Builder<'a> {
     }
 
     /// Registers and predicates live at the exit taken by branch `b`.
-    fn live_at_exit(&mut self, b: usize) -> (Vec<Reg>, Vec<PredReg>) {
-        match self.exit_live {
-            Some(el) => match el.at_op.get(&b) {
-                Some((r, p)) => (r.iter().copied().collect(), p.iter().copied().collect()),
-                None => (Vec::new(), Vec::new()),
-            },
+    fn live_at_exit(&self, b: usize) -> (Vec<Reg>, Vec<PredReg>) {
+        match self.live {
+            Some(live) => {
+                let (regs, preds) = live.at_exit(&self.ops[b]);
+                (regs.iter().copied().collect(), preds.iter().copied().collect())
+            }
             // Conservative: everything written so far is live.
             None => (
                 self.reg_writers
@@ -741,16 +711,13 @@ impl<'a> Builder<'a> {
         }
     }
 
-    fn defines_live_at_exit(&mut self, b: usize, i: usize) -> bool {
+    fn defines_live_at_exit(&self, b: usize, i: usize) -> bool {
         let op = &self.ops[i];
-        match self.exit_live {
-            Some(el) => match el.at_op.get(&b) {
-                Some((r, p)) => {
-                    op.defs_regs().any(|d| r.contains(&d))
-                        || op.defs_preds().any(|d| p.contains(&d))
-                }
-                None => false,
-            },
+        match self.live {
+            Some(live) => {
+                let (regs, preds) = live.at_exit(&self.ops[b]);
+                op.defs_regs().any(|d| regs.contains(&d)) || op.defs_preds().any(|d| preds.contains(&d))
+            }
             None => !op.dests.is_empty(),
         }
     }

@@ -31,8 +31,8 @@ pub mod reaching;
 
 pub use bdd::{Bdd, BddManager};
 pub use bitset::BitSet;
-pub use depgraph::{DepEdge, DepGraph, DepKind, DepOptions, ExitLiveness};
-pub use liveness::{GlobalLiveness, RegionLiveness};
+pub use depgraph::{DepEdge, DepGraph, DepKind, DepOptions};
+pub use liveness::{ExitSets, GlobalLiveness, RegionLiveness};
 pub use pred_facts::PredFacts;
 pub use reaching::{PredDef, PredReaching};
 

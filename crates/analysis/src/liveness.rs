@@ -17,6 +17,32 @@
 //!   legal exactly when the promoted write cannot clobber a live value:
 //!   `live_below(r) ∧ ¬p` must be unsatisfiable.
 //!
+//! # Exit liveness
+//!
+//! Every legality check of ICBM (speculation, DCE, off-trace motion) and
+//! the schedule estimate ask one question: what is live where control
+//! leaves a block? [`GlobalLiveness`] answers it once, with borrowed sets:
+//!
+//! * **at a `branch`** ([`at_exit`](GlobalLiveness::at_exit)): the live-in
+//!   sets of its target;
+//! * **at a `ret`** (also `at_exit`): the function's live-out registers,
+//!   which the caller observes, and no predicate;
+//! * **at a block's end** ([`at_block_end`](GlobalLiveness::at_block_end)):
+//!   the live-in sets of the block's layout successor.
+//!
+//! The block-end answer is deliberately the layout successor's even after
+//! an unconditional exit, where nothing is live. Predicate speculation and
+//! the off-trace motion checks read it, and the tables depend on that
+//! over-approximation: it only forbids promotions, but answering exactly
+//! legalizes more of them and turns `cmp`'s Table 2 speedups into 1.00.
+//! The exact block-end answer is
+//! [`live_out_regs`](GlobalLiveness::live_out_regs)/`live_out_preds` —
+//! the union over CFG successors, empty after an unconditional exit —
+//! which DCE seeds from and ICBM's restructure checks. Unroll needs the
+//! exact answer too, so it asks `at_block_end` only when the loop head can
+//! fall through: the over-approximation would change which values it
+//! renames.
+//!
 //! Internally the global analysis runs on dense [`BitSet`]s indexed by
 //! register/predicate number and per-layout-position arrays — the public
 //! [`FxHashMap`]/[`FxHashSet`] result shape is materialized once at the
@@ -25,6 +51,8 @@
 //! types follow the public result); the `liveness_matches_reference` tests
 //! here and the workload-scale oracle tests in `epic-bench` compare the
 //! two.
+
+use std::hash::BuildHasherDefault;
 
 use epic_ir::{Block, BlockId, Function, FxHashMap, FxHashSet, Op, Opcode, PredReg, Reg};
 
@@ -54,8 +82,18 @@ pub struct GlobalLiveness {
     pub live_in_preds: FxHashMap<BlockId, FxHashSet<PredReg>>,
     /// Predicates live on exit from each block.
     pub live_out_preds: FxHashMap<BlockId, FxHashSet<PredReg>>,
+    /// The function's live-out registers: what every `ret` hands the caller.
+    ret_regs: FxHashSet<Reg>,
     summaries: FxHashMap<BlockId, BlockSummary>,
 }
+
+/// Registers and predicates live at one exit, borrowed from a
+/// [`GlobalLiveness`].
+pub type ExitSets<'a> = (&'a FxHashSet<Reg>, &'a FxHashSet<PredReg>);
+
+/// What is live past an exit the solution knows no block for.
+static NO_REGS: FxHashSet<Reg> = FxHashSet::with_hasher(BuildHasherDefault::new());
+static NO_PREDS: FxHashSet<PredReg> = FxHashSet::with_hasher(BuildHasherDefault::new());
 
 impl PartialEq for GlobalLiveness {
     fn eq(&self, o: &GlobalLiveness) -> bool {
@@ -102,6 +140,37 @@ impl GlobalLiveness {
         }
         let _s = epic_obs::Span::enter("liveness.solve", "analysis");
         self.solve(func);
+    }
+
+    /// What is live where control leaves a block through `op`: at a
+    /// `branch`, the live-in sets of its target; at a `ret`, the function's
+    /// live-out registers and no predicate; past any other op, nothing.
+    pub fn at_exit(&self, op: &Op) -> ExitSets<'_> {
+        match op.opcode {
+            Opcode::Ret => (self.at_ret(), &NO_PREDS),
+            Opcode::Branch => op.branch_target().map_or((&NO_REGS, &NO_PREDS), |t| self.live_in(t)),
+            _ => (&NO_REGS, &NO_PREDS),
+        }
+    }
+
+    /// What is live at every `ret`: the function's live-out registers,
+    /// which the caller observes.
+    pub fn at_ret(&self) -> &FxHashSet<Reg> {
+        &self.ret_regs
+    }
+
+    /// What is live when control runs off the end of `block`: the live-in
+    /// sets of its layout successor, whether or not the block can fall
+    /// through (see the module docs for who relies on that).
+    pub fn at_block_end(&self, func: &Function, block: BlockId) -> ExitSets<'_> {
+        func.fallthrough_of(block).map_or((&NO_REGS, &NO_PREDS), |ft| self.live_in(ft))
+    }
+
+    fn live_in(&self, b: BlockId) -> ExitSets<'_> {
+        (
+            self.live_in_regs.get(&b).unwrap_or(&NO_REGS),
+            self.live_in_preds.get(&b).unwrap_or(&NO_PREDS),
+        )
     }
 
     /// Whether both contexts hold the same per-block summaries. Equality
@@ -229,6 +298,7 @@ impl GlobalLiveness {
             }
         }
 
+        self.ret_regs = func.live_outs().iter().copied().collect();
         let to_regs = |s: &BitSet| -> FxHashSet<Reg> { s.iter().map(Reg).collect() };
         let to_preds = |s: &BitSet| -> FxHashSet<PredReg> { s.iter().map(PredReg).collect() };
         let layout = || func.layout.iter().copied();
@@ -636,6 +706,7 @@ pub mod reference {
             live_out_regs,
             live_in_preds,
             live_out_preds,
+            ret_regs: func.live_outs().iter().copied().collect(),
             ..GlobalLiveness::default()
         }
     }
@@ -649,38 +720,36 @@ pub struct RegionLiveness {
 }
 
 impl RegionLiveness {
-    /// Computes liveness expressions for the ops of one region.
+    /// Computes liveness expressions for the ops of `block`, reading what
+    /// is live at each exit from `live`: [`GlobalLiveness::at_exit`] at
+    /// every `branch` and `ret`, [`GlobalLiveness::at_block_end`] below
+    /// the last op.
     ///
-    /// * `facts` — symbolic guards for the same op slice.
-    /// * `live_at_exit(i)` — registers live when the branch at index `i`
-    ///   takes (live-in of its target block).
-    /// * `live_at_end` — registers live when the region falls through.
+    /// * `facts` — symbolic guards for the block's ops.
     pub fn compute(
-        ops: &[Op],
+        func: &Function,
+        block: BlockId,
         facts: &mut PredFacts,
-        live_at_exit: &dyn Fn(usize) -> FxHashSet<Reg>,
-        live_at_end: &FxHashSet<Reg>,
+        live: &GlobalLiveness,
     ) -> RegionLiveness {
+        let ops = &func.block(block).ops;
         let n = ops.len();
         let mut below: Vec<FxHashMap<Reg, Bdd>> = vec![FxHashMap::default(); n];
-        // Live expression after the region: live_at_end under all conditions.
-        let mut cur: FxHashMap<Reg, Bdd> = live_at_end
-            .iter()
-            .map(|&r| (r, Bdd::TRUE))
-            .collect();
+        // Live expression after the region: live at its end under all
+        // conditions.
+        let mut cur: FxHashMap<Reg, Bdd> =
+            live.at_block_end(func, block).0.iter().map(|&r| (r, Bdd::TRUE)).collect();
         for i in (0..n).rev() {
             let op = &ops[i];
             // `cur` currently describes liveness below op i.
             below[i] = cur.clone();
             let g = facts.guard(i);
-            // Branch: registers live at its target become live here under
+            // Exit: registers live where it leaves become live here under
             // the taken condition g.
-            if op.opcode == Opcode::Branch || op.opcode == Opcode::Ret {
-                for r in live_at_exit(i) {
-                    let old = cur.get(&r).copied().unwrap_or(Bdd::FALSE);
-                    let new = facts.manager().or(old, g);
-                    cur.insert(r, new);
-                }
+            for &r in live.at_exit(op).0 {
+                let old = cur.get(&r).copied().unwrap_or(Bdd::FALSE);
+                let new = facts.manager().or(old, g);
+                cur.insert(r, new);
             }
             // Defs kill under the guard condition.
             for r in op.defs_regs() {
@@ -822,14 +891,8 @@ mod tests {
         b.set_guard(None);
         b.ret();
         let f = b.finish();
-        let ops = &f.block(blk).ops;
-        let mut facts = PredFacts::compute(ops);
-        let live = RegionLiveness::compute(
-            ops,
-            &mut facts,
-            &|_| FxHashSet::default(),
-            &FxHashSet::default(),
-        );
+        let mut facts = PredFacts::compute(&f.block(blk).ops);
+        let live = RegionLiveness::compute(&f, blk, &mut facts, &GlobalLiveness::compute(&f));
         // Below op 1 (the mov), r is live only under p (its only use is
         // guarded by p): live_below(1, r) ∧ ¬p == false → promotable.
         let lb = live.live_below(1, r);
@@ -842,33 +905,70 @@ mod tests {
     fn region_liveness_sees_exit_uses() {
         // r is live at a branch target: below any op before the branch, r
         // must be live at least under the branch's taken condition.
+        // `off` comes first in the layout, so nothing is live at `b`'s end.
         let mut b = FunctionBuilder::new("e");
-        let blk = b.block("b");
         let off = b.block("off");
-        b.switch_to(off);
-        b.ret();
+        let blk = b.block("b");
         b.switch_to(blk);
         let x = b.reg();
         let r = b.reg();
         let (t, _ft) = b.cmpp_un_uc(CmpCond::Eq, x.into(), Operand::Imm(0));
         b.branch_if(t, off); // ops 1 (pbr), 2 (branch)
         b.ret();
+        b.switch_to(off);
+        let a = b.movi(0);
+        b.store(a, r.into());
+        b.ret();
         let f = b.finish();
         let ops = &f.block(blk).ops;
         let mut facts = PredFacts::compute(ops);
-        let mut at_exit = FxHashSet::default();
-        at_exit.insert(r);
-        let live = RegionLiveness::compute(
-            ops,
-            &mut facts,
-            &|i| if ops[i].opcode == Opcode::Branch { at_exit.clone() } else { FxHashSet::default() },
-            &FxHashSet::default(),
-        );
+        let live = RegionLiveness::compute(&f, blk, &mut facts, &GlobalLiveness::compute(&f));
         // Below op 0 (the cmpp), r is live under the taken condition.
         let lb = live.live_below(0, r);
         assert!(!lb.is_false());
         // And r is dead below the branch itself.
         let branch_idx = ops.iter().position(|o| o.opcode == Opcode::Branch).unwrap();
         assert!(live.live_below(branch_idx, r).is_false());
+    }
+
+    #[test]
+    fn exit_queries_answer_branch_ret_and_block_end() {
+        // b0: branch to b2 if x == 0, else fall into b1, which returns y.
+        // b2 stores z and jumps back to b1.
+        let mut b = FunctionBuilder::new("x");
+        let b0 = b.block("b0");
+        let b1 = b.block("b1");
+        let b2 = b.block("b2");
+        b.switch_to(b0);
+        let (x, y, z) = (b.reg(), b.reg(), b.reg());
+        let (t, _) = b.cmpp_un_uc(CmpCond::Eq, x.into(), Operand::Imm(0));
+        b.branch_if(t, b2);
+        b.switch_to(b1);
+        b.ret();
+        b.switch_to(b2);
+        let a = b.movi(0);
+        b.store(a, z.into());
+        b.jump(b1);
+        let mut f = b.finish();
+        f.mark_live_out(y);
+        let live = GlobalLiveness::compute(&f);
+        let exit_of = |blk, opcode| f.block(blk).ops.iter().find(|o| o.opcode == opcode).unwrap();
+        // At a branch: the target's live-in sets.
+        let (regs, preds) = live.at_exit(exit_of(b0, Opcode::Branch));
+        assert_eq!((regs, preds), (&live.live_in_regs[&b2], &live.live_in_preds[&b2]));
+        assert!(regs.contains(&z) && regs.contains(&y));
+        // At a `ret`: the function's live-outs, and no predicate.
+        let (regs, preds) = live.at_exit(exit_of(b1, Opcode::Ret));
+        assert_eq!(regs, &[y].into_iter().collect::<FxHashSet<Reg>>());
+        assert!(preds.is_empty());
+        // Past any other op: nothing.
+        assert!(live.at_exit(&f.block(b2).ops[0]).0.is_empty());
+        // At a block's end: the layout successor's live-in sets, even after
+        // an unconditional exit (b1 ends with `ret`, b2 is next in layout);
+        // the last block in the layout has none.
+        assert_eq!(live.at_block_end(&f, b0).0, &live.live_in_regs[&b1]);
+        assert_eq!(live.at_block_end(&f, b1).0, &live.live_in_regs[&b2]);
+        assert!(live.live_out_regs[&b1].is_empty());
+        assert!(live.at_block_end(&f, b2).0.is_empty());
     }
 }

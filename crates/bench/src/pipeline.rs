@@ -17,7 +17,8 @@
 //! Attach a [`CompileCache`] with [`Pipeline::with_cache`] and every
 //! stage first consults the cache under
 //! `(input fingerprint, stage, stage-config hash)`; without a cache the
-//! stages compute directly, with bit-identical results.
+//! stages compute directly, with bit-identical results, and no function or
+//! input is fingerprinted.
 //!
 //! Stage keys hash only the configuration each stage consumes:
 //! [`PipelineConfig::stage_hash`] absorbs exactly the knobs whose row in the
@@ -115,9 +116,10 @@ pub struct Pipeline<'a> {
     training: &'a Input,
     unroll: u32,
     cfg: &'a PipelineConfig,
-    cache: Option<&'a CompileCache>,
+    /// The attached cache and the training input's content hash, which
+    /// every stage key mixes in. Keys are only computed when it is set.
+    cache: Option<(&'a CompileCache, u64)>,
     deadline: Option<Instant>,
-    input_hash: u64,
     timings: PassTimings,
     hits: u64,
     misses: u64,
@@ -146,7 +148,6 @@ impl<'a> Pipeline<'a> {
             cfg,
             cache: None,
             deadline: None,
-            input_hash: training.content_hash(),
             timings: PassTimings::new(name),
             hits: 0,
             misses: 0,
@@ -155,7 +156,7 @@ impl<'a> Pipeline<'a> {
 
     /// Serves stage artifacts from `cache`, computing only on miss.
     pub fn with_cache(mut self, cache: &'a CompileCache) -> Pipeline<'a> {
-        self.cache = Some(cache);
+        self.cache = Some((cache, self.training.content_hash()));
         self
     }
 
@@ -193,41 +194,34 @@ impl<'a> Pipeline<'a> {
     ) -> Result<Compiled, E> {
         let cfg = self.cfg;
         let mut source = self.func.clone();
-        let mut source_fp = self.fingerprint(&source);
         // The optional pre-passes (off in the paper's evaluation, which
         // runs without traditional if-conversion or melding).
         if let Some(ic) = &cfg.if_convert {
             let stages = (stage::IF_CONVERT, stage::PROFILE_IF_CONVERT);
-            source = self.transform(&source, source_fp, stages, &mut after, |f, p| {
+            source = self.transform(&source, stages, &mut after, |f, p| {
                 let mut out = f.clone();
                 if_convert(&mut out, p, ic);
                 out
             })?;
-            source_fp = self.fingerprint(&source);
         }
         if let Some(mc) = &cfg.meld {
             let stages = (stage::MELD, stage::PROFILE_MELD);
-            source = self.transform(&source, source_fp, stages, &mut after, |f, p| {
+            source = self.transform(&source, stages, &mut after, |f, p| {
                 let mut out = f.clone();
                 meld(&mut out, p, mc);
                 out
             })?;
-            source_fp = self.fingerprint(&source);
         }
         let stages = (stage::SUPERBLOCK, stage::PROFILE_TRACE);
-        let sb = self.transform(&source, source_fp, stages, &mut after, |f, p| {
+        let sb = self.transform(&source, stages, &mut after, |f, p| {
             form_superblocks(f, p, &cfg.trace)
         })?;
 
         // Unroll hot loops, clean with DCE and measure the finished
         // baseline on the training input.
-        let key = CacheKey {
-            input_fp: self.fingerprint(&sb),
-            stage: stage::UNROLL,
-            config: cfg.stage_hash(stage::UNROLL, &[self.unroll as u64]),
-        };
         let (training, unroll) = (self.training, self.unroll);
-        let artifact = self.stage::<E>(key, sb.static_op_count(), |tm| {
+        let config = cfg.stage_hash(stage::UNROLL, &[unroll as u64]);
+        let artifact = self.stage::<E>(stage::UNROLL, config, &sb, |tm| {
             let mut base = sb.clone();
             let n = base.static_op_count();
             let t0 = Instant::now();
@@ -264,13 +258,9 @@ impl<'a> Pipeline<'a> {
         // processes (and defeat the disk layer). The Optimized artifact is
         // self-contained — function, stats, profile, counts — so a hit
         // needs no FRP copy at all.
-        let key = CacheKey {
-            input_fp: self.fingerprint(base),
-            stage: stage::ICBM,
-            config: cfg.stage_hash(stage::ICBM, &[]),
-        };
         let deadline = self.deadline;
-        let artifact = self.stage::<E>(key, base.static_op_count(), |tm| {
+        let config = cfg.stage_hash(stage::ICBM, &[]);
+        let artifact = self.stage::<E>(stage::ICBM, config, base, |tm| {
             let mut opt = base.clone();
             let n = opt.static_op_count();
             let t0 = Instant::now();
@@ -313,11 +303,6 @@ impl<'a> Pipeline<'a> {
         })
     }
 
-    /// Stage-key fingerprint of `f` under this compile's training input.
-    fn fingerprint(&self, f: &Function) -> u64 {
-        combine_hashes(&[f.fingerprint(), self.input_hash])
-    }
-
     /// A "profile, then transform" stage (if-convert, meld, superblock):
     /// profiles `src` on the training input, timed as `profile_stage`,
     /// then runs `pass` on it, timed as `name`, and shows the output to
@@ -325,14 +310,13 @@ impl<'a> Pipeline<'a> {
     fn transform<E: From<CompileError>>(
         &mut self,
         src: &Function,
-        input_fp: u64,
         (name, profile_stage): (&'static str, &'static str),
         after: &mut impl FnMut(Step, &Function) -> Result<(), E>,
         pass: impl FnOnce(&Function, &Profile) -> Function,
     ) -> Result<Function, E> {
-        let key = CacheKey { input_fp, stage: name, config: self.cfg.stage_hash(name, &[]) };
         let training = self.training;
-        let artifact = self.stage::<E>(key, src.static_op_count(), |tm| {
+        let config = self.cfg.stage_hash(name, &[]);
+        let artifact = self.stage::<E>(name, config, src, |tm| {
             let n = src.static_op_count();
             let t0 = Instant::now();
             let (p, _) = profile_and_count(src, training)
@@ -347,32 +331,36 @@ impl<'a> Pipeline<'a> {
         Ok(artifact.function().clone())
     }
 
-    /// Consults the cache (when one is attached), running `compute` on
-    /// miss. On a hit, one timing entry named after the key's stage records
-    /// the lookup; on a miss `compute` records its own (finer-grained)
-    /// entries. Fails without touching the cache once the deadline has
-    /// passed.
+    /// Consults the cache (when one is attached) under the key of stage
+    /// `name` with config hash `config` over `input`, running `compute` on
+    /// miss. Only a cached compile fingerprints `input`. On a hit, one
+    /// timing entry named after the stage records the lookup; on a miss
+    /// `compute` records its own (finer-grained) entries. Fails without
+    /// touching the cache once the deadline has passed.
     fn stage<E: From<CompileError>>(
         &mut self,
-        key: CacheKey,
-        ops_before: usize,
+        name: &'static str,
+        config: u64,
+        input: &Function,
         compute: impl FnOnce(&mut PassTimings) -> Result<StageArtifact, E>,
     ) -> Result<Arc<StageArtifact>, E> {
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(CompileError::Deadline { stage: key.stage }.into());
+            return Err(CompileError::Deadline { stage: name }.into());
         }
-        let Some(cache) = self.cache else {
+        let Some((cache, input_hash)) = self.cache else {
             return compute(&mut self.timings).map(Arc::new);
         };
+        let input_fp = combine_hashes(&[input.fingerprint(), input_hash]);
+        let key = CacheKey { input_fp, stage: name, config };
         let t0 = Instant::now();
         let timings = &mut self.timings;
         let outcome = cache.get_or_compute(key, || compute(timings))?;
         if outcome.hit {
             self.hits += 1;
             self.timings.push(
-                key.stage,
+                name,
                 t0.elapsed(),
-                ops_before,
+                input.static_op_count(),
                 outcome.artifact.function().static_op_count(),
             );
         } else {

@@ -101,7 +101,7 @@ pub fn table2(
 /// on every machine, as profile-weighted cycle estimates in `machines`
 /// order. The machine models are scheduled through
 /// [`schedule_function_suite`], which shares the machine-independent
-/// analyses (liveness, predicate facts, exit liveness) across the whole
+/// analyses (liveness, predicate facts) across the whole
 /// suite instead of recomputing them per machine. Each machine's own
 /// front-end cost model applies; the paper suite is ideal on every
 /// machine, so the published tables are unchanged by the model.

@@ -28,35 +28,25 @@ pub fn dce(func: &mut Function, live: &mut GlobalLiveness) -> usize {
 /// prunes dead `cmpp` destinations that `live` shows, then repairs `live`
 /// for the blocks it changed. Returns the number of operations removed.
 pub fn dce_pass(func: &mut Function, live: &mut GlobalLiveness) -> usize {
-    let live_outs: Vec<Reg> = func.live_outs().to_vec();
     let mut removed = 0;
     let mut changed = Vec::new();
     let blocks: Vec<BlockId> = func.layout.clone();
     for b in blocks {
         let mut pruned = false;
-        // Backward scan with running live sets seeded from block live-out.
+        // Backward scan with running live sets seeded from the exact block
+        // live-out (nothing after an unconditional exit).
         let mut live_regs: FxHashSet<Reg> = live.live_out_regs[&b].clone();
         let mut live_preds: FxHashSet<PredReg> = live.live_out_preds[&b].clone();
         let ops = &mut func.block_mut(b).ops;
         let mut keep: Vec<bool> = vec![true; ops.len()];
         for (i, op) in ops.iter_mut().enumerate().rev() {
-            // A `ret` hands the live-out registers to the caller.
-            if op.opcode == Opcode::Ret {
-                live_regs.extend(live_outs.iter().copied());
-            }
-            // A mid-block exit makes its target's live-ins live here —
-            // seeding only from block live-out would let a later
-            // (post-branch) redefinition hide values the taken edge needs.
-            if op.opcode == Opcode::Branch {
-                if let Some(t) = op.branch_target() {
-                    if let Some(s) = live.live_in_regs.get(&t) {
-                        live_regs.extend(s.iter().copied());
-                    }
-                    if let Some(s) = live.live_in_preds.get(&t) {
-                        live_preds.extend(s.iter().copied());
-                    }
-                }
-            }
+            // An exit makes what is live where it leaves live here (a
+            // `ret` hands the caller the live-outs): seeding only from block
+            // live-out would let a later (post-branch) redefinition hide
+            // values the taken edge needs.
+            let (exit_regs, exit_preds) = live.at_exit(op);
+            live_regs.extend(exit_regs);
+            live_preds.extend(exit_preds);
             let has_live_dest = op.dests.iter().any(|d| match d {
                 Dest::Reg(r) => live_regs.contains(r),
                 Dest::Pred(p, _) => live_preds.contains(p),

@@ -126,18 +126,14 @@ pub fn off_trace_motion(
     // between them execute on-trace even when a branch above it would
     // have been taken — implicit speculation, legal only for effects the
     // off-trace path cannot observe.
-    let mut off_trace_live_regs: FxHashSet<epic_ir::Reg> =
-        func.live_outs().iter().copied().collect();
+    // The off-trace path may reach a `ret`, so what a `ret` sees is live
+    // there too.
+    let mut off_trace_live_regs: FxHashSet<epic_ir::Reg> = global.at_ret().clone();
     let mut off_trace_live_preds: FxHashSet<PredReg> = FxHashSet::default();
     for &bp in &branch_positions {
-        if let Some(t) = ops[bp].branch_target() {
-            if let Some(s) = global.live_in_regs.get(&t) {
-                off_trace_live_regs.extend(s.iter().copied());
-            }
-            if let Some(s) = global.live_in_preds.get(&t) {
-                off_trace_live_preds.extend(s.iter().copied());
-            }
-        }
+        let (regs, preds) = global.at_exit(&ops[bp]);
+        off_trace_live_regs.extend(regs);
+        off_trace_live_preds.extend(preds);
     }
     for (j, op) in ops.iter().enumerate().take(bypass_pos) {
         if set1.contains(&j) {
@@ -194,36 +190,22 @@ pub fn off_trace_motion(
         }
     };
 
-    // Registers live at the on-trace continuations (fall-through successor
-    // and targets of unmoved branches): values the on-trace path must still
-    // produce.
-    let mut live_on_trace: FxHashSet<epic_ir::Reg> = FxHashSet::default();
-    // Designated live-out registers are observed by every `ret`, on-trace
-    // rets included; treat them as live at every continuation.
-    live_on_trace.extend(func.live_outs().iter().copied());
-    if let Some(ft) = func.fallthrough_of(r.block) {
-        if let Some(s) = global.live_in_regs.get(&ft) {
-            live_on_trace.extend(s.iter().copied());
-        }
-    }
+    // Registers live at the on-trace continuations (layout successor and
+    // targets of unmoved branches): values the on-trace path must still
+    // produce. Every `ret` observes the live-outs, on-trace rets included;
+    // treat them as live at every continuation.
+    let mut live_on_trace: FxHashSet<epic_ir::Reg> = global.at_ret().clone();
+    live_on_trace.extend(global.at_block_end(func, r.block).0);
     for (i, op) in ops.iter().enumerate() {
         if op.opcode == Opcode::Branch && !set1.contains(&i) && op.id != r.bypass {
-            if let Some(t) = op.branch_target() {
-                if let Some(s) = global.live_in_regs.get(&t) {
-                    live_on_trace.extend(s.iter().copied());
-                }
-            }
+            live_on_trace.extend(global.at_exit(op).0);
         }
     }
     if r.taken_variation {
         // In the taken variation the on-trace continuation is the bypass
         // branch's *target* (e.g. the loop head): whatever is live there
         // must still be produced on-trace.
-        if let Some(t) = ops[bypass_pos].branch_target() {
-            if let Some(s) = global.live_in_regs.get(&t) {
-                live_on_trace.extend(s.iter().copied());
-            }
-        }
+        live_on_trace.extend(global.at_exit(&ops[bypass_pos]).0);
     }
 
     // set 2: moved ops whose effects are also needed on-trace.

@@ -132,12 +132,9 @@ pub fn restructure(
 
     // --- legality pre-checks ---
     // (a) No original predicate may be live outside this hyperblock.
-    for succ in func.successors(block) {
-        if let Some(lp) = live.live_in_preds.get(&succ) {
-            if original_preds.iter().any(|p| lp.contains(p)) {
-                return Err(Skip::PredLiveOut);
-            }
-        }
+    let live_out = &live.live_out_preds[&block];
+    if original_preds.iter().any(|p| live_out.contains(p)) {
+        return Err(Skip::PredLiveOut);
     }
     // (b) Guards reading an original predicate are split or moved below;
     // a *data* use of one in a non-compare op is not handled.

@@ -32,11 +32,12 @@ struct Renamer {
 
 impl Renamer {
     fn new(func: &Function, head: BlockId, live: &GlobalLiveness) -> Renamer {
-        // Values live at any exit target (or the natural fall-through exit)
-        // must stay in their architectural registers. Partially-written
-        // destinations (guarded register defs, wired or guarded predicate
-        // writes) cannot be renamed either: under a false guard the
-        // original keeps its previous value, which a fresh name would not.
+        // Values live at any exit (a side exit's target, a `ret`, or the
+        // natural fall-through exit) must stay in their architectural
+        // registers. Partially-written destinations (guarded register
+        // defs, wired or guarded predicate writes) cannot be renamed
+        // either: under a false guard the original keeps its previous
+        // value, which a fresh name would not.
         let mut protected_regs: HashSet<Reg> = HashSet::new();
         let mut protected_preds: HashSet<PredReg> = HashSet::new();
         for op in &func.block(head).ops {
@@ -57,25 +58,21 @@ impl Renamer {
                 }
             }
         }
-        let mut absorb = |b: BlockId| {
-            if let Some(s) = live.live_in_regs.get(&b) {
-                protected_regs.extend(s.iter().copied());
-            }
-            if let Some(s) = live.live_in_preds.get(&b) {
-                protected_preds.extend(s.iter().copied());
-            }
+        let mut absorb = |(regs, preds): epic_analysis::ExitSets| {
+            protected_regs.extend(regs);
+            protected_preds.extend(preds);
         };
         for (_, br) in func.block(head).branches() {
-            if let Some(t) = br.branch_target() {
-                if t != head {
-                    absorb(t);
-                }
+            if br.branch_target() != Some(head) {
+                absorb(live.at_exit(br));
             }
         }
+        // The layout successor is an exit only when the head can fall
+        // through: `at_block_end` alone over-approximates after an
+        // unconditional exit, and protecting those values changes what
+        // the copies rename.
         if !func.block(head).ends_with_unconditional_exit() {
-            if let Some(ft) = func.fallthrough_of(head) {
-                absorb(ft);
-            }
+            absorb(live.at_block_end(func, head));
         }
         Renamer {
             reg_map: HashMap::new(),

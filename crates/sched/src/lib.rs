@@ -6,8 +6,11 @@
 //! Each block (superblock / hyperblock / compensation block) is scheduled
 //! independently against a [`Machine`] description.
 //! Dependence information comes from [`epic_analysis::DepGraph`], which the
-//! scheduler builds with exit liveness derived from a whole-function
-//! liveness analysis. All of the paper's predicate-aware freedoms —
+//! scheduler builds over a whole-function [`GlobalLiveness`]: each exit
+//! reads what is live there through [`GlobalLiveness::at_exit`] (a branch's
+//! target live-ins, a `ret`'s function live-outs), the rule every ICBM pass
+//! reads too, so no exit issues before the values it hands on are
+//! available. All of the paper's predicate-aware freedoms —
 //! reordering and overlapping of disjointly-guarded branches, commutative
 //! wired-and/wired-or accumulation — are inherited from the dependence
 //! graph; the scheduler itself only enforces resources and edge latencies.
@@ -34,7 +37,7 @@ mod list;
 
 pub use list::{schedule_block, Schedule};
 
-use epic_analysis::{DepGraph, DepOptions, ExitLiveness, GlobalLiveness, PredFacts};
+use epic_analysis::{DepGraph, DepOptions, GlobalLiveness, PredFacts};
 use epic_ir::{BlockId, Function, FxHashMap};
 use epic_machine::Machine;
 
@@ -98,9 +101,9 @@ impl ScheduledFunction {
 
 /// Schedules every block of `func` for `machine`.
 ///
-/// Exit liveness (what must be available when each exit branch takes) is
-/// derived from a whole-function liveness analysis, so values only used
-/// off-trace do not constrain the on-trace schedule more than necessary.
+/// Exit liveness (what must be available when each exit takes) is read
+/// from a whole-function liveness analysis, so values only used off-trace
+/// do not constrain the on-trace schedule more than necessary.
 pub fn schedule_function(
     func: &Function,
     machine: &Machine,
@@ -114,9 +117,10 @@ pub fn schedule_function(
 /// Schedules every block of `func` for each machine in `machines`, sharing
 /// the machine-independent analyses across the whole suite.
 ///
-/// Global liveness, per-block exit liveness, and per-block [`PredFacts`]
-/// depend only on the function; only the dependence graph (latencies, branch
-/// shadow) and the list schedule itself depend on the machine. Table 2
+/// Global liveness (which every block's graph borrows its exit sets from)
+/// and per-block [`PredFacts`] depend only on the function; only the
+/// dependence graph (latencies, branch shadow) and the list schedule itself
+/// depend on the machine. Table 2
 /// schedules every function on five machine models, so hoisting the shared
 /// work out of the per-machine loop removes ~80% of its analysis cost. The
 /// result at index `i` is identical to `schedule_function(func,
@@ -138,13 +142,12 @@ pub fn schedule_function_suite(
     let mut out = vec![ScheduledFunction::new(); machines.len()];
     for block in func.blocks_in_layout() {
         let ops = &block.ops;
-        let exit_live = ExitLiveness::of(func, block, &live);
         let mut facts = PredFacts::compute(ops);
         let lat_fns: Vec<_> =
             machines.iter().map(|m| move |op: &epic_ir::Op| m.latency_of(op)).collect();
         let lat_refs: Vec<&dyn Fn(&epic_ir::Op) -> u32> =
             lat_fns.iter().map(|f| f as &dyn Fn(&epic_ir::Op) -> u32).collect();
-        let graphs = DepGraph::build_suite(ops, &mut facts, &lat_refs, &dep_opts, Some(&exit_live));
+        let graphs = DepGraph::build_suite(ops, &mut facts, &lat_refs, &dep_opts, Some(&live));
         for ((mi, machine), graph) in machines.iter().enumerate().zip(&graphs) {
             out[mi].set_block(block.id, schedule_block(ops, graph, machine));
         }
@@ -156,6 +159,26 @@ pub fn schedule_function_suite(
 mod tests {
     use super::*;
     use epic_ir::{CmpCond, FunctionBuilder, Opcode, Operand};
+
+    #[test]
+    fn ret_waits_for_the_live_outs_it_returns() {
+        let mut b = FunctionBuilder::new("r");
+        let e = b.block("e");
+        b.switch_to(e);
+        let a = b.movi(0);
+        let v = b.load(a);
+        let out = b.mul(v.into(), Operand::Imm(3));
+        b.ret();
+        b.mark_live_out(out);
+        let f = b.finish();
+        for m in [Machine::wide(), Machine::medium(), Machine::sequential()] {
+            let sched = schedule_function(&f, &m, &SchedOptions::default());
+            let s = sched.block(e);
+            // The multiply issues in cycle 3 and completes in cycle 6.
+            assert!(s.cycles[3] >= 5, "{}: ret in cycle {}", m.name(), s.cycles[3]);
+            assert_eq!(s.length, 6, "{}", m.name());
+        }
+    }
 
     #[test]
     fn sequential_machine_is_one_op_per_cycle() {

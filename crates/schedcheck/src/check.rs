@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-use epic_analysis::{DepGraph, DepKind, DepOptions, ExitLiveness, GlobalLiveness, PredFacts};
+use epic_analysis::{DepGraph, DepKind, DepOptions, GlobalLiveness, PredFacts};
 use epic_ir::{Block, BlockId, Function, UnitClass};
 use epic_machine::Machine;
 use epic_obs::{Counter, MetricsRegistry, Span};
@@ -82,7 +82,7 @@ pub fn check_function(
                 block_name: block.name.clone(),
                 kind: ViolationKind::MissingBlock,
             }),
-            Some(s) => check_block(func, block, s, machine, &live, &dep_opts, &mut violations),
+            Some(s) => check_block(block, s, machine, &live, &dep_opts, &mut violations),
         }
     }
     violations_counter().add(violations.len() as u64);
@@ -90,7 +90,6 @@ pub fn check_function(
 }
 
 fn check_block(
-    func: &Function,
     block: &Block,
     s: &Schedule,
     machine: &Machine,
@@ -179,10 +178,9 @@ fn check_block(
     }
 
     // 4. Dependence-edge latencies over the independently rebuilt graph.
-    let exit_live = ExitLiveness::of(func, block, live);
     let mut facts = PredFacts::compute(ops);
     let latency = |op: &epic_ir::Op| machine.latency_of(op);
-    let graph = DepGraph::build(ops, &mut facts, &latency, dep_opts, Some(&exit_live));
+    let graph = DepGraph::build(ops, &mut facts, &latency, dep_opts, Some(live));
     for e in graph.edges() {
         let (from_cycle, to_cycle) = (s.cycles[e.from], s.cycles[e.to]);
         if to_cycle >= from_cycle + e.latency as i64 {

@@ -7,7 +7,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use epic_analysis::{DepGraph, DepKind, DepOptions, ExitLiveness, GlobalLiveness, PredFacts};
+use epic_analysis::{DepGraph, DepKind, DepOptions, GlobalLiveness, PredFacts};
 use epic_ir::{BlockId, Function, UnitClass};
 use epic_machine::Machine;
 use epic_obs::{Counter, MetricsRegistry, Span};
@@ -126,10 +126,9 @@ pub fn mutate(
         });
 
         // Edge swaps need the same graph the checker rebuilds.
-        let exit_live = ExitLiveness::of(func, block, &live);
         let mut facts = PredFacts::compute(ops);
         let latency = |op: &epic_ir::Op| machine.latency_of(op);
-        let graph = DepGraph::build(ops, &mut facts, &latency, &dep_opts, Some(&exit_live));
+        let graph = DepGraph::build(ops, &mut facts, &latency, &dep_opts, Some(&live));
         for e in graph.edges() {
             if e.latency < 1 || s.cycles[e.from] == s.cycles[e.to] {
                 continue;

@@ -221,6 +221,29 @@ fn exit_availability_violated() {
 }
 
 #[test]
+fn ret_before_live_out_is_available() {
+    // A `ret` is an exit too: the function's live-outs must be available
+    // when it leaves.
+    let mut b = FunctionBuilder::new("t");
+    let e = b.block("e");
+    b.switch_to(e);
+    let a = b.movi(0); // op 0
+    let v = b.load(a); // op 1: latency 2
+    let out = b.mul(v.into(), Operand::Imm(3)); // op 2: latency 3, live-out
+    b.ret(); // op 3
+    b.mark_live_out(out);
+    let f = b.finish();
+    let mut sched = ScheduledFunction::new();
+    // `ret` in cycle 0 while the multiply completes in cycle 6.
+    sched.set_block(e, sched_of(vec![0, 1, 3, 0], 6));
+    let msg = single(&f, &Machine::wide(), &sched);
+    assert_eq!(
+        msg,
+        "block b0 `e`: op 2 (cycle 3) not available at exit branch 3 (cycle 0): branch needs cycle >= 5"
+    );
+}
+
+#[test]
 fn tags_are_stable() {
     let (f, _) = ret_only();
     let vs = check_function(&f, &Machine::wide(), &ScheduledFunction::new(), &SchedOptions::default());

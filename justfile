@@ -9,8 +9,10 @@ bench-check: fuzz-smoke riscfe-check serve-smoke serve-bench obs-smoke sched-che
     cargo clippy --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
     # perfbench is its own workspace, so nothing above compiles it; build
-    # it into the directory perfbench/run.py uses.
+    # it into the directory perfbench/run.py uses, and run its unit tests
+    # (they guard the analysis API it links against).
     cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir .bench_build
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir .bench_build
 
 # Performance gate: serial table2 (one warmup, min of 3 runs) must stay
 # within 25% of the committed BENCH_table2.json snapshot; a snapshot that
@@ -26,11 +28,13 @@ examples:
     cargo run --release -q -p epic-bench --example machine_sweep > /dev/null
 
 # Schedule translation validation: the independent checker's negative
-# suite and mutation kill-rate harness, plus whole-suite stage validation,
-# replay-vs-estimate cross-checks, and scheduler property tests.
+# suite and mutation kill-rate harness, replay-vs-estimate cross-checks,
+# scheduler property tests, and whole-suite stage validation (the fuzz
+# harness schedule-checks every pipeline step of the 26 workloads).
 sched-check:
     cargo test --release -q -p epic-schedcheck
     cargo test --release -q -p epic-bench --test sched_validation --test sched_properties
+    cargo test --release -q -p epic-fuzz --test suite_workloads
 
 # End-to-end smoke of the compile server: feeds a mixed batch twice
 # through the real binary's stdin and requires the second pass to be

@@ -8,7 +8,7 @@
 //!   machine with effectively unbounded issue widths the greedy scheduler
 //!   achieves the height exactly.
 
-use epic_analysis::{DepGraph, DepOptions, ExitLiveness, GlobalLiveness, PredFacts};
+use epic_analysis::{DepGraph, DepOptions, GlobalLiveness, PredFacts};
 use epic_bench::{compile, PipelineConfig};
 use epic_ir::{CmpCond, Function, FunctionBuilder, Operand};
 use epic_machine::{Latencies, Machine, Widths};
@@ -28,10 +28,9 @@ fn block_heights(func: &Function, machine: &Machine, opts: &SchedOptions) -> Vec
     };
     func.blocks_in_layout()
         .map(|block| {
-            let exit_live = ExitLiveness::of(func, block, &live);
             let mut facts = PredFacts::compute(&block.ops);
             let latency = |op: &epic_ir::Op| machine.latency_of(op);
-            let graph = DepGraph::build(&block.ops, &mut facts, &latency, &dep_opts, Some(&exit_live));
+            let graph = DepGraph::build(&block.ops, &mut facts, &latency, &dep_opts, Some(&live));
             (block.name.clone(), graph.height(&block.ops, &latency))
         })
         .collect()

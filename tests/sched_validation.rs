@@ -2,49 +2,20 @@
 //!
 //! The independent `epic-schedcheck` validator re-derives liveness,
 //! predicate facts, and the dependence graph from scratch, so these tests
-//! prove the list scheduler out of the trusted computing base: every
-//! function the pipeline produces — at *every* stage, not just the final
-//! pair — must schedule validly on both machine extremes, the perf
+//! prove the list scheduler out of the trusted computing base: the perf
 //! estimate must equal a cycle-accurate scheduled replay on every input,
-//! and the checker must kill every seeded schedule mutation.
+//! and the checker must kill every seeded schedule mutation. That every
+//! function the pipeline produces — at *every* stage, not just the final
+//! pair — schedules validly on both machine extremes is checked by the
+//! fuzz harness's `suite_workloads` test (`epic-fuzz`), which observes the
+//! same run.
 
-use epic_bench::{compile, validated_schedule, CompileError, Pipeline, PipelineConfig};
-use epic_ir::Function;
+use epic_bench::{compile, validated_schedule, PipelineConfig};
 use epic_machine::{Frontend, Machine};
 use epic_perf::weighted_cycles_with;
 use epic_regions::MeldConfig;
 use epic_sched::{schedule_function, SchedOptions};
 use epic_schedcheck::{mutation_kill_rate, replay_cycles, replay_cycles_with};
-
-/// Schedules `func` on the wide and sequential extremes and runs the
-/// independent checker over the result.
-fn assert_valid(name: &str, stage: &str, func: &Function) {
-    for m in [Machine::wide(), Machine::sequential()] {
-        if let Err(e) = validated_schedule(func, &m) {
-            panic!("{name} {stage} {e}");
-        }
-    }
-}
-
-/// Every intermediate function of the pipeline — source, superblock,
-/// unrolled baseline, FRP copy, each ICBM phase's output — schedules
-/// validly under the independent checker on every workload. The test
-/// observes `Pipeline::run_observed`, so it sees the intermediates of the
-/// compile that ships.
-#[test]
-fn every_pipeline_stage_schedules_validly() {
-    let cfg = PipelineConfig::default();
-    for w in epic_workloads::all() {
-        let name = w.name;
-        assert_valid(name, "source", &w.func);
-        Pipeline::new(&w, &cfg)
-            .run_observed(|step, f| {
-                assert_valid(name, step.name(), f);
-                Ok::<(), CompileError>(())
-            })
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-    }
-}
 
 /// The `epic-perf` estimate (`schedule length × profile weight`) equals a
 /// cycle-accurate replay of the interpreter's block trace through the
