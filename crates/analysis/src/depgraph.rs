@@ -31,10 +31,26 @@
 //!
 //! All edges point forward in program order, so program order is a
 //! topological order of the graph.
+//!
+//! # One edge set, five machines
+//!
+//! Table 2 schedules every block on five machine models, and only edge
+//! latencies depend on the machine. [`DepGraph::build_suite`] therefore
+//! builds the edge list once, as latency *rules*, and the adjacency that
+//! `preds`/`succs` walk once, as compressed-sparse-row arrays behind an
+//! `Arc` that all five graphs share; each machine gets only its own edge
+//! list with instantiated latencies. The builder walks its writer, reader,
+//! store, load and branch lists in place rather than copying them per
+//! op, and reads each branch's exit sets once, when it visits the branch.
+//! `tests/dep_edges.rs` pins every edge and adjacency order of the suite
+//! and corpus to a golden digest, and bounds the builder's allocations
+//! per op.
 
-use epic_ir::{Function, FxHashMap, FxHashSet, Op, OpId, Opcode, PredActionKind, PredReg, Reg};
+use std::sync::Arc;
 
-use crate::liveness::GlobalLiveness;
+use epic_ir::{Function, FxHashMap, FxHashSet, Op, OpId, Opcode, PredActionKind, Reg};
+
+use crate::liveness::{ExitSets, GlobalLiveness};
 use crate::pred_facts::PredFacts;
 
 /// The kind of a dependence edge.
@@ -101,8 +117,58 @@ impl<'a> DepOptions<'a> {
 pub struct DepGraph {
     n: usize,
     edges: Vec<DepEdge>,
-    preds_of: Vec<Vec<u32>>,
-    succs_of: Vec<Vec<u32>>,
+    /// Which edges enter and leave each op: the same for every machine of
+    /// a [`build_suite`](DepGraph::build_suite) call, so built once and
+    /// shared.
+    adj: Arc<Adjacency>,
+}
+
+/// The incoming and outgoing edge indices of every op, in compressed
+/// sparse row form: op `i`'s incoming edges are
+/// `pred_edges[pred_start[i]..pred_start[i + 1]]`, in edge order, and
+/// likewise for the outgoing ones.
+#[derive(Debug)]
+struct Adjacency {
+    pred_start: Vec<u32>,
+    pred_edges: Vec<u32>,
+    succ_start: Vec<u32>,
+    succ_edges: Vec<u32>,
+}
+
+impl Adjacency {
+    fn new(n: usize, edges: &[RawEdge]) -> Adjacency {
+        let (pred_start, pred_edges) = csr(n, edges, |e| e.to);
+        let (succ_start, succ_edges) = csr(n, edges, |e| e.from);
+        Adjacency { pred_start, pred_edges, succ_start, succ_edges }
+    }
+
+    fn preds(&self, i: usize) -> &[u32] {
+        &self.pred_edges[self.pred_start[i] as usize..self.pred_start[i + 1] as usize]
+    }
+
+    fn succs(&self, i: usize) -> &[u32] {
+        &self.succ_edges[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
+    }
+}
+
+/// Groups the indices of `edges` by `key` (a counting sort, so each
+/// group keeps edge order): the group starts, then the indices.
+fn csr(n: usize, edges: &[RawEdge], key: impl Fn(&RawEdge) -> usize) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; n + 1];
+    for e in edges {
+        start[key(e) + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut next = start.clone();
+    let mut order = vec![0u32; edges.len()];
+    for (idx, e) in edges.iter().enumerate() {
+        let slot = &mut next[key(e)];
+        order[*slot as usize] = idx as u32;
+        *slot += 1;
+    }
+    (start, order)
 }
 
 impl DepGraph {
@@ -179,13 +245,15 @@ impl DepGraph {
             .map(|o| opts[0].mem_classes.and_then(|m| m.get(&o.id).copied()))
             .collect();
         let mut b = Builder {
-            ops,
-            facts,
-            opts: &opts[0],
+            sink: Sink {
+                ops,
+                facts,
+                pred_relaxation: opts[0].pred_relaxation,
+                edges: Vec::new(),
+            },
             classes,
             live,
             control,
-            edges: Vec::new(),
             reg_writers: Vec::new(),
             reg_readers: Vec::new(),
             pred_writers: Vec::new(),
@@ -198,14 +266,9 @@ impl DepGraph {
         for i in 0..ops.len() {
             b.visit(i);
         }
-        let raw = b.edges;
-        let mut preds_of = vec![Vec::new(); ops.len()];
-        let mut succs_of = vec![Vec::new(); ops.len()];
-        for (idx, e) in raw.iter().enumerate() {
-            debug_assert!(e.from < e.to, "edges must point forward");
-            preds_of[e.to].push(idx as u32);
-            succs_of[e.from].push(idx as u32);
-        }
+        let raw = b.sink.edges;
+        debug_assert!(raw.iter().all(|e| e.from < e.to), "edges must point forward");
+        let adj = Arc::new(Adjacency::new(ops.len(), &raw));
         latencies
             .iter()
             .zip(opts)
@@ -220,12 +283,7 @@ impl DepGraph {
                         latency: e.rule.latency(latency(&ops[e.from]) as i32, blat),
                     })
                     .collect();
-                DepGraph {
-                    n: ops.len(),
-                    edges,
-                    preds_of: preds_of.clone(),
-                    succs_of: succs_of.clone(),
-                }
+                DepGraph { n: ops.len(), edges, adj: Arc::clone(&adj) }
             })
             .collect()
     }
@@ -247,12 +305,12 @@ impl DepGraph {
 
     /// Incoming edges of op `i`.
     pub fn preds(&self, i: usize) -> impl Iterator<Item = &DepEdge> + '_ {
-        self.preds_of[i].iter().map(move |&e| &self.edges[e as usize])
+        self.adj.preds(i).iter().map(move |&e| &self.edges[e as usize])
     }
 
     /// Outgoing edges of op `i`.
     pub fn succs(&self, i: usize) -> impl Iterator<Item = &DepEdge> + '_ {
-        self.succs_of[i].iter().map(move |&e| &self.edges[e as usize])
+        self.adj.succs(i).iter().map(move |&e| &self.edges[e as usize])
     }
 
     /// Earliest start cycle of each op ignoring resource constraints
@@ -450,48 +508,18 @@ struct RawEdge {
     rule: LatRule,
 }
 
-struct Builder<'a> {
+/// Where the builder's edges go, with what deciding an edge needs. Kept
+/// apart from the writer/reader lists so the builder walks those lists in
+/// place while it pushes edges, instead of copying each one first.
+struct Sink<'a> {
     ops: &'a [Op],
     facts: &'a mut PredFacts,
-    opts: &'a DepOptions<'a>,
-    classes: Vec<Option<u32>>,
-    live: Option<&'a GlobalLiveness>,
-    /// Emit branch control / availability edges (see
-    /// [`DepGraph::build_data`] for the data-only mode that skips them).
-    control: bool,
+    /// [`DepOptions::pred_relaxation`].
+    pred_relaxation: bool,
     edges: Vec<RawEdge>,
-    /// Current potentially-visible writers of each register (a guarded def
-    /// does not kill earlier defs). Dense, indexed by register number and
-    /// grown on demand — the builder touches these once per operand, so
-    /// plain indexing beats hash probing on hot regions.
-    reg_writers: Vec<Vec<usize>>,
-    reg_readers: Vec<Vec<usize>>,
-    /// Writers of each predicate since the last unconditional (barrier)
-    /// write, with their action kinds. Indexed by predicate number.
-    pred_writers: Vec<Vec<(usize, PredActionKind)>>,
-    pred_readers: Vec<Vec<usize>>,
-    stores: Vec<usize>,
-    loads: Vec<usize>,
-    branches: Vec<usize>,
-    addrs: Vec<Option<Addr>>,
 }
 
-/// The grow-on-demand slot for index `i` of a dense table.
-fn slot<T>(table: &mut Vec<Vec<T>>, i: usize) -> &mut Vec<T> {
-    if i >= table.len() {
-        table.resize_with(i + 1, Vec::new);
-    }
-    &mut table[i]
-}
-
-/// A clone of the slot for index `i`, empty when never touched. Cloned so
-/// the borrow of the table ends before edges are pushed (the entry vectors
-/// are short: visible writers/readers since the last kill).
-fn slot_cloned<T: Clone>(table: &[Vec<T>], i: usize) -> Vec<T> {
-    table.get(i).cloned().unwrap_or_default()
-}
-
-impl<'a> Builder<'a> {
+impl Sink<'_> {
     fn edge(&mut self, from: usize, to: usize, kind: DepKind, rule: LatRule) {
         if from == to {
             return;
@@ -501,7 +529,7 @@ impl<'a> Builder<'a> {
     }
 
     fn disjoint(&mut self, i: usize, j: usize) -> bool {
-        self.opts.pred_relaxation && self.facts.guards_disjoint(i, j)
+        self.pred_relaxation && self.facts.guards_disjoint(i, j)
     }
 
     /// True when op `i` performs no write at all under a false guard (this
@@ -517,46 +545,85 @@ impl<'a> Builder<'a> {
             _ => true,
         }
     }
+}
 
-    fn is_speculative(&self, i: usize) -> bool {
-        !self.ops[i].opcode.has_side_effects()
+/// A branch already visited, with what is live where it exits when the
+/// function's liveness is known (read once per branch, not once per later
+/// op).
+struct BranchExit<'a> {
+    at: usize,
+    live: Option<ExitSets<'a>>,
+}
+
+struct Builder<'a> {
+    sink: Sink<'a>,
+    classes: Vec<Option<u32>>,
+    live: Option<&'a GlobalLiveness>,
+    /// Emit branch control / availability edges (see
+    /// [`DepGraph::build_data`] for the data-only mode that skips them).
+    control: bool,
+    /// Current potentially-visible writers of each register (a guarded def
+    /// does not kill earlier defs). Dense, indexed by register number and
+    /// grown on demand — the builder touches these once per operand, so
+    /// plain indexing beats hash probing on hot regions.
+    reg_writers: Vec<Vec<usize>>,
+    reg_readers: Vec<Vec<usize>>,
+    /// Writers of each predicate since the last unconditional (barrier)
+    /// write, with their action kinds. Indexed by predicate number.
+    pred_writers: Vec<Vec<(usize, PredActionKind)>>,
+    pred_readers: Vec<Vec<usize>>,
+    stores: Vec<usize>,
+    loads: Vec<usize>,
+    branches: Vec<BranchExit<'a>>,
+    addrs: Vec<Option<Addr>>,
+}
+
+/// The grow-on-demand slot for index `i` of a dense table.
+fn slot<T>(table: &mut Vec<Vec<T>>, i: usize) -> &mut Vec<T> {
+    if i >= table.len() {
+        table.resize_with(i + 1, Vec::new);
     }
+    &mut table[i]
+}
 
+/// The entries of slot `i` of a dense table, empty when never touched.
+fn listed<T>(table: &[Vec<T>], i: usize) -> &[T] {
+    table.get(i).map_or(&[], Vec::as_slice)
+}
+
+impl<'a> Builder<'a> {
     fn visit(&mut self, i: usize) {
-        let op = &self.ops[i];
+        let op = &self.sink.ops[i];
 
         // --- register uses: flow from all visible writers ---
-        let used_regs: Vec<Reg> = op.uses_regs().collect();
-        for r in &used_regs {
-            for w in slot_cloned(&self.reg_writers, r.index()) {
-                self.edge(w, i, DepKind::Flow, LatRule::FromLat);
+        for r in op.uses_regs() {
+            for &w in listed(&self.reg_writers, r.index()) {
+                self.sink.edge(w, i, DepKind::Flow, LatRule::FromLat);
             }
             slot(&mut self.reg_readers, r.index()).push(i);
         }
 
         // --- predicate uses (guard + data): flow from writers ---
-        let used_preds: Vec<PredReg> = op.uses_preds_with_guard().collect();
-        for p in &used_preds {
-            for (w, _) in slot_cloned(&self.pred_writers, p.index()) {
-                self.edge(w, i, DepKind::Flow, LatRule::FromLat);
+        for p in op.uses_preds_with_guard() {
+            for &(w, _) in listed(&self.pred_writers, p.index()) {
+                self.sink.edge(w, i, DepKind::Flow, LatRule::FromLat);
             }
             slot(&mut self.pred_readers, p.index()).push(i);
         }
 
         // --- register defs: anti from readers, output from writers ---
-        let def_regs: Vec<Reg> = op.defs_regs().collect();
-        for r in &def_regs {
-            for rd in slot_cloned(&self.reg_readers, r.index()) {
-                if !(self.disjoint(rd, i) && self.write_vanishes_when_nullified(i)) {
-                    self.edge(rd, i, DepKind::Anti, LatRule::Const(0));
+        for r in op.defs_regs() {
+            for &rd in listed(&self.reg_readers, r.index()) {
+                if !(self.sink.disjoint(rd, i) && self.sink.write_vanishes_when_nullified(i)) {
+                    self.sink.edge(rd, i, DepKind::Anti, LatRule::Const(0));
                 }
             }
-            for w in slot_cloned(&self.reg_writers, r.index()) {
-                if !(self.disjoint(w, i)
-                    && self.write_vanishes_when_nullified(i)
-                    && self.write_vanishes_when_nullified(w))
+            for &w in listed(&self.reg_writers, r.index()) {
+                if !(self.sink.disjoint(w, i)
+                    && self.sink.write_vanishes_when_nullified(i)
+                    && self.sink.write_vanishes_when_nullified(w))
                 {
-                    self.edge(w, i, DepKind::Output, LatRule::Const(1));
+                    self.sink.edge(w, i, DepKind::Output, LatRule::Const(1));
                 }
             }
             // Update writer set: an unguarded def kills, a guarded one joins.
@@ -568,71 +635,61 @@ impl<'a> Builder<'a> {
         }
 
         // --- predicate defs ---
-        let pred_dests: Vec<(PredReg, PredActionKind)> = op
-            .dests
-            .iter()
-            .filter_map(|d| match d {
-                epic_ir::Dest::Pred(p, a) => Some((*p, a.kind)),
-                _ => None,
-            })
-            .collect();
-        for (p, kind) in &pred_dests {
-            for rd in slot_cloned(&self.pred_readers, p.index()) {
-                let skippable = *kind != PredActionKind::Uncond && self.disjoint(rd, i);
+        let pred_dests = op.dests.iter().filter_map(|d| match d {
+            epic_ir::Dest::Pred(p, a) => Some((*p, a.kind)),
+            _ => None,
+        });
+        for (p, kind) in pred_dests {
+            for &rd in listed(&self.pred_readers, p.index()) {
+                let skippable = kind != PredActionKind::Uncond && self.sink.disjoint(rd, i);
                 if !skippable {
-                    self.edge(rd, i, DepKind::Anti, LatRule::Const(0));
+                    self.sink.edge(rd, i, DepKind::Anti, LatRule::Const(0));
                 }
             }
-            for (w, wkind) in slot_cloned(&self.pred_writers, p.index()) {
+            for &(w, wkind) in listed(&self.pred_writers, p.index()) {
                 // Same wired kind: unordered (commutative accumulation).
-                if wkind == *kind && *kind != PredActionKind::Uncond {
+                if wkind == kind && kind != PredActionKind::Uncond {
                     continue;
                 }
                 let both_wired =
-                    wkind != PredActionKind::Uncond && *kind != PredActionKind::Uncond;
-                if both_wired && self.disjoint(w, i) {
+                    wkind != PredActionKind::Uncond && kind != PredActionKind::Uncond;
+                if both_wired && self.sink.disjoint(w, i) {
                     continue;
                 }
-                self.edge(w, i, DepKind::Output, LatRule::Const(1));
+                self.sink.edge(w, i, DepKind::Output, LatRule::Const(1));
             }
-            let is_barrier = *kind == PredActionKind::Uncond && op.guard.is_none()
+            let is_barrier = kind == PredActionKind::Uncond && op.guard.is_none()
                 || matches!(op.opcode, Opcode::PredInit) && op.guard.is_none();
             if is_barrier {
                 slot(&mut self.pred_writers, p.index()).clear();
                 slot(&mut self.pred_readers, p.index()).clear();
             }
-            slot(&mut self.pred_writers, p.index()).push((i, *kind));
+            slot(&mut self.pred_writers, p.index()).push((i, kind));
         }
 
         // --- memory ---
+        let may_alias = |a: usize| {
+            !no_alias(self.addrs[a], self.addrs[i], self.classes[a], self.classes[i])
+        };
         match op.opcode {
             Opcode::Load | Opcode::LoadS => {
-                for s in self.stores.clone() {
-                    if no_alias(self.addrs[s], self.addrs[i], self.classes[s], self.classes[i])
-                        || self.disjoint(s, i)
-                    {
-                        continue;
+                for &s in &self.stores {
+                    if may_alias(s) && !self.sink.disjoint(s, i) {
+                        self.sink.edge(s, i, DepKind::Mem, LatRule::FromLat);
                     }
-                    self.edge(s, i, DepKind::Mem, LatRule::FromLat);
                 }
                 self.loads.push(i);
             }
             Opcode::Store => {
-                for s in self.stores.clone() {
-                    if no_alias(self.addrs[s], self.addrs[i], self.classes[s], self.classes[i])
-                        || self.disjoint(s, i)
-                    {
-                        continue;
+                for &s in &self.stores {
+                    if may_alias(s) && !self.sink.disjoint(s, i) {
+                        self.sink.edge(s, i, DepKind::Mem, LatRule::Const(1));
                     }
-                    self.edge(s, i, DepKind::Mem, LatRule::Const(1));
                 }
-                for l in self.loads.clone() {
-                    if no_alias(self.addrs[l], self.addrs[i], self.classes[l], self.classes[i])
-                        || self.disjoint(l, i)
-                    {
-                        continue;
+                for &l in &self.loads {
+                    if may_alias(l) && !self.sink.disjoint(l, i) {
+                        self.sink.edge(l, i, DepKind::Mem, LatRule::Const(0));
                     }
-                    self.edge(l, i, DepKind::Mem, LatRule::Const(0));
                 }
                 self.stores.push(i);
             }
@@ -643,16 +700,16 @@ impl<'a> Builder<'a> {
         if !self.control {
             return;
         }
-        for b in self.branches.clone() {
-            // Non-speculative ops must wait out the branch shadow.
-            let mut needs_control = !self.is_speculative(i);
+        // Non-speculative ops must wait out the branch shadow.
+        let speculative = !op.opcode.has_side_effects();
+        for b in &self.branches {
             // Ops whose destinations are live at the branch target must not
             // be hoisted into or above the branch shadow either.
-            if !needs_control && self.defines_live_at_exit(b, i) {
-                needs_control = true;
-            }
-            if needs_control && !(self.disjoint(b, i) && self.write_vanishes_when_nullified(i)) {
-                self.edge(b, i, DepKind::Control, LatRule::Blat);
+            let needs_control = !speculative || defines_live(op, b.live);
+            if needs_control
+                && !(self.sink.disjoint(b.at, i) && self.sink.write_vanishes_when_nullified(i))
+            {
+                self.sink.edge(b.at, i, DepKind::Control, LatRule::Blat);
             }
         }
 
@@ -660,66 +717,47 @@ impl<'a> Builder<'a> {
         if op.is_branch() {
             // Values live at the target must be available when the branch
             // takes; earlier non-speculative ops must have issued.
-            let (live_regs, live_preds) = self.live_at_exit(i);
-            for r in live_regs {
-                for w in slot_cloned(&self.reg_writers, r.index()) {
-                    if w == i {
-                        continue;
+            let exit = self.live.map(|live| live.at_exit(op));
+            let sink = &mut self.sink;
+            let mut available = |w: usize| {
+                if w != i {
+                    sink.edge(w, i, DepKind::Control, LatRule::FromLatMinusBlat);
+                }
+            };
+            match exit {
+                Some((regs, preds)) => {
+                    for r in regs {
+                        listed(&self.reg_writers, r.index()).iter().for_each(|&w| available(w));
                     }
-                    self.edge(w, i, DepKind::Control, LatRule::FromLatMinusBlat);
-                }
-            }
-            for p in live_preds {
-                for (w, _) in slot_cloned(&self.pred_writers, p.index()) {
-                    if w == i {
-                        continue;
+                    for p in preds {
+                        let writers = listed(&self.pred_writers, p.index());
+                        writers.iter().for_each(|&(w, _)| available(w));
                     }
-                    self.edge(w, i, DepKind::Control, LatRule::FromLatMinusBlat);
+                }
+                // Conservative: everything written so far is live.
+                None => {
+                    self.reg_writers.iter().flatten().for_each(|&w| available(w));
+                    self.pred_writers.iter().flatten().for_each(|&(w, _)| available(w));
                 }
             }
-            for s in self.stores.clone() {
-                if !self.disjoint(s, i) {
-                    self.edge(s, i, DepKind::Control, LatRule::OneMinusBlat);
+            for &s in &self.stores {
+                if !self.sink.disjoint(s, i) {
+                    self.sink.edge(s, i, DepKind::Control, LatRule::OneMinusBlat);
                 }
             }
-            self.branches.push(i);
+            self.branches.push(BranchExit { at: i, live: exit });
         }
     }
+}
 
-    /// Registers and predicates live at the exit taken by branch `b`.
-    fn live_at_exit(&self, b: usize) -> (Vec<Reg>, Vec<PredReg>) {
-        match self.live {
-            Some(live) => {
-                let (regs, preds) = live.at_exit(&self.ops[b]);
-                (regs.iter().copied().collect(), preds.iter().copied().collect())
-            }
-            // Conservative: everything written so far is live.
-            None => (
-                self.reg_writers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, ws)| !ws.is_empty())
-                    .map(|(r, _)| Reg(r as u32))
-                    .collect(),
-                self.pred_writers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, ws)| !ws.is_empty())
-                    .map(|(p, _)| PredReg(p as u32))
-                    .collect(),
-            ),
+/// Whether `op` writes something live where a branch exits: with unknown
+/// liveness (`None`), whether it writes anything at all.
+fn defines_live(op: &Op, exit: Option<ExitSets>) -> bool {
+    match exit {
+        Some((regs, preds)) => {
+            op.defs_regs().any(|d| regs.contains(&d)) || op.defs_preds().any(|d| preds.contains(&d))
         }
-    }
-
-    fn defines_live_at_exit(&self, b: usize, i: usize) -> bool {
-        let op = &self.ops[i];
-        match self.live {
-            Some(live) => {
-                let (regs, preds) = live.at_exit(&self.ops[b]);
-                op.defs_regs().any(|d| regs.contains(&d)) || op.defs_preds().any(|d| preds.contains(&d))
-            }
-            None => !op.dests.is_empty(),
-        }
+        None => !op.dests.is_empty(),
     }
 }
 

@@ -110,11 +110,12 @@ impl GlobalLiveness {
     /// be nullified, leaving the previous value live through it); `cmpp`
     /// unconditional destinations always write and therefore kill.
     pub fn compute(func: &Function) -> GlobalLiveness {
+        let ret_regs: FxHashSet<Reg> = func.live_outs().iter().copied().collect();
         let summaries = func
             .blocks_in_layout()
-            .map(|block| (block.id, BlockSummary::of(block, func.live_outs())))
+            .map(|block| (block.id, BlockSummary::of(block, &ret_regs)))
             .collect();
-        let mut live = GlobalLiveness { summaries, ..GlobalLiveness::default() };
+        let mut live = GlobalLiveness { ret_regs, summaries, ..GlobalLiveness::default() };
         live.solve(func);
         live
     }
@@ -124,8 +125,11 @@ impl GlobalLiveness {
     /// not, and summaries of blocks no longer in the layout are dropped).
     /// Only the touched/new blocks pay the expensive summary recomputation;
     /// the fixpoint is then re-solved from scratch, which is what keeps
-    /// may-liveness exact in the presence of removed edges.
+    /// may-liveness exact in the presence of removed edges. The function's
+    /// live-outs are re-read: [`at_ret`](GlobalLiveness::at_ret) and the
+    /// re-summarized blocks' `ret`s see the current ones.
     pub fn repair(&mut self, func: &Function, touched: &[BlockId]) {
+        self.ret_regs = func.live_outs().iter().copied().collect();
         let in_layout: FxHashSet<BlockId> = func.layout.iter().copied().collect();
         self.summaries.retain(|b, _| in_layout.contains(b));
         for b in touched {
@@ -134,7 +138,7 @@ impl GlobalLiveness {
         {
             let _s = epic_obs::Span::enter("liveness.summary", "analysis");
             for block in func.blocks_in_layout() {
-                let summary = || BlockSummary::of(block, func.live_outs());
+                let summary = || BlockSummary::of(block, &self.ret_regs);
                 self.summaries.entry(block.id).or_insert_with(summary);
             }
         }
@@ -298,7 +302,6 @@ impl GlobalLiveness {
             }
         }
 
-        self.ret_regs = func.live_outs().iter().copied().collect();
         let to_regs = |s: &BitSet| -> FxHashSet<Reg> { s.iter().map(Reg).collect() };
         let to_preds = |s: &BitSet| -> FxHashSet<PredReg> { s.iter().map(PredReg).collect() };
         let layout = || func.layout.iter().copied();
@@ -376,12 +379,13 @@ impl BlockSummary {
     /// this, FRP-converted code (where *every* definition is guarded) would
     /// never kill anything and liveness would defeat predicate speculation.
     ///
-    /// `live_outs` are the function's designated live-out registers: every
-    /// `ret` reads them (the caller observes their values), so they are
+    /// `ret_regs` is what is live at every `ret` — the set
+    /// [`GlobalLiveness::at_ret`] returns, so the solver and every pass
+    /// read one rule: the caller observes those registers, so they are
     /// upward-exposed at each return.
-    fn of(block: &Block, live_outs: &[Reg]) -> BlockSummary {
+    fn of(block: &Block, ret_regs: &FxHashSet<Reg>) -> BlockSummary {
         if block.ops.iter().all(|o| o.guard.is_none()) {
-            return BlockSummary::of_unpredicated(block, live_outs);
+            return BlockSummary::of_unpredicated(block, ret_regs);
         }
         let mut facts = crate::pred_facts::PredFacts::compute(&block.ops);
         let mut gr = BitSet::new();
@@ -416,7 +420,7 @@ impl BlockSummary {
                 }
             }
             if op.opcode == Opcode::Ret {
-                for &r in live_outs {
+                for &r in ret_regs {
                     let d = def_cond_r.get(r.index());
                     if !facts.manager().implies(g, d) {
                         gr.insert(r.0);
@@ -474,7 +478,7 @@ impl BlockSummary {
     /// JS96-style condition algebra degenerates to classic bitset gen/kill.
     /// Baselines, off-trace stubs and most compensation-free blocks take
     /// this path; it must produce exactly what `of` would.
-    fn of_unpredicated(block: &Block, live_outs: &[Reg]) -> BlockSummary {
+    fn of_unpredicated(block: &Block, ret_regs: &FxHashSet<Reg>) -> BlockSummary {
         let mut gr = BitSet::new();
         let mut gp = BitSet::new();
         let mut def_r = BitSet::new();
@@ -493,7 +497,7 @@ impl BlockSummary {
                 }
             }
             if op.opcode == Opcode::Ret {
-                for &r in live_outs {
+                for &r in ret_regs {
                     if !def_r.contains(r.0) {
                         gr.insert(r.0);
                     }

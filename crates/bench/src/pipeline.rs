@@ -552,6 +552,32 @@ mod tests {
     }
 
     #[test]
+    fn default_config_keys_over_the_corpus_are_pinned() {
+        // Every input the suite and corpus hash into a cache key: training
+        // and evaluation `content_hash`, the source fingerprint, the first
+        // stage's input fingerprint, and the three default-config stage
+        // hashes. Pinned so a faster hasher provably keeps every key (and
+        // every `EPIC_CACHE_DIR` written before it).
+        let cfg = PipelineConfig::default();
+        let mut h = Fnv64::new();
+        for w in epic_workloads::corpus::all_with_corpus() {
+            let training = w.training.content_hash();
+            let source = w.func.fingerprint();
+            h.write_str(w.name);
+            h.write_u64(training);
+            for input in &w.evaluation {
+                h.write_u64(input.content_hash());
+            }
+            h.write_u64(source);
+            h.write_u64(combine_hashes(&[source, training]));
+            h.write_u64(cfg.stage_hash(stage::SUPERBLOCK, &[]));
+            h.write_u64(cfg.stage_hash(stage::UNROLL, &[w.unroll as u64]));
+            h.write_u64(cfg.stage_hash(stage::ICBM, &[]));
+        }
+        assert_eq!(h.finish(), 0xf7e8_660a_8583_671c);
+    }
+
+    #[test]
     fn every_knob_changes_exactly_the_stage_keys_its_row_lists() {
         let s = KnobSpace::global();
         for base in [ConfigDelta::new(), passes_on(s)] {

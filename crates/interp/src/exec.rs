@@ -84,9 +84,17 @@ impl Input {
     pub fn content_hash(&self) -> u64 {
         let mut h = epic_ir::Fnv64::new();
         h.write_usize(self.memory.len());
+        // Images are mostly zero: each run of zero words is one multiply.
+        let mut zeros = 0;
         for &v in &self.memory {
-            h.write_i64(v);
+            if v == 0 {
+                zeros += 1;
+            } else {
+                h.write_zero_u64s(std::mem::take(&mut zeros));
+                h.write_i64(v);
+            }
         }
+        h.write_zero_u64s(zeros);
         h.write_usize(self.regs.len());
         for &(r, v) in &self.regs {
             h.write_u64(r.0 as u64);

@@ -139,14 +139,14 @@ pub fn schedule_function_suite(
             mem_classes: Some(func.mem_classes()),
         })
         .collect();
+    let lat_fns: Vec<_> =
+        machines.iter().map(|m| move |op: &epic_ir::Op| m.latency_of(op)).collect();
+    let lat_refs: Vec<&dyn Fn(&epic_ir::Op) -> u32> =
+        lat_fns.iter().map(|f| f as &dyn Fn(&epic_ir::Op) -> u32).collect();
     let mut out = vec![ScheduledFunction::new(); machines.len()];
     for block in func.blocks_in_layout() {
         let ops = &block.ops;
         let mut facts = PredFacts::compute(ops);
-        let lat_fns: Vec<_> =
-            machines.iter().map(|m| move |op: &epic_ir::Op| m.latency_of(op)).collect();
-        let lat_refs: Vec<&dyn Fn(&epic_ir::Op) -> u32> =
-            lat_fns.iter().map(|f| f as &dyn Fn(&epic_ir::Op) -> u32).collect();
         let graphs = DepGraph::build_suite(ops, &mut facts, &lat_refs, &dep_opts, Some(&live));
         for ((mi, machine), graph) in machines.iter().enumerate().zip(&graphs) {
             out[mi].set_block(block.id, schedule_block(ops, graph, machine));

@@ -175,7 +175,7 @@ struct Conn {
     stream: TcpStream,
     fd: RawFd,
     /// Bytes read but not yet consumed as complete lines.
-    inbuf: Vec<u8>,
+    inbuf: LineBuf,
     /// Reply bytes not yet accepted by the socket.
     outbuf: Vec<u8>,
     /// Prefix of `outbuf` already written.
@@ -486,7 +486,7 @@ fn accept_ready(
                 let conn = Conn {
                     stream,
                     fd,
-                    inbuf: Vec::new(),
+                    inbuf: LineBuf::default(),
                     outbuf: Vec::new(),
                     out_pos: 0,
                     next_seq: 0,
@@ -528,7 +528,7 @@ fn read_ready(conn: &mut Conn, token: usize, ctx: &Ctx, inflight_total: &mut usi
                 break;
             }
             Ok(n) => {
-                conn.inbuf.extend_from_slice(&buf[..n]);
+                conn.inbuf.bytes.extend_from_slice(&buf[..n]);
                 consume_lines(conn, token, ctx, inflight_total);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -542,24 +542,57 @@ fn read_ready(conn: &mut Conn, token: usize, ctx: &Ctx, inflight_total: &mut usi
     consume_lines(conn, token, ctx, inflight_total);
 }
 
-/// Splits `inbuf` at newlines and handles each complete line; after EOF a
-/// non-empty unterminated tail is the final line.
+/// Handles each complete line of `inbuf`; after EOF a non-empty
+/// unterminated tail is the final line.
 fn consume_lines(conn: &mut Conn, token: usize, ctx: &Ctx, inflight_total: &mut usize) {
-    let mut start = 0;
-    while let Some(nl) = conn.inbuf[start..].iter().position(|&b| b == b'\n') {
-        let end = start + nl;
-        let mut line_end = end;
-        if line_end > start && conn.inbuf[line_end - 1] == b'\r' {
-            line_end -= 1; // BufRead::lines strips \r\n too
-        }
-        let line = conn.inbuf[start..line_end].to_vec();
-        start = end + 1;
+    while let Some(line) = conn.inbuf.next_line() {
         handle_line(conn, token, &line, ctx, inflight_total);
     }
-    conn.inbuf.drain(..start);
-    if conn.read_closed && !conn.inbuf.is_empty() {
-        let line = std::mem::take(&mut conn.inbuf);
+    if conn.read_closed && !conn.inbuf.bytes.is_empty() {
+        let line = std::mem::take(&mut conn.inbuf).bytes;
         handle_line(conn, token, &line, ctx, inflight_total);
+    }
+}
+
+/// A connection's unconsumed input, split into lines as it arrives.
+///
+/// Bytes before `scanned` are known to hold no newline, so each read
+/// searches only what it added: a line that arrives in many small reads
+/// costs time linear in its length, not quadratic.
+#[derive(Default)]
+struct LineBuf {
+    bytes: Vec<u8>,
+    /// Start of the first line not yet returned.
+    start: usize,
+    /// End of the prefix already searched for a newline.
+    scanned: usize,
+    /// Bytes searched so far, over the buffer's life.
+    #[cfg(test)]
+    searched: usize,
+}
+
+impl LineBuf {
+    /// The next complete line, without its `\n` or `\r\n`; `None` once
+    /// only a partial line is left, which then moves to the front.
+    fn next_line(&mut self) -> Option<Vec<u8>> {
+        let found = self.bytes[self.scanned..].iter().position(|&b| b == b'\n');
+        #[cfg(test)]
+        {
+            self.searched += found.map_or(self.bytes.len() - self.scanned, |nl| nl + 1);
+        }
+        let Some(nl) = found else {
+            self.bytes.drain(..self.start);
+            (self.start, self.scanned) = (0, self.bytes.len());
+            return None;
+        };
+        let end = self.scanned + nl;
+        let mut line_end = end;
+        if line_end > self.start && self.bytes[line_end - 1] == b'\r' {
+            line_end -= 1; // BufRead::lines strips \r\n too
+        }
+        let line = self.bytes[self.start..line_end].to_vec();
+        (self.start, self.scanned) = (end + 1, end + 1);
+        Some(line)
     }
 }
 
@@ -696,6 +729,23 @@ fn advance(conn: &mut Conn, ctx: &Ctx) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_line_read_in_many_chunks_is_searched_once() {
+        let line = format!("{{\"id\":1,{}\"workload\":\"strcpy\"}}", " ".repeat(20_000));
+        let wire = format!("{line}\r\n{{\"id\":2}}\n{{\"id\":3");
+        let mut buf = LineBuf::default();
+        let mut lines = Vec::new();
+        for chunk in wire.as_bytes().chunks(7) {
+            buf.bytes.extend_from_slice(chunk);
+            lines.extend(std::iter::from_fn(|| buf.next_line()));
+        }
+        assert_eq!(lines, [line.as_bytes(), b"{\"id\":2}"]);
+        assert_eq!(buf.bytes, b"{\"id\":3", "the partial line moved to the front");
+        // Every byte is searched once (the re-search of the moved partial
+        // line starts past it), however many reads the line took.
+        assert_eq!(buf.searched, wire.len());
+    }
 
     #[test]
     fn a_panicking_job_answers_internal_and_the_worker_survives() {

@@ -277,6 +277,28 @@ fn one_byte_per_syscall_client_is_just_slow() {
 }
 
 #[test]
+fn a_long_line_in_many_chunks_is_answered_once() {
+    // A 256 KiB request line (JSON whitespace padding) written 512 bytes
+    // per syscall: the server splits lines with one pass over the bytes
+    // and answers the line exactly once.
+    let (addr, shutdown, handle) = start(open_opts());
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let long = format!("{{\"id\":1,{}\"workload\":\"strcpy\"}}", " ".repeat(256 << 10));
+    let lines = format!("{long}\n{{\"id\":2,\"workload\":\"wc\"}}\n");
+    for chunk in lines.as_bytes().chunks(512) {
+        conn.write_all(chunk).expect("chunk");
+    }
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    let replies: Vec<String> =
+        BufReader::new(conn).lines().map(|l| l.expect("reply")).collect();
+    shutdown.shutdown();
+    handle.join().unwrap();
+    assert_eq!(replies.len(), 2, "{replies:#?}");
+    assert!(replies[0].starts_with("{\"id\":1,\"ok\":true"), "{}", replies[0]);
+    assert!(replies[1].starts_with("{\"id\":2,\"ok\":true"), "{}", replies[1]);
+}
+
+#[test]
 fn unterminated_final_line_is_answered() {
     // No trailing newline before the half-close: EOF ends the last line.
     let (addr, shutdown, handle) = start(open_opts());
