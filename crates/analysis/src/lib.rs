@@ -32,7 +32,7 @@ pub mod reaching;
 pub use bdd::{Bdd, BddManager};
 pub use bitset::BitSet;
 pub use depgraph::{DepEdge, DepGraph, DepKind, DepOptions};
-pub use liveness::{ExitSets, GlobalLiveness, RegionLiveness};
+pub use liveness::{ExitSets, GlobalLiveness, RegionLiveness, SavedSummary};
 pub use pred_facts::PredFacts;
 pub use reaching::{PredDef, PredReaching};
 

@@ -87,6 +87,14 @@ pub struct GlobalLiveness {
     summaries: FxHashMap<BlockId, BlockSummary>,
 }
 
+/// One block's liveness summary, saved by
+/// [`GlobalLiveness::save_summary`] before an edit that may be undone.
+#[derive(Debug)]
+pub struct SavedSummary {
+    block: BlockId,
+    summary: Option<BlockSummary>,
+}
+
 /// Registers and predicates live at one exit, borrowed from a
 /// [`GlobalLiveness`].
 pub type ExitSets<'a> = (&'a FxHashSet<Reg>, &'a FxHashSet<PredReg>);
@@ -144,6 +152,28 @@ impl GlobalLiveness {
         }
         let _s = epic_obs::Span::enter("liveness.solve", "analysis");
         self.solve(func);
+    }
+
+    /// `block`'s current summary, to hand back to
+    /// [`restore_summary`](GlobalLiveness::restore_summary) if an edit of
+    /// the block is undone.
+    pub fn save_summary(&self, block: BlockId) -> SavedSummary {
+        SavedSummary { block, summary: self.summaries.get(&block).cloned() }
+    }
+
+    /// Repairs the solution after an edit was rolled back: the saved
+    /// block's ops are again exactly those it had when
+    /// [`save_summary`](GlobalLiveness::save_summary) ran, so its summary
+    /// is put back instead of recomputed. Other blocks are handled as
+    /// [`repair`](GlobalLiveness::repair) with nothing touched handles them
+    /// (blocks that left the layout are dropped, new ones summarized), and
+    /// the fixpoint is re-solved.
+    pub fn restore_summary(&mut self, func: &Function, saved: SavedSummary) {
+        match saved.summary {
+            Some(summary) => self.summaries.insert(saved.block, summary),
+            None => self.summaries.remove(&saved.block),
+        };
+        self.repair(func, &[]);
     }
 
     /// What is live where control leaves a block through `op`: at a

@@ -13,8 +13,7 @@ use epic_bench::{
     take_trace_flag, write_trace, CompileCache, PipelineConfig,
 };
 use epic_machine::Machine;
-use epic_perf::{geomean, weighted_cycles};
-use epic_sched::{schedule_function, SchedOptions};
+use epic_perf::geomean;
 use rayon::prelude::*;
 
 fn main() {
@@ -37,15 +36,12 @@ fn main() {
     println!();
     println!("{:<16} {:>8}", "branch latency", "geomean");
     for blat in 1..=4u32 {
-        let m = Machine::medium().with_branch_latency(blat);
-        let opts = SchedOptions::default();
+        let m = [Machine::medium().with_branch_latency(blat)];
         let speedups: Vec<f64> = compiled
             .par_iter()
             .map(|c| {
-                let bs = schedule_function(&c.baseline, &m, &opts);
-                let os = schedule_function(&c.optimized, &m, &opts);
-                let b = weighted_cycles(&c.baseline, &c.base_profile, &bs);
-                let o = weighted_cycles(&c.optimized, &c.opt_profile, &os).max(1);
+                let b = c.base_cycles(&m)[0];
+                let o = c.opt_cycles(&m)[0].max(1);
                 b as f64 / o as f64
             })
             .collect();

@@ -21,6 +21,13 @@
 //! renumbered ids, which can legally perturb schedule tie-breaking — the
 //! in-memory layer, which the table drivers rely on for byte-identical
 //! output, returns the original artifacts unchanged.
+//!
+//! The two finished sides (baseline and height-reduced) also carry a
+//! [`CycleMemo`]: their profile-weighted cycle estimate per machine, filled
+//! the first time a Table 2 row (or the latency sweep, or the tuner) asks
+//! for it. It lives in memory only — it is not part of any key or of the
+//! disk format, so a disk-reloaded artifact starts with an empty memo and
+//! an evicted one drops its memo with it.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -29,7 +36,9 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use control_cpr::IcbmStats;
 use epic_ir::{BlockId, Function, OpId, Profile};
-use epic_perf::OpCounts;
+use epic_machine::Machine;
+use epic_perf::{weighted_cycles_with, OpCounts};
+use epic_sched::{schedule_function_suite, SchedOptions};
 
 use crate::json::Json;
 use crate::timing::json_string;
@@ -76,6 +85,8 @@ pub enum StageArtifact {
         profile: Profile,
         /// Operation counts of `func` on the training input.
         counts: OpCounts,
+        /// Weighted cycles of `func` under `profile`, per machine.
+        cycles: Arc<CycleMemo>,
     },
     /// The finished height-reduced side with its profile and counts.
     Optimized {
@@ -87,6 +98,8 @@ pub enum StageArtifact {
         profile: Profile,
         /// Operation counts of `func` on the training input.
         counts: OpCounts,
+        /// Weighted cycles of `func` under `profile`, per machine.
+        cycles: Arc<CycleMemo>,
     },
 }
 
@@ -98,6 +111,59 @@ impl StageArtifact {
             | StageArtifact::Baseline { func: f, .. }
             | StageArtifact::Optimized { func: f, .. } => f,
         }
+    }
+}
+
+/// One compiled side's profile-weighted cycle estimate (Σ schedule length
+/// × entry count, §7) per machine, computed once per machine and then
+/// read back.
+///
+/// A value is [`weighted_cycles_with`] of the side's function, profile and
+/// [`SchedOptions::default`] schedule under the machine's own front end.
+/// Entries are found by comparing the whole [`Machine`], not its name, so
+/// a latency-swept copy of a paper machine never reads the paper
+/// machine's entry. The memo is only valid for the function and profile
+/// it was first asked about; its owner (a [`StageArtifact`] or a
+/// [`crate::Compiled`]) never changes them.
+#[derive(Debug, Default)]
+pub struct CycleMemo(Mutex<Vec<(Machine, u64)>>);
+
+impl CycleMemo {
+    /// The weighted cycles of `func` under `profile` on each of `machines`,
+    /// in order. Machines without an entry are scheduled together through
+    /// one [`schedule_function_suite`] call (whose `i`-th schedule equals
+    /// [`epic_sched::schedule_function`] on `machines[i]`), and recorded.
+    pub fn cycles(&self, func: &Function, profile: &Profile, machines: &[Machine]) -> Vec<u64> {
+        let mut out: Vec<Option<u64>> = {
+            let memo = self.0.lock().expect("cycle memo lock poisoned");
+            let lookup = |m: &Machine| memo.iter().find(|(k, _)| k == m).map(|&(_, c)| c);
+            machines.iter().map(lookup).collect()
+        };
+        let missing: Vec<usize> = (0..machines.len()).filter(|&i| out[i].is_none()).collect();
+        if !missing.is_empty() {
+            let todo: Vec<Machine> = missing.iter().map(|&i| machines[i].clone()).collect();
+            let scheds = schedule_function_suite(func, &todo, &SchedOptions::default());
+            for (&i, s) in missing.iter().zip(&scheds) {
+                out[i] = Some(weighted_cycles_with(func, profile, s, &machines[i].frontend()));
+            }
+            let mut memo = self.0.lock().expect("cycle memo lock poisoned");
+            for (m, &i) in todo.into_iter().zip(&missing) {
+                if !memo.iter().any(|(k, _)| *k == m) {
+                    memo.push((m, out[i].expect("just computed")));
+                }
+            }
+        }
+        out.into_iter().map(|c| c.expect("every machine answered")).collect()
+    }
+
+    /// The number of machines with an entry.
+    pub fn len(&self) -> usize {
+        self.0.lock().expect("cycle memo lock poisoned").len()
+    }
+
+    /// Whether no machine has an entry yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -616,13 +682,13 @@ pub fn artifact_to_json(a: &StageArtifact) -> String {
         StageArtifact::Func(f) => {
             format!("{{\"v\":{v},\"kind\":\"func\",\"ir\":{}}}", json_string(&f.to_string()))
         }
-        StageArtifact::Baseline { func, profile, counts } => format!(
+        StageArtifact::Baseline { func, profile, counts, .. } => format!(
             "{{\"v\":{v},\"kind\":\"baseline\",\"ir\":{},\"profile\":{},\"counts\":{}}}",
             json_string(&func.to_string()),
             profile_to_json(func, profile),
             counts_to_json(counts)
         ),
-        StageArtifact::Optimized { func, stats, profile, counts } => format!(
+        StageArtifact::Optimized { func, stats, profile, counts, .. } => format!(
             "{{\"v\":{v},\"kind\":\"optimized\",\"ir\":{},\"stats\":{},\"profile\":{},\"counts\":{}}}",
             json_string(&func.to_string()),
             stats_to_json(stats),
@@ -653,13 +719,13 @@ pub fn artifact_from_json(text: &str) -> Result<StageArtifact, String> {
         Some("baseline") => {
             let profile = profile_from_json(&func, j.get("profile").ok_or("missing profile")?)?;
             let counts = counts_from_json(j.get("counts").ok_or("missing counts")?)?;
-            Ok(StageArtifact::Baseline { func, profile, counts })
+            Ok(StageArtifact::Baseline { func, profile, counts, cycles: Arc::default() })
         }
         Some("optimized") => {
             let stats = stats_from_json(j.get("stats").ok_or("missing stats")?)?;
             let profile = profile_from_json(&func, j.get("profile").ok_or("missing profile")?)?;
             let counts = counts_from_json(j.get("counts").ok_or("missing counts")?)?;
-            Ok(StageArtifact::Optimized { func, stats, profile, counts })
+            Ok(StageArtifact::Optimized { func, stats, profile, counts, cycles: Arc::default() })
         }
         _ => Err("unknown artifact kind".into()),
     }
@@ -901,9 +967,10 @@ mod tests {
     fn artifacts_round_trip_through_json() {
         let w = epic_workloads::by_name("strcpy").unwrap();
         let (profile, counts) = epic_perf::profile_and_count(&w.func, &w.training).unwrap();
-        let artifact = StageArtifact::Baseline { func: w.func.clone(), profile, counts };
+        let artifact =
+            StageArtifact::Baseline { func: w.func.clone(), profile, counts, cycles: Arc::default() };
         let reloaded = artifact_from_json(&artifact_to_json(&artifact)).unwrap();
-        let StageArtifact::Baseline { func, profile, counts } = &reloaded else {
+        let StageArtifact::Baseline { func, profile, counts, .. } = &reloaded else {
             panic!("wrong kind");
         };
         assert_eq!(func.fingerprint(), w.func.fingerprint());
@@ -942,6 +1009,7 @@ mod tests {
                 dynamic_ops: 0,
                 dynamic_branches: 0,
             },
+            cycles: Arc::default(),
         };
         let StageArtifact::Optimized { stats, .. } =
             artifact_from_json(&artifact_to_json(&artifact)).unwrap()
@@ -949,6 +1017,39 @@ mod tests {
             panic!("wrong kind");
         };
         assert_eq!(stats, s);
+    }
+
+    #[test]
+    fn a_machine_is_found_by_value_not_by_name() {
+        let w = epic_workloads::by_name("strcpy").unwrap();
+        let (profile, _) = epic_perf::profile_and_count(&w.func, &w.training).unwrap();
+        let paper = Machine::medium();
+        let swept = Machine::medium().with_branch_latency(3);
+        assert_eq!(paper.name(), swept.name());
+        let memo = CycleMemo::default();
+        let first = memo.cycles(&w.func, &profile, std::slice::from_ref(&paper));
+        let both = memo.cycles(&w.func, &profile, &[paper.clone(), swept.clone()]);
+        assert_eq!(memo.len(), 2, "the swept machine gets its own entry");
+        assert_eq!(both[0], first[0]);
+        assert_eq!(both[1], epic_perf::estimate_cycles(&w.func, &profile, &swept));
+        assert_ne!(both[0], both[1], "a slower branch costs cycles");
+        assert_eq!(memo.cycles(&w.func, &profile, &[swept, paper]), [both[1], both[0]]);
+        assert_eq!(memo.len(), 2);
+    }
+
+    #[test]
+    fn a_reloaded_artifact_starts_with_an_empty_memo() {
+        let w = epic_workloads::by_name("strcpy").unwrap();
+        let (profile, counts) = epic_perf::profile_and_count(&w.func, &w.training).unwrap();
+        let cycles = Arc::new(CycleMemo::default());
+        cycles.cycles(&w.func, &profile, &Machine::paper_suite());
+        assert_eq!(cycles.len(), 5);
+        let artifact = StageArtifact::Baseline { func: w.func.clone(), profile, counts, cycles };
+        let text = artifact_to_json(&artifact);
+        let StageArtifact::Baseline { cycles, .. } = artifact_from_json(&text).unwrap() else {
+            panic!("wrong kind");
+        };
+        assert!(cycles.is_empty(), "the memo is not part of the disk format");
     }
 
     #[test]

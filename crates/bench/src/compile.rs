@@ -9,15 +9,18 @@
 //! config-overlapping compilations reuse stage artifacts instead of
 //! recomputing them.
 
+use std::sync::Arc;
+
 use epic_interp::{diff_test, DiffError};
 use epic_ir::{Function, Profile};
+use epic_machine::Machine;
 use epic_perf::OpCounts;
 use epic_workloads::Workload;
 
 use control_cpr::{CprConfig, IcbmStats};
 use epic_regions::{IfConvertConfig, MeldConfig, TraceConfig};
 
-use crate::cache::CompileCache;
+use crate::cache::{CompileCache, CycleMemo};
 use crate::error::CompileError;
 use crate::pipeline::Pipeline;
 use crate::timing::PassTimings;
@@ -42,6 +45,14 @@ pub struct PipelineConfig {
 }
 
 /// The compiled pair for one workload, with measured profiles and counts.
+///
+/// Each side's weighted cycles per machine come from its [`CycleMemo`]
+/// ([`Compiled::base_cycles`], [`Compiled::opt_cycles`]). A compile served
+/// from a [`CompileCache`] shares the memo of the cached artifact, so once
+/// any request has scheduled a side on a machine, later requests read the
+/// number instead of scheduling again; an uncached compile starts with
+/// empty memos. The memos belong to the functions and profiles as
+/// compiled: a caller that edits them must not ask for cycles afterwards.
 #[derive(Clone, Debug)]
 pub struct Compiled {
     /// Superblock-formed, unrolled baseline.
@@ -64,6 +75,25 @@ pub struct Compiled {
     pub cache_hits: u64,
     /// Stage lookups that had to compute (0 when uncached).
     pub cache_misses: u64,
+    /// The baseline's weighted cycles per machine.
+    pub base_memo: Arc<CycleMemo>,
+    /// The height-reduced side's weighted cycles per machine.
+    pub opt_memo: Arc<CycleMemo>,
+}
+
+impl Compiled {
+    /// The baseline's profile-weighted cycles on each of `machines`, in
+    /// order, scheduling only the machines its memo has no entry for.
+    pub fn base_cycles(&self, machines: &[Machine]) -> Vec<u64> {
+        self.base_memo.cycles(&self.baseline, &self.base_profile, machines)
+    }
+
+    /// The height-reduced side's profile-weighted cycles on each of
+    /// `machines`, in order, scheduling only the machines its memo has no
+    /// entry for.
+    pub fn opt_cycles(&self, machines: &[Machine]) -> Vec<u64> {
+        self.opt_memo.cycles(&self.optimized, &self.opt_profile, machines)
+    }
 }
 
 /// Compiles `w` through both pipelines.

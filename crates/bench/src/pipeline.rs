@@ -193,35 +193,40 @@ impl<'a> Pipeline<'a> {
         mut after: impl FnMut(Step, &Function) -> Result<(), E>,
     ) -> Result<Compiled, E> {
         let cfg = self.cfg;
-        let mut source = self.func.clone();
         // The optional pre-passes (off in the paper's evaluation, which
-        // runs without traditional if-conversion or melding).
+        // runs without traditional if-conversion or melding). Without them
+        // superblock formation reads the source function itself.
+        let mut pre: Option<Arc<StageArtifact>> = None;
         if let Some(ic) = &cfg.if_convert {
             let stages = (stage::IF_CONVERT, stage::PROFILE_IF_CONVERT);
-            source = self.transform(&source, stages, &mut after, |f, p| {
+            let src = pre.as_deref().map_or(self.func, StageArtifact::function);
+            pre = Some(self.transform(src, stages, &mut after, |f, p| {
                 let mut out = f.clone();
                 if_convert(&mut out, p, ic);
                 out
-            })?;
+            })?);
         }
         if let Some(mc) = &cfg.meld {
             let stages = (stage::MELD, stage::PROFILE_MELD);
-            source = self.transform(&source, stages, &mut after, |f, p| {
+            let src = pre.as_deref().map_or(self.func, StageArtifact::function);
+            pre = Some(self.transform(src, stages, &mut after, |f, p| {
                 let mut out = f.clone();
                 meld(&mut out, p, mc);
                 out
-            })?;
+            })?);
         }
         let stages = (stage::SUPERBLOCK, stage::PROFILE_TRACE);
-        let sb = self.transform(&source, stages, &mut after, |f, p| {
+        let src = pre.as_deref().map_or(self.func, StageArtifact::function);
+        let sb = self.transform(src, stages, &mut after, |f, p| {
             form_superblocks(f, p, &cfg.trace)
         })?;
+        let sb = sb.function();
 
         // Unroll hot loops, clean with DCE and measure the finished
         // baseline on the training input.
         let (training, unroll) = (self.training, self.unroll);
         let config = cfg.stage_hash(stage::UNROLL, &[unroll as u64]);
-        let artifact = self.stage::<E>(stage::UNROLL, config, &sb, |tm| {
+        let artifact = self.stage::<E>(stage::UNROLL, config, sb, |tm| {
             let mut base = sb.clone();
             let n = base.static_op_count();
             let t0 = Instant::now();
@@ -243,10 +248,14 @@ impl<'a> Pipeline<'a> {
             let (profile, counts) = profile_and_count(&base, training)
                 .map_err(|t| CompileError::trap_at(stage::PROFILE_BASELINE, t))?;
             tm.push(stage::PROFILE_BASELINE, t0.elapsed(), n, n);
-            Ok(StageArtifact::Baseline { func: base, profile, counts })
+            Ok(StageArtifact::Baseline { func: base, profile, counts, cycles: Arc::default() })
         })?;
-        let StageArtifact::Baseline { func: base, profile: base_profile, counts: base_counts } =
-            artifact.as_ref()
+        let StageArtifact::Baseline {
+            func: base,
+            profile: base_profile,
+            counts: base_counts,
+            cycles: base_memo,
+        } = artifact.as_ref()
         else {
             unreachable!("unroll stage artifacts are always Baseline");
         };
@@ -283,9 +292,10 @@ impl<'a> Pipeline<'a> {
             let (profile, counts) = profile_and_count(&opt, training)
                 .map_err(|t| CompileError::trap_at(stage::PROFILE_OPTIMIZED, t))?;
             tm.push(stage::PROFILE_OPTIMIZED, t0.elapsed(), n, n);
-            Ok(StageArtifact::Optimized { func: opt, stats, profile, counts })
+            Ok(StageArtifact::Optimized { func: opt, stats, profile, counts, cycles: Arc::default() })
         })?;
-        let StageArtifact::Optimized { func, stats, profile, counts } = artifact.as_ref()
+        let StageArtifact::Optimized { func, stats, profile, counts, cycles: opt_memo } =
+            artifact.as_ref()
         else {
             unreachable!("icbm stage artifacts are always Optimized");
         };
@@ -300,23 +310,25 @@ impl<'a> Pipeline<'a> {
             timings: self.timings,
             cache_hits: self.hits,
             cache_misses: self.misses,
+            base_memo: Arc::clone(base_memo),
+            opt_memo: Arc::clone(opt_memo),
         })
     }
 
     /// A "profile, then transform" stage (if-convert, meld, superblock):
     /// profiles `src` on the training input, timed as `profile_stage`,
     /// then runs `pass` on it, timed as `name`, and shows the output to
-    /// `after`.
+    /// `after`. Returns the stage's [`StageArtifact::Func`].
     fn transform<E: From<CompileError>>(
         &mut self,
         src: &Function,
         (name, profile_stage): (&'static str, &'static str),
         after: &mut impl FnMut(Step, &Function) -> Result<(), E>,
         pass: impl FnOnce(&Function, &Profile) -> Function,
-    ) -> Result<Function, E> {
+    ) -> Result<Arc<StageArtifact>, E> {
         let training = self.training;
         let config = self.cfg.stage_hash(name, &[]);
-        let artifact = self.stage::<E>(name, config, src, |tm| {
+        self.stage::<E>(name, config, src, |tm| {
             let n = src.static_op_count();
             let t0 = Instant::now();
             let (p, _) = profile_and_count(src, training)
@@ -327,8 +339,7 @@ impl<'a> Pipeline<'a> {
             tm.push(name, t0.elapsed(), n, out.static_op_count());
             after(Step::Stage(name), &out)?;
             Ok(StageArtifact::Func(out))
-        })?;
-        Ok(artifact.function().clone())
+        })
     }
 
     /// Consults the cache (when one is attached) under the key of stage

@@ -11,9 +11,8 @@
 use std::time::Instant;
 
 use epic_machine::{Frontend, Machine};
-use epic_perf::{geomean, weighted_cycles_with, CountRatios};
+use epic_perf::{geomean, CountRatios};
 use epic_regions::MeldConfig;
-use epic_sched::{schedule_function, schedule_function_suite, SchedOptions};
 use epic_workloads::{Group, Workload};
 use rayon::prelude::*;
 
@@ -97,27 +96,26 @@ pub fn table2(
     pairs.into_iter().unzip()
 }
 
-/// Computes one row from an already compiled pair: both sides scheduled
-/// on every machine, as profile-weighted cycle estimates in `machines`
-/// order. The machine models are scheduled through
-/// [`schedule_function_suite`], which shares the machine-independent
-/// analyses (liveness, predicate facts) across the whole
-/// suite instead of recomputing them per machine. Each machine's own
-/// front-end cost model applies; the paper suite is ideal on every
-/// machine, so the published tables are unchanged by the model.
+/// Computes one row from an already compiled pair: both sides'
+/// profile-weighted cycle estimates on every machine, in `machines` order,
+/// each under the machine's own front-end cost model (the paper suite is
+/// ideal on every machine, so the published tables are unchanged by the
+/// model).
+///
+/// The numbers come from each side's [`CycleMemo`](crate::cache::CycleMemo)
+/// ([`Compiled::base_cycles`], [`Compiled::opt_cycles`]). A compile served
+/// from the cache shares the cached artifacts' memos, so a warm row reads
+/// ten numbers; only machines a memo has no entry for are scheduled, all
+/// of them in one `schedule_function_suite` call that shares the
+/// machine-independent analyses (liveness, predicate facts). A row of an
+/// uncached compile schedules both sides on every machine.
 pub fn table2_row(w: &Workload, c: &Compiled, machines: &[Machine]) -> Table2Row {
-    let opts = SchedOptions::default();
-    let base_scheds = schedule_function_suite(&c.baseline, machines, &opts);
-    let opt_scheds = schedule_function_suite(&c.optimized, machines, &opts);
+    let base = c.base_cycles(machines);
+    let opt = c.opt_cycles(machines);
     let cycles = machines
         .iter()
-        .zip(base_scheds.iter().zip(&opt_scheds))
-        .map(|(m, (bs, os))| {
-            let fe = m.frontend();
-            let base = weighted_cycles_with(&c.baseline, &c.base_profile, bs, &fe);
-            let opt = weighted_cycles_with(&c.optimized, &c.opt_profile, os, &fe);
-            (m.name().to_string(), base, opt)
-        })
+        .zip(base.into_iter().zip(opt))
+        .map(|(m, (base, opt))| (m.name().to_string(), base, opt))
         .collect();
     Table2Row { name: w.name.to_string(), group: w.group, cycles }
 }
@@ -297,22 +295,11 @@ pub fn meld_matrix(
             cycles: configs
                 .iter()
                 .zip(&compiled)
-                .map(|((label, _), cs)| (*label, optimized_cycles(cs, m)))
+                .map(|((label, _), cs)| {
+                    let on_m = std::slice::from_ref(m);
+                    (*label, cs.iter().map(|c| c.opt_cycles(on_m)[0]).collect())
+                })
                 .collect(),
-        })
-        .collect()
-}
-
-/// Weighted cycles of each compiled workload's optimized function on `m`,
-/// under `m`'s own front-end cost model.
-fn optimized_cycles(compiled: &[Compiled], m: &Machine) -> Vec<u64> {
-    let opts = SchedOptions::default();
-    let fe = m.frontend();
-    compiled
-        .iter()
-        .map(|c| {
-            let sched = schedule_function(&c.optimized, m, &opts);
-            weighted_cycles_with(&c.optimized, &c.opt_profile, &sched, &fe)
         })
         .collect()
 }

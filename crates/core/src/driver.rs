@@ -139,8 +139,10 @@ pub fn apply_icbm_observed<E>(
             // Motion can still refuse after a successful restructure (its
             // legality checks see the moved-set closure, which restructure
             // cannot predict); snapshot the hyperblock so a refusal leaves
-            // no lookahead/bypass overhead behind.
+            // no lookahead/bypass overhead behind, and keep its liveness
+            // summary so the rollback only re-solves.
             let saved_ops = func.block(hb).ops.clone();
+            let saved_summary = live.save_summary(hb);
             // The skip reason, plus the compensation block to detach when
             // the refusal came from motion and the restructure must be
             // undone.
@@ -175,7 +177,7 @@ pub fn apply_icbm_observed<E>(
                 // detach the compensation block from the layout.
                 func.block_mut(hb).ops = saved_ops;
                 func.layout.retain(|&b| b != comp);
-                phase("icbm.liveness", || live.repair(func, &[hb]));
+                phase("icbm.liveness", || live.restore_summary(func, saved_summary));
                 after(IcbmPhase::Rollback(skip), func)?;
             }
         }

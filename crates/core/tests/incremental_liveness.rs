@@ -197,6 +197,7 @@ proptest! {
                 continue;
             }
             let saved_ops = f.block(sb).ops.clone();
+            let saved_summary = cache.save_summary(sb);
             let Ok(r) = restructure(&mut f, sb, cpr, &cache) else {
                 continue;
             };
@@ -208,7 +209,7 @@ proptest! {
             } else {
                 f.block_mut(sb).ops = saved_ops;
                 f.layout.retain(|&b| b != r.comp);
-                cache.repair(&f, &[sb]);
+                cache.restore_summary(&f, saved_summary);
             }
             exact(&cache, &f, "off-trace motion or its rollback")?;
         }

@@ -25,9 +25,12 @@
 //! has a high-water mark; crossing it *pauses reading* from that client
 //! (its socket stays open, its submitted work finishes) until the buffer
 //! drains below half — so a slow reader bounds its own memory instead of
-//! growing the server's. Half-closed sockets (client shut down its write
-//! side) still receive every reply already in flight, and a final line
-//! without a trailing newline is still answered.
+//! growing the server's. Input is bounded too: a request line longer than
+//! [`MAX_LINE_BYTES`] gets one `protocol` reply and is dropped as it
+//! arrives, so a client that never sends `\n` cannot grow the server's
+//! memory. Half-closed sockets (client shut down its write side) still
+//! receive every reply already in flight, and a final line without a
+//! trailing newline is still answered.
 //!
 //! ## Admission and load shedding
 //!
@@ -69,6 +72,18 @@ pub const READ_PAUSES_COUNTER: &str = "serve_read_pauses_total";
 pub const SHED_COUNTER: &str = "serve_shed_total";
 /// Registry name of the counter of requests whose worker panicked.
 pub const PANICS_COUNTER: &str = "serve_panics_total";
+
+/// The longest request line a connection may send, in bytes before its
+/// `\n` (a `\r` before it counts). The largest legitimate request, inline
+/// IR for the largest corpus program (`corpus.mixed.10k`) with its whole
+/// training image, is about 0.7 MB, under a tenth of this
+/// (`the_line_cap_fits_the_largest_inline_ir_request` checks that it fits
+/// eight times over). A longer line is answered, in order, with one
+/// `protocol` error (echoing its `"id"` when the line starts with one);
+/// the rest of it is discarded up to its `\n` and the connection keeps
+/// being served. A connection's unconsumed input therefore never holds
+/// more than this plus one read.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Tuning knobs for one [`EventServer`].
 #[derive(Clone, Debug)]
@@ -546,7 +561,15 @@ fn read_ready(conn: &mut Conn, token: usize, ctx: &Ctx, inflight_total: &mut usi
 /// unterminated tail is the final line.
 fn consume_lines(conn: &mut Conn, token: usize, ctx: &Ctx, inflight_total: &mut usize) {
     while let Some(line) = conn.inbuf.next_line() {
-        handle_line(conn, token, &line, ctx, inflight_total);
+        match line {
+            Ok(line) => handle_line(conn, token, &line, ctx, inflight_total),
+            Err(TooLong { id }) => {
+                let e = ServeError::Protocol(format!("line longer than {MAX_LINE_BYTES} bytes"));
+                let seq = conn.next_seq;
+                conn.next_seq += 1;
+                conn.pending.insert(seq, PendingReply::Done(Outcome::error_line(id, &e)));
+            }
+        }
     }
     if conn.read_closed && !conn.inbuf.bytes.is_empty() {
         let line = std::mem::take(&mut conn.inbuf).bytes;
@@ -554,11 +577,19 @@ fn consume_lines(conn: &mut Conn, token: usize, ctx: &Ctx, inflight_total: &mut 
     }
 }
 
+/// A line longer than [`MAX_LINE_BYTES`], with the `"id"` its first bytes
+/// name, if any.
+#[derive(Debug)]
+struct TooLong {
+    id: Option<u64>,
+}
+
 /// A connection's unconsumed input, split into lines as it arrives.
 ///
 /// Bytes before `scanned` are known to hold no newline, so each read
 /// searches only what it added: a line that arrives in many small reads
-/// costs time linear in its length, not quadratic.
+/// costs time linear in its length, not quadratic. A line that grows past
+/// [`MAX_LINE_BYTES`] is reported once and then dropped as it arrives.
 #[derive(Default)]
 struct LineBuf {
     bytes: Vec<u8>,
@@ -566,33 +597,61 @@ struct LineBuf {
     start: usize,
     /// End of the prefix already searched for a newline.
     scanned: usize,
+    /// The line being read was too long and has been answered: drop bytes
+    /// up to and including its newline.
+    discarding: bool,
     /// Bytes searched so far, over the buffer's life.
     #[cfg(test)]
     searched: usize,
 }
 
 impl LineBuf {
-    /// The next complete line, without its `\n` or `\r\n`; `None` once
-    /// only a partial line is left, which then moves to the front.
-    fn next_line(&mut self) -> Option<Vec<u8>> {
-        let found = self.bytes[self.scanned..].iter().position(|&b| b == b'\n');
-        #[cfg(test)]
-        {
-            self.searched += found.map_or(self.bytes.len() - self.scanned, |nl| nl + 1);
+    /// The next complete line, without its `\n` or `\r\n`, or the
+    /// report of a line too long to keep; `None` once only a partial line
+    /// is left, which then moves to the front.
+    fn next_line(&mut self) -> Option<Result<Vec<u8>, TooLong>> {
+        loop {
+            let found = self.bytes[self.scanned..].iter().position(|&b| b == b'\n');
+            #[cfg(test)]
+            {
+                self.searched += found.map_or(self.bytes.len() - self.scanned, |nl| nl + 1);
+            }
+            let Some(nl) = found else {
+                if self.discarding {
+                    self.bytes.clear();
+                } else {
+                    self.bytes.drain(..self.start);
+                }
+                (self.start, self.scanned) = (0, self.bytes.len());
+                if self.bytes.len() <= MAX_LINE_BYTES {
+                    return None;
+                }
+                let id = self.peek_id(0);
+                self.bytes.clear();
+                (self.scanned, self.discarding) = (0, true);
+                return Some(Err(TooLong { id }));
+            };
+            let (start, end) = (self.start, self.scanned + nl);
+            (self.start, self.scanned) = (end + 1, end + 1);
+            if std::mem::take(&mut self.discarding) {
+                continue; // the end of a line already answered
+            }
+            if end - start > MAX_LINE_BYTES {
+                return Some(Err(TooLong { id: self.peek_id(start) }));
+            }
+            let mut line_end = end;
+            if line_end > start && self.bytes[line_end - 1] == b'\r' {
+                line_end -= 1; // BufRead::lines strips \r\n too
+            }
+            return Some(Ok(self.bytes[start..line_end].to_vec()));
         }
-        let Some(nl) = found else {
-            self.bytes.drain(..self.start);
-            (self.start, self.scanned) = (0, self.bytes.len());
-            return None;
-        };
-        let end = self.scanned + nl;
-        let mut line_end = end;
-        if line_end > self.start && self.bytes[line_end - 1] == b'\r' {
-            line_end -= 1; // BufRead::lines strips \r\n too
-        }
-        let line = self.bytes[self.start..line_end].to_vec();
-        (self.start, self.scanned) = (end + 1, end + 1);
-        Some(line)
+    }
+
+    /// The `"id"` near the start of the line at `start`, read as
+    /// [`peek_id`] reads it.
+    fn peek_id(&self, start: usize) -> Option<u64> {
+        let head = &self.bytes[start..self.bytes.len().min(start + 256)];
+        peek_id(&String::from_utf8_lossy(head))
     }
 }
 
@@ -738,13 +797,67 @@ mod tests {
         let mut lines = Vec::new();
         for chunk in wire.as_bytes().chunks(7) {
             buf.bytes.extend_from_slice(chunk);
-            lines.extend(std::iter::from_fn(|| buf.next_line()));
+            lines.extend(std::iter::from_fn(|| buf.next_line()).map(Result::unwrap));
         }
         assert_eq!(lines, [line.as_bytes(), b"{\"id\":2}"]);
         assert_eq!(buf.bytes, b"{\"id\":3", "the partial line moved to the front");
         // Every byte is searched once (the re-search of the moved partial
         // line starts past it), however many reads the line took.
         assert_eq!(buf.searched, wire.len());
+    }
+
+    #[test]
+    fn a_line_without_a_newline_never_holds_more_than_the_cap_plus_one_read() {
+        const READ: usize = 16384; // what `read_ready` reads at a time
+        let mut buf = LineBuf::default();
+        let mut too_long = Vec::new();
+        let head = b"{\"id\":42,\"ir\":\"";
+        buf.bytes.extend_from_slice(head);
+        let chunk = vec![b'x'; READ];
+        for _ in 0..(3 * MAX_LINE_BYTES / READ) {
+            buf.bytes.extend_from_slice(&chunk);
+            while let Some(line) = buf.next_line() {
+                too_long.push(line.expect_err("no line is complete").id);
+            }
+            assert!(buf.bytes.len() <= MAX_LINE_BYTES + READ, "{} bytes held", buf.bytes.len());
+            assert!(buf.bytes.capacity() <= 2 * (MAX_LINE_BYTES + READ));
+        }
+        assert_eq!(too_long, [Some(42)], "one report per over-long line");
+        // The rest of the long line is dropped up to its newline and the
+        // next line is read normally. A line exactly as long as the cap is
+        // kept; one past it only by its `\r` is not.
+        buf.bytes.extend_from_slice(b"xxx\r\n{\"id\":43}\n");
+        assert_eq!(buf.next_line().map(Result::unwrap), Some(b"{\"id\":43}".to_vec()));
+        assert!(buf.next_line().is_none());
+        let mut exact = vec![b'y'; MAX_LINE_BYTES];
+        exact.extend_from_slice(b"\n");
+        exact.extend_from_slice(&[b'z'; MAX_LINE_BYTES]);
+        exact.extend_from_slice(b"\r\n");
+        buf.bytes.extend_from_slice(&exact);
+        assert_eq!(buf.next_line().map(|l| l.unwrap().len()), Some(MAX_LINE_BYTES));
+        assert!(matches!(buf.next_line(), Some(Err(TooLong { id: None }))));
+        assert!(buf.next_line().is_none() && buf.bytes.is_empty());
+    }
+
+    #[test]
+    fn the_line_cap_fits_the_largest_inline_ir_request() {
+        let w = epic_workloads::by_name("corpus.mixed.10k").unwrap();
+        let words = |v: &[i64]| v.iter().map(i64::to_string).collect::<Vec<_>>().join(",");
+        let memory = w.training.initial_memory();
+        let regs: Vec<String> =
+            w.training.initial_regs().iter().map(|(r, v)| format!("[{},{v}]", r.0)).collect();
+        let line = format!(
+            "{{\"id\":1,\"name\":\"{}\",\"ir\":{},\"unroll\":{},\"check\":true,\
+             \"input\":{{\"memory_size\":{},\"memory\":[[0,[{}]]],\"regs\":[{}],\"fuel\":{}}}}}",
+            w.name,
+            epic_bench::timing::json_string(&w.func.to_string()),
+            w.unroll,
+            memory.len(),
+            words(memory),
+            regs.join(","),
+            w.training.fuel_budget(),
+        );
+        assert!(line.len() * 8 <= MAX_LINE_BYTES, "{} bytes", line.len());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use epic_bench::{CompileCache, Json};
 use epic_obs::MetricsRegistry;
-use epic_serve::event::READ_PAUSES_COUNTER;
+use epic_serve::event::{MAX_LINE_BYTES, READ_PAUSES_COUNTER};
 use epic_serve::proto::{reply_digest, stable_prefix};
 use epic_serve::{
     EventOptions, EventServer, ServerMetrics, ShutdownHandle, REQUEST_LATENCY_HISTOGRAM,
@@ -295,6 +295,28 @@ fn a_long_line_in_many_chunks_is_answered_once() {
     handle.join().unwrap();
     assert_eq!(replies.len(), 2, "{replies:#?}");
     assert!(replies[0].starts_with("{\"id\":1,\"ok\":true"), "{}", replies[0]);
+    assert!(replies[1].starts_with("{\"id\":2,\"ok\":true"), "{}", replies[1]);
+}
+
+#[test]
+fn a_line_over_the_cap_answers_protocol_and_the_next_line_is_served() {
+    // A request padded past `MAX_LINE_BYTES` with JSON whitespace: the
+    // server answers it once with a `protocol` error echoing its id, drops
+    // the rest of it, and serves the next line on the same connection.
+    let (addr, shutdown, handle) = start(open_opts());
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let long = format!("{{\"id\":1,{}\"workload\":\"strcpy\"}}", " ".repeat(MAX_LINE_BYTES));
+    conn.write_all(long.as_bytes()).expect("long line");
+    conn.write_all(b"\n{\"id\":2,\"workload\":\"strcpy\"}\n").expect("next line");
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    let replies: Vec<String> =
+        BufReader::new(conn).lines().map(|l| l.expect("reply")).collect();
+    shutdown.shutdown();
+    handle.join().unwrap();
+    assert_eq!(replies.len(), 2, "{replies:#?}");
+    let protocol = "{\"id\":1,\"ok\":false,\"error\":{\"kind\":\"protocol\"";
+    assert!(replies[0].starts_with(protocol), "{}", replies[0]);
+    assert!(replies[0].contains(&format!("longer than {MAX_LINE_BYTES} bytes")), "{}", replies[0]);
     assert!(replies[1].starts_with("{\"id\":2,\"ok\":true"), "{}", replies[1]);
 }
 

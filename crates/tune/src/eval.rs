@@ -11,7 +11,6 @@
 use epic_bench::knobs::TunedConfig;
 use epic_bench::{check_equivalence, check_pair_schedules, compile_cached, CompileCache, Compiled};
 use epic_machine::Machine;
-use epic_perf::estimate_cycles;
 use epic_workloads::Workload;
 
 use crate::genome::Genome;
@@ -62,11 +61,13 @@ pub struct Eval {
     pub obj: Objectives,
 }
 
-/// Scores one compiled pair on `machine`.
+/// Scores one compiled pair on `machine`. The cycles come from the
+/// optimized side's memo, so re-scoring a cached compile on a machine it
+/// was already scored on schedules nothing.
 pub fn score(c: &Compiled, machine: &Machine) -> Objectives {
     let base = c.base_counts.static_ops as u64;
     Objectives {
-        cycles: estimate_cycles(&c.optimized, &c.opt_profile, machine),
+        cycles: c.opt_cycles(std::slice::from_ref(machine))[0],
         growth_milli: (c.opt_counts.static_ops as u64 * 1000 + base / 2) / base.max(1),
         cost: c.base_counts.dynamic_ops + c.opt_counts.dynamic_ops,
     }

@@ -30,12 +30,15 @@ examples:
 # Schedule translation validation: the independent checker's negative
 # suite and mutation kill-rate harness, replay-vs-estimate cross-checks,
 # scheduler property tests, the dependence-edge golden digests (suite and
-# corpus), and whole-suite stage validation (the fuzz harness
-# schedule-checks every pipeline step of the 26 workloads).
+# corpus), the per-artifact cycle memo against fresh schedules (suite and
+# corpus: cold, warm and cache-served memos), and whole-suite stage
+# validation (the fuzz harness schedule-checks every pipeline step of the
+# 26 workloads).
 sched-check:
     cargo test --release -q -p epic-schedcheck
     cargo test --release -q -p epic-bench --test sched_validation --test sched_properties
     cargo test --release -q -p epic-bench --test dep_edges -- --include-ignored
+    cargo test --release -q -p epic-bench --test cycle_memo -- --include-ignored
     cargo test --release -q -p epic-fuzz --test suite_workloads
 
 # End-to-end smoke of the compile server: feeds a mixed batch twice
