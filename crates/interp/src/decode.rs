@@ -1,81 +1,66 @@
 //! Pre-decoded execution: the interpreter hot path.
 //!
-//! [`run`](crate::run) used to walk the IR directly: every fetched
-//! operation re-matched `Operand` enums, looked its id up in a `HashMap`
-//! profile, and every taken branch re-resolved its target through a
-//! per-run label map. Profiling runs dominated pipeline wall clock (the
-//! four `profile:*` stages were ~50–60% of most workloads' compile time
-//! before pre-decoding), so the interpreter now decodes a [`Function`] once
-//! into a flat, cache-friendly [`DecodedProgram`] — dense operation
+//! A [`Function`] is decoded once into a flat [`DecodedProgram`]: operation
 //! records in layout order, branch targets resolved to layout positions,
-//! operands lowered to register/predicate indices or immediates — and the
-//! dispatch loop runs over that, counting profile events in dense arrays
-//! indexed by operation/block id.
+//! and every operand, guard and destination lowered to a slot of one value
+//! file, a single `Vec<i64>` laid out as
 //!
-//! Mutable run state (register file, predicate file, memory image, and
-//! the dense profile counters) lives in a reusable [`ExecState`], pooled
-//! per thread by [`run`](crate::run) so repeated profiling runs reuse
-//! their allocations instead of paying first-touch page faults each time
-//! (the source of an early `strcpy` `profile:baseline` timing anomaly).
+//! | slots | holds |
+//! |---|---|
+//! | `0..R` | the general registers |
+//! | `R..R+P` | the predicates, as 0/1 |
+//! | `R+P` | the constant 1: the guard of every unguarded operation |
+//! | `R+P+1` | a write-only sink: the destination of operations without a register destination |
+//! | `R+P+2..` | the program's immediates and labels, deduplicated |
+//!
+//! `R` and `P` cover the largest register and predicate index the function
+//! names, so no fetch can leave the file. Reading an operand is one load
+//! whatever its kind, a guard is a load compared with zero, and a write is
+//! one store; the dispatch loop tests no operand kind, no missing guard and
+//! no missing destination.
+//!
+//! Nothing is counted per operation. Fuel is checked once at block entry:
+//! a block the remaining fuel covers runs unchecked, and only a block
+//! longer than the remaining fuel runs a bounded tail that traps
+//! [`Trap::OutOfFuel`] at the very fetch a per-operation check would. The
+//! loop records block entries and taken counts (by decoded position, so
+//! duplicate operation ids aggregate exactly as the profile keys them);
+//! `dynamic_ops` is the fuel spent, and per-operation fetch counts and
+//! `dynamic_branches` are derived after the run: an operation is fetched
+//! by every entry of its block that no earlier taken branch left.
+//!
+//! Mutable run state (the value file, the memory image and the counters)
+//! lives in a reusable [`ExecState`], pooled per thread by
+//! [`run`](crate::run) and [`run_profile`](crate::run_profile) so repeated
+//! profiling runs reuse their allocations instead of paying first-touch
+//! page faults each time.
 //!
 //! Semantics are bit-for-bit those of the direct interpreter, which is
 //! kept as [`crate::reference`] and pinned by differential tests.
 
 use std::time::Instant;
 
-use epic_ir::{BlockId, Dest, Function, Opcode, Operand, PredAction, Profile};
+use epic_ir::{BlockId, Dest, Function, FxHashMap, OpId, Opcode, Operand, PredAction, Profile};
 
-use crate::exec::{Input, Outcome, TraceEvent};
+use crate::exec::{Input, Outcome, ProfileRun, TraceEvent};
 use crate::trap::Trap;
 use crate::{obs_decode_ns, obs_steps};
 
-/// A decoded operand: a register slot, a predicate slot, or an immediate.
-/// `Operand::Label(b)` is lowered to `Imm(b.0)` at decode time, matching
-/// the direct interpreter's numeric reading of labels.
-#[derive(Clone, Copy, Debug)]
-enum Src {
-    Reg(u32),
-    Pred(u32),
-    Imm(i64),
-}
-
-impl Src {
-    #[inline]
-    fn of(operand: Operand) -> Src {
-        match operand {
-            Operand::Reg(r) => Src::Reg(r.0),
-            Operand::Pred(p) => Src::Pred(p.0),
-            Operand::Imm(v) => Src::Imm(v),
-            Operand::Label(b) => Src::Imm(b.0 as i64),
-        }
-    }
-
-    #[inline(always)]
-    fn read(self, regs: &[i64], preds: &[bool]) -> i64 {
-        match self {
-            Src::Reg(r) => regs[r as usize],
-            Src::Pred(p) => preds[p as usize] as i64,
-            Src::Imm(v) => v,
-        }
-    }
-}
-
-/// Sentinel for "no guard" / "no destination" / "no target" slots.
+/// Sentinel for "no target" / "target not in the layout".
 const NONE: u32 = u32::MAX;
 
-/// One decoded operation.
+/// One decoded operation. Every `u32` but `aux`, `aux_len` and
+/// `target_id` is a value-file slot.
 #[derive(Clone, Debug)]
 struct DOp {
     opcode: Opcode,
-    /// Raw [`epic_ir::OpId`] index, for dense profile counters.
-    op_id: u32,
-    /// Guarding predicate slot, or [`NONE`] when unguarded.
+    /// The guarding predicate, or the constant-1 slot when unguarded.
     guard: u32,
-    /// First and second source operands (unused slots hold `Imm(0)`).
-    a: Src,
-    b: Src,
-    /// First register destination slot, or [`NONE`] (the direct
-    /// interpreter writes only a leading `Dest::Reg`).
+    /// First and second source operands (a missing one reads constant 0).
+    a: u32,
+    b: u32,
+    /// The leading register destination (the direct interpreter writes
+    /// only a leading `Dest::Reg`), or the sink.
     dest: u32,
     /// `Cmpp`/`PredInit`: slice `[aux, aux + aux_len)` of the program's
     /// predicate-write table. `Branch`: layout position of the target
@@ -103,14 +88,29 @@ struct DBlock {
 pub struct DecodedProgram {
     blocks: Vec<DBlock>,
     ops: Vec<DOp>,
+    /// Raw [`OpId`] of each decoded operation, by position: read only by
+    /// traps and by the profile derived after a run.
+    op_ids: Vec<u32>,
     /// Decoded `cmpp` predicate destinations: `(predicate slot, action)`.
     cmpp_writes: Vec<(u32, PredAction)>,
     /// Decoded `pinit` predicate destinations: `(predicate slot, value)`.
-    pinit_writes: Vec<(u32, bool)>,
+    pinit_writes: Vec<(u32, i64)>,
+    /// The value file every run starts from: zeroed registers and
+    /// predicates, the constant 1, the sink, then the constants.
+    init: Vec<i64>,
+    /// `Function::reg_count`: the length of [`Outcome::regs`].
     reg_count: usize,
-    pred_count: usize,
-    /// Dense size of the per-op profile counters (`op_id_count`).
-    op_id_count: usize,
+}
+
+/// How control left a block's body.
+enum Exit {
+    /// Ran off the end of the ops it was allowed to fetch.
+    FallThrough,
+    /// A taken branch to the block at this layout position.
+    Jump(usize),
+    /// An executed `ret`.
+    Ret,
+    Trap(Trap),
 }
 
 impl DecodedProgram {
@@ -118,29 +118,72 @@ impl DecodedProgram {
     /// operation count and is reported on the `interp.decode_ns` counter.
     pub fn decode(func: &Function) -> DecodedProgram {
         let start = Instant::now();
-        let mut layout_pos = vec![NONE; func.layout.iter().map(|b| b.0 as usize + 1).max().unwrap_or(0)];
+        let mut layout_pos = vec![
+            NONE;
+            func.layout
+                .iter()
+                .map(|b| b.0 as usize + 1)
+                .max()
+                .unwrap_or(0)
+        ];
         for (i, &b) in func.layout.iter().enumerate() {
             layout_pos[b.index()] = i as u32;
         }
         let pos_of = |b: BlockId| layout_pos.get(b.index()).copied().unwrap_or(NONE);
 
+        // Size the register and predicate parts to every index named.
+        let (mut regs, mut preds) = (func.reg_count(), func.pred_count());
+        for (_, op) in func.ops_in_layout() {
+            let reads = op.srcs.iter().map(|&s| match s {
+                Operand::Reg(r) => (r.index() + 1, 0),
+                Operand::Pred(p) => (0, p.index() + 1),
+                Operand::Imm(_) | Operand::Label(_) => (0, 0),
+            });
+            let writes = op.dests.iter().map(|&d| match d {
+                Dest::Reg(r) => (r.index() + 1, 0),
+                Dest::Pred(p, _) => (0, p.index() + 1),
+            });
+            let guard = op.guard.map(|p| (0, p.index() + 1));
+            for (r, p) in reads.chain(writes).chain(guard) {
+                regs = regs.max(r);
+                preds = preds.max(p);
+            }
+        }
+        let one = (regs + preds) as u32;
+        let sink = one + 1;
+        let mut init = vec![0; regs + preds + 2];
+        init[one as usize] = 1;
+        let mut consts: FxHashMap<i64, u32> = FxHashMap::default();
+        let mut slot = |operand: Option<&Operand>| -> u32 {
+            let v = match operand.copied().unwrap_or(Operand::Imm(0)) {
+                Operand::Reg(r) => return r.0,
+                Operand::Pred(p) => return regs as u32 + p.0,
+                Operand::Imm(v) => v,
+                Operand::Label(b) => b.0 as i64,
+            };
+            *consts.entry(v).or_insert_with(|| {
+                init.push(v);
+                init.len() as u32 - 1
+            })
+        };
+        let pred_slot = |p: epic_ir::PredReg| regs as u32 + p.0;
+
         let mut blocks = Vec::with_capacity(func.layout.len());
         let mut ops = Vec::with_capacity(func.static_op_count());
+        let mut op_ids = Vec::with_capacity(func.static_op_count());
         let mut cmpp_writes = Vec::new();
         let mut pinit_writes = Vec::new();
         for block in func.blocks_in_layout() {
             let start_idx = ops.len() as u32;
             for op in &block.ops {
-                let src = |i: usize| op.srcs.get(i).copied().map_or(Src::Imm(0), Src::of);
                 let mut d = DOp {
                     opcode: op.opcode,
-                    op_id: op.id.0,
-                    guard: op.guard.map_or(NONE, |p| p.0),
-                    a: src(0),
-                    b: src(1),
+                    guard: op.guard.map_or(one, pred_slot),
+                    a: slot(op.srcs.first()),
+                    b: slot(op.srcs.get(1)),
                     dest: match op.dests.first() {
                         Some(Dest::Reg(r)) => r.0,
-                        _ => NONE,
+                        _ => sink,
                     },
                     aux: 0,
                     aux_len: 0,
@@ -151,7 +194,7 @@ impl DecodedProgram {
                         d.aux = cmpp_writes.len() as u32;
                         for dst in &op.dests {
                             if let Dest::Pred(p, action) = dst {
-                                cmpp_writes.push((p.0, *action));
+                                cmpp_writes.push((pred_slot(*p), *action));
                             }
                         }
                         d.aux_len = cmpp_writes.len() as u32 - d.aux;
@@ -160,7 +203,8 @@ impl DecodedProgram {
                         d.aux = pinit_writes.len() as u32;
                         for (dst, s) in op.dests.iter().zip(&op.srcs) {
                             if let Dest::Pred(p, _) = dst {
-                                pinit_writes.push((p.0, matches!(s, Operand::Imm(1))));
+                                pinit_writes
+                                    .push((pred_slot(*p), matches!(s, Operand::Imm(1)) as i64));
                             }
                         }
                         d.aux_len = pinit_writes.len() as u32 - d.aux;
@@ -176,17 +220,22 @@ impl DecodedProgram {
                     _ => {}
                 }
                 ops.push(d);
+                op_ids.push(op.id.0);
             }
-            blocks.push(DBlock { id: block.id.0, start: start_idx, end: ops.len() as u32 });
+            blocks.push(DBlock {
+                id: block.id.0,
+                start: start_idx,
+                end: ops.len() as u32,
+            });
         }
         let prog = DecodedProgram {
             blocks,
             ops,
+            op_ids,
             cmpp_writes,
             pinit_writes,
+            init,
             reg_count: func.reg_count(),
-            pred_count: func.pred_count(),
-            op_id_count: func.op_id_count(),
         };
         obs_decode_ns().add(start.elapsed().as_nanos() as u64);
         prog
@@ -203,64 +252,112 @@ impl DecodedProgram {
         &self,
         input: &Input,
         state: &mut ExecState,
-        mut on_event: impl FnMut(TraceEvent),
+        on_event: impl FnMut(TraceEvent),
     ) -> Result<Outcome, Trap> {
+        let dynamic_ops = self.execute(input, state, on_event)?;
+        let (profile, dynamic_branches) = self.derive_profile(state);
+        Ok(Outcome {
+            memory: state.memory.clone(),
+            regs: state.vals[..self.reg_count].to_vec(),
+            profile,
+            dynamic_ops,
+            dynamic_branches,
+        })
+    }
+
+    /// Like [`DecodedProgram::run`], but keeps only the profile and the
+    /// dynamic counts: the final memory and registers are not copied out.
+    ///
+    /// # Errors
+    ///
+    /// Same trap conditions as [`crate::run`].
+    pub(crate) fn run_profile(
+        &self,
+        input: &Input,
+        state: &mut ExecState,
+    ) -> Result<ProfileRun, Trap> {
+        let dynamic_ops = self.execute(input, state, |_| {})?;
+        let (profile, dynamic_branches) = self.derive_profile(state);
+        Ok(ProfileRun {
+            profile,
+            dynamic_ops,
+            dynamic_branches,
+        })
+    }
+
+    /// The dispatch loop. Leaves the final value file, memory, block
+    /// entries and taken counts in `state`, adds the operations fetched
+    /// (a trapping one included) to `interp.steps`, and returns that
+    /// count.
+    fn execute(
+        &self,
+        input: &Input,
+        state: &mut ExecState,
+        mut on_event: impl FnMut(TraceEvent),
+    ) -> Result<u64, Trap> {
         assert!(!self.blocks.is_empty(), "function has no blocks");
         state.reset(self, input);
-        let ExecState { regs, preds, memory, op_counts, blk_counts, taken_counts } = state;
-        let regs = &mut regs[..];
-        let preds = &mut preds[..];
+        let ExecState {
+            vals,
+            memory,
+            entries,
+            taken,
+        } = state;
+        let vals = &mut vals[..];
+        let budget = input.fuel_budget();
+        let mut fuel = budget;
 
-        let mut dynamic_ops = 0u64;
-        let mut dynamic_branches = 0u64;
-        let mut fuel = input.fuel_budget();
+        let mut bi = 0usize;
+        let result = loop {
+            let block = self.blocks[bi];
+            entries[bi] += 1;
+            on_event(TraceEvent::Enter(BlockId(block.id)));
+            let start = block.start as usize;
+            // Charge the whole block up front; when the fuel left is
+            // shorter, run only the ops it pays for.
+            let len = u64::from(block.end - block.start);
+            let paid = len.min(fuel);
+            fuel -= paid;
+            let body = &self.ops[start..start + paid as usize];
 
-        let result: Result<(), Trap> = 'run: {
-            let mut bi = 0usize;
-            'blocks: loop {
-                let block = self.blocks[bi];
-                blk_counts[bi] += 1;
-                on_event(TraceEvent::Enter(BlockId(block.id)));
-                let mut i = block.start as usize;
-                let end = block.end as usize;
-                while i < end {
-                    let op = &self.ops[i];
-                    i += 1;
-                    if fuel == 0 {
-                        break 'run Err(Trap::OutOfFuel);
-                    }
-                    fuel -= 1;
-                    dynamic_ops += 1;
-                    op_counts[op.op_id as usize] += 1;
-                    if matches!(op.opcode, Opcode::Branch | Opcode::Ret) {
-                        dynamic_branches += 1;
-                    }
-
-                    let guard = op.guard == NONE || preds[op.guard as usize];
+            let (fetched, exit) = 'body: {
+                for (k, op) in body.iter().enumerate() {
+                    let guard = vals[op.guard as usize] != 0;
+                    let op_id = || OpId(self.op_ids[start + k]);
 
                     macro_rules! binary {
-                        ($f:expr) => {{
+                        (|$a:ident, $b:ident| $value:expr) => {
                             if guard {
-                                let f = $f;
-                                let v = f(op.a.read(regs, preds), op.b.read(regs, preds));
-                                if op.dest != NONE {
-                                    regs[op.dest as usize] = v;
-                                }
+                                let ($a, $b) = (vals[op.a as usize], vals[op.b as usize]);
+                                vals[op.dest as usize] = $value;
                             }
-                        }};
+                        };
+                    }
+                    macro_rules! divide {
+                        ($f:expr) => {
+                            if guard {
+                                let b = vals[op.b as usize];
+                                if b == 0 {
+                                    break 'body (
+                                        k + 1,
+                                        Exit::Trap(Trap::DivideByZero { op: op_id() }),
+                                    );
+                                }
+                                vals[op.dest as usize] = $f(vals[op.a as usize], b);
+                            }
+                        };
                     }
 
                     match op.opcode {
                         Opcode::Cmpp(cond) => {
                             // Unconditional destinations write even under a
                             // false guard, so cmpp ignores the guard skip.
-                            let cmp =
-                                cond.eval(op.a.read(regs, preds), op.b.read(regs, preds));
-                            let writes = &self.cmpp_writes
-                                [op.aux as usize..(op.aux + op.aux_len) as usize];
+                            let cmp = cond.eval(vals[op.a as usize], vals[op.b as usize]);
+                            let writes =
+                                &self.cmpp_writes[op.aux as usize..(op.aux + op.aux_len) as usize];
                             for &(p, action) in writes {
                                 if let Some(v) = action.apply(guard, cmp) {
-                                    preds[p as usize] = v;
+                                    vals[p as usize] = v as i64;
                                 }
                             }
                         }
@@ -269,202 +366,186 @@ impl DecodedProgram {
                                 let writes = &self.pinit_writes
                                     [op.aux as usize..(op.aux + op.aux_len) as usize];
                                 for &(p, v) in writes {
-                                    preds[p as usize] = v;
+                                    vals[p as usize] = v;
                                 }
                             }
                         }
-                        Opcode::Add | Opcode::FAdd => binary!(i64::wrapping_add),
-                        Opcode::Sub | Opcode::FSub => binary!(i64::wrapping_sub),
-                        Opcode::Mul | Opcode::FMul => binary!(i64::wrapping_mul),
-                        Opcode::Div | Opcode::FDiv => {
-                            if guard {
-                                let b = op.b.read(regs, preds);
-                                if b == 0 {
-                                    break 'run Err(Trap::DivideByZero {
-                                        op: epic_ir::OpId(op.op_id),
-                                    });
-                                }
-                                let v = op.a.read(regs, preds).wrapping_div(b);
-                                if op.dest != NONE {
-                                    regs[op.dest as usize] = v;
-                                }
-                            }
-                        }
-                        Opcode::Rem => {
-                            if guard {
-                                let b = op.b.read(regs, preds);
-                                if b == 0 {
-                                    break 'run Err(Trap::DivideByZero {
-                                        op: epic_ir::OpId(op.op_id),
-                                    });
-                                }
-                                let v = op.a.read(regs, preds).wrapping_rem(b);
-                                if op.dest != NONE {
-                                    regs[op.dest as usize] = v;
-                                }
-                            }
-                        }
-                        Opcode::And => binary!(|a: i64, b: i64| a & b),
-                        Opcode::Or => binary!(|a: i64, b: i64| a | b),
-                        Opcode::Xor => binary!(|a: i64, b: i64| a ^ b),
-                        Opcode::Shl => binary!(|a: i64, b: i64| a.wrapping_shl(b as u32)),
-                        Opcode::Shr => binary!(|a: i64, b: i64| a.wrapping_shr(b as u32)),
+                        Opcode::Add | Opcode::FAdd => binary!(|a, b| a.wrapping_add(b)),
+                        Opcode::Sub | Opcode::FSub => binary!(|a, b| a.wrapping_sub(b)),
+                        Opcode::Mul | Opcode::FMul => binary!(|a, b| a.wrapping_mul(b)),
+                        Opcode::Div | Opcode::FDiv => divide!(i64::wrapping_div),
+                        Opcode::Rem => divide!(i64::wrapping_rem),
+                        Opcode::And => binary!(|a, b| a & b),
+                        Opcode::Or => binary!(|a, b| a | b),
+                        Opcode::Xor => binary!(|a, b| a ^ b),
+                        Opcode::Shl => binary!(|a, b| a.wrapping_shl(b as u32)),
+                        Opcode::Shr => binary!(|a, b| a.wrapping_shr(b as u32)),
                         Opcode::Mov => {
                             if guard {
-                                let v = op.a.read(regs, preds);
-                                if op.dest != NONE {
-                                    regs[op.dest as usize] = v;
-                                }
+                                vals[op.dest as usize] = vals[op.a as usize];
                             }
                         }
                         Opcode::Load => {
                             if guard {
-                                let addr = op.a.read(regs, preds);
-                                let Some(&v) = usize::try_from(addr)
-                                    .ok()
-                                    .and_then(|a| memory.get(a))
+                                let addr = vals[op.a as usize];
+                                let Some(&v) =
+                                    usize::try_from(addr).ok().and_then(|a| memory.get(a))
                                 else {
-                                    break 'run Err(Trap::MemoryOutOfBounds {
-                                        op: epic_ir::OpId(op.op_id),
-                                        addr,
-                                        size: memory.len(),
-                                    });
+                                    let size = memory.len();
+                                    break 'body (
+                                        k + 1,
+                                        Exit::Trap(Trap::MemoryOutOfBounds {
+                                            op: op_id(),
+                                            addr,
+                                            size,
+                                        }),
+                                    );
                                 };
-                                if op.dest != NONE {
-                                    regs[op.dest as usize] = v;
-                                }
+                                vals[op.dest as usize] = v;
                             }
                         }
                         Opcode::LoadS => {
                             // Dismissible load: faults squash to 0.
                             if guard {
-                                let addr = op.a.read(regs, preds);
-                                let v = usize::try_from(addr)
+                                let addr = vals[op.a as usize];
+                                vals[op.dest as usize] = usize::try_from(addr)
                                     .ok()
                                     .and_then(|a| memory.get(a).copied())
                                     .unwrap_or(0);
-                                if op.dest != NONE {
-                                    regs[op.dest as usize] = v;
-                                }
                             }
                         }
                         Opcode::Store => {
                             if guard {
-                                let addr = op.a.read(regs, preds);
-                                let v = op.b.read(regs, preds);
+                                let addr = vals[op.a as usize];
                                 let size = memory.len();
-                                let Some(slot) = usize::try_from(addr)
-                                    .ok()
-                                    .and_then(|a| memory.get_mut(a))
+                                let Some(slot) =
+                                    usize::try_from(addr).ok().and_then(|a| memory.get_mut(a))
                                 else {
-                                    break 'run Err(Trap::MemoryOutOfBounds {
-                                        op: epic_ir::OpId(op.op_id),
-                                        addr,
-                                        size,
-                                    });
+                                    break 'body (
+                                        k + 1,
+                                        Exit::Trap(Trap::MemoryOutOfBounds {
+                                            op: op_id(),
+                                            addr,
+                                            size,
+                                        }),
+                                    );
                                 };
-                                *slot = v;
+                                *slot = vals[op.b as usize];
                             }
                         }
                         Opcode::Pbr => {
                             if guard {
                                 assert!(op.target_id != NONE, "verified pbr has target");
-                                if op.dest != NONE {
-                                    regs[op.dest as usize] = op.target_id as i64;
-                                }
+                                vals[op.dest as usize] = op.target_id as i64;
                             }
                         }
                         Opcode::Branch => {
                             if guard {
-                                taken_counts[op.op_id as usize] += 1;
-                                on_event(TraceEvent::Taken(epic_ir::OpId(op.op_id)));
+                                taken[start + k] += 1;
+                                on_event(TraceEvent::Taken(op_id()));
                                 assert!(op.target_id != NONE, "verified branch has target");
-                                let btr_value = op.a.read(regs, preds);
+                                let btr_value = vals[op.a as usize];
                                 if btr_value != op.target_id as i64 {
-                                    break 'run Err(Trap::BranchTargetMismatch {
-                                        op: epic_ir::OpId(op.op_id),
+                                    let mismatch = Trap::BranchTargetMismatch {
+                                        op: op_id(),
                                         btr_value,
                                         expected: op.target_id,
-                                    });
+                                    };
+                                    break 'body (k + 1, Exit::Trap(mismatch));
                                 }
                                 assert!(
                                     op.aux != NONE,
                                     "branch target b{} is not in the layout",
                                     op.target_id
                                 );
-                                bi = op.aux as usize;
-                                continue 'blocks;
+                                break 'body (k + 1, Exit::Jump(op.aux as usize));
                             }
                         }
                         Opcode::Ret => {
                             if guard {
-                                taken_counts[op.op_id as usize] += 1;
-                                on_event(TraceEvent::Taken(epic_ir::OpId(op.op_id)));
-                                break 'run Ok(());
+                                taken[start + k] += 1;
+                                on_event(TraceEvent::Taken(op_id()));
+                                break 'body (k + 1, Exit::Ret);
                             }
                         }
                     }
                 }
-                // Fell through the end of the block: continue with the
-                // layout successor. The verifier guarantees the last block
-                // cannot fall through, so the successor exists.
-                bi += 1;
-                assert!(bi < self.blocks.len(), "fell through the last layout block");
+                (body.len(), Exit::FallThrough)
+            };
+            // Refund the ops an early exit did not fetch (the exiting or
+            // trapping op itself was fetched).
+            fuel += paid - fetched as u64;
+
+            match exit {
+                Exit::Jump(pos) => bi = pos,
+                Exit::Ret => break Ok(()),
+                Exit::Trap(trap) => break Err(trap),
+                Exit::FallThrough if paid < len => break Err(Trap::OutOfFuel),
+                Exit::FallThrough => {
+                    // Continue with the layout successor. The verifier
+                    // guarantees the last block cannot fall through, so
+                    // the successor exists.
+                    bi += 1;
+                    assert!(bi < self.blocks.len(), "fell through the last layout block");
+                }
             }
         };
 
+        let dynamic_ops = budget - fuel;
         obs_steps().add(dynamic_ops);
-        result.map(|()| Outcome {
-            memory: memory.clone(),
-            regs: regs.to_vec(),
-            profile: state_profile(self, op_counts, blk_counts, taken_counts),
-            dynamic_ops,
-            dynamic_branches,
-        })
+        result.map(|()| dynamic_ops)
+    }
+
+    /// The profile and dynamic branch count of the run `state` holds,
+    /// derived from its block entries and taken counts: an operation is
+    /// fetched once per entry of its block minus the entries that left
+    /// through an earlier taken branch. Zero counts are left out, so the
+    /// result is `==` to the direct interpreter's recording.
+    fn derive_profile(&self, state: &ExecState) -> (Profile, u64) {
+        let mut profile = Profile::new();
+        let mut dynamic_branches = 0;
+        for (block, &entries) in self.blocks.iter().zip(&state.entries) {
+            if entries == 0 {
+                continue;
+            }
+            *profile.block_entries.entry(BlockId(block.id)).or_insert(0) += entries;
+            let mut reached = entries;
+            for i in block.start as usize..block.end as usize {
+                if reached == 0 {
+                    break;
+                }
+                let id = OpId(self.op_ids[i]);
+                *profile.op_executed.entry(id).or_insert(0) += reached;
+                if matches!(self.ops[i].opcode, Opcode::Branch | Opcode::Ret) {
+                    dynamic_branches += reached;
+                }
+                let taken = state.taken[i];
+                if taken != 0 {
+                    *profile.branch_taken.entry(id).or_insert(0) += taken;
+                    reached -= taken;
+                }
+            }
+        }
+        (profile, dynamic_branches)
     }
 }
 
-/// Converts the dense per-run counters into the sparse [`Profile`]
-/// representation, skipping zero entries so the result is `==` to what the
-/// direct interpreter's `HashMap` recording produces.
-fn state_profile(
-    prog: &DecodedProgram,
-    op_counts: &[u64],
-    blk_counts: &[u64],
-    taken_counts: &[u64],
-) -> Profile {
-    let mut profile = Profile::new();
-    for (i, &n) in blk_counts.iter().enumerate() {
-        if n != 0 {
-            *profile.block_entries.entry(BlockId(prog.blocks[i].id)).or_insert(0) += n;
-        }
-    }
-    for (i, &n) in op_counts.iter().enumerate() {
-        if n != 0 {
-            profile.op_executed.insert(epic_ir::OpId(i as u32), n);
-        }
-    }
-    for (i, &n) in taken_counts.iter().enumerate() {
-        if n != 0 {
-            profile.branch_taken.insert(epic_ir::OpId(i as u32), n);
-        }
-    }
-    profile
-}
-
-/// Reusable mutable execution state: register file, predicate file, memory
-/// image, and dense profile counters. Reusing one `ExecState` across runs
-/// (as [`run`](crate::run) does through a thread-local pool) keeps the
-/// backing allocations warm instead of re-faulting fresh pages on every
-/// profiling run.
+/// Reusable mutable execution state: the value file, the memory image,
+/// and the per-run block-entry and taken counters. Reusing one
+/// `ExecState` across runs (as [`run`](crate::run) and
+/// [`run_profile`](crate::run_profile) do through one thread-local pool)
+/// keeps the backing allocations warm instead of re-faulting fresh pages
+/// on every profiling run.
 #[derive(Debug, Default)]
 pub struct ExecState {
-    regs: Vec<i64>,
-    preds: Vec<bool>,
+    /// Registers, predicates (0/1), the constant 1, the sink and the
+    /// constants, as laid out by [`DecodedProgram`].
+    vals: Vec<i64>,
     memory: Vec<i64>,
-    op_counts: Vec<u64>,
-    blk_counts: Vec<u64>,
-    taken_counts: Vec<u64>,
+    /// Entries per layout block.
+    entries: Vec<u64>,
+    /// Taken count per decoded operation position (`branch` and `ret`).
+    taken: Vec<u64>,
 }
 
 impl ExecState {
@@ -473,24 +554,23 @@ impl ExecState {
         ExecState::default()
     }
 
-    /// Sizes and zeroes every buffer for one run of `prog` on `input`.
+    /// Sizes and initializes every buffer for one run of `prog` on `input`.
     fn reset(&mut self, prog: &DecodedProgram, input: &Input) {
-        resize_fill(&mut self.regs, prog.reg_count, 0);
-        resize_fill(&mut self.preds, prog.pred_count, false);
+        self.vals.clear();
+        self.vals.extend_from_slice(&prog.init);
+        for &(r, v) in input.initial_regs() {
+            self.vals[..prog.reg_count][r.index()] = v;
+        }
         self.memory.clear();
         self.memory.extend_from_slice(input.initial_memory());
-        resize_fill(&mut self.op_counts, prog.op_id_count, 0);
-        resize_fill(&mut self.blk_counts, prog.blocks.len(), 0);
-        resize_fill(&mut self.taken_counts, prog.op_id_count, 0);
-        for &(r, v) in input.initial_regs() {
-            self.regs[r.index()] = v;
-        }
+        resize_fill(&mut self.entries, prog.blocks.len());
+        resize_fill(&mut self.taken, prog.ops.len());
     }
 }
 
-fn resize_fill<T: Copy>(v: &mut Vec<T>, len: usize, fill: T) {
+fn resize_fill(v: &mut Vec<u64>, len: usize) {
     v.clear();
-    v.resize(len, fill);
+    v.resize(len, 0);
 }
 
 #[cfg(test)]

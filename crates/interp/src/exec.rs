@@ -1,7 +1,8 @@
 //! Execution inputs/outcomes and the public `run` entry points.
 //!
-//! The dispatch loop itself lives in [`crate::decode`]; `run`/`run_traced`
-//! decode the function and execute it through a pooled [`ExecState`].
+//! The dispatch loop itself lives in [`crate::decode`]; `run`,
+//! `run_events` and `run_profile` decode the function and execute it
+//! through one pooled [`ExecState`] per thread.
 
 use epic_ir::{Function, Profile, Reg};
 
@@ -121,6 +122,19 @@ pub struct Outcome {
     pub dynamic_branches: u64,
 }
 
+/// What a profiling run keeps of an execution: the profile and the dynamic
+/// counts of [`Outcome`], without copying out the final memory and
+/// registers.
+#[derive(Clone, Debug)]
+pub struct ProfileRun {
+    /// Execution profile: block entries, op fetch counts, branch takens.
+    pub profile: Profile,
+    /// Total operations fetched (see [`Outcome::dynamic_ops`]).
+    pub dynamic_ops: u64,
+    /// Total branch operations fetched (see [`Outcome::dynamic_branches`]).
+    pub dynamic_branches: u64,
+}
+
 /// One observable control event of an execution, in execution order.
 ///
 /// `Enter` fires once per dynamic block entry — the same events
@@ -184,11 +198,28 @@ pub fn run_events(
     input: &Input,
     on_event: impl FnMut(TraceEvent),
 ) -> Result<Outcome, Trap> {
+    let prog = DecodedProgram::decode(func);
+    with_pooled_state(|state| prog.run(input, state, on_event))
+}
+
+/// Like [`run`], but returns only the profile and the dynamic counts —
+/// what profiling needs — without copying out the final memory image and
+/// register file.
+///
+/// # Errors
+///
+/// Same as [`run`].
+pub fn run_profile(func: &Function, input: &Input) -> Result<ProfileRun, Trap> {
+    let prog = DecodedProgram::decode(func);
+    with_pooled_state(|state| prog.run_profile(input, state))
+}
+
+/// Runs `f` on this thread's pooled [`ExecState`].
+fn with_pooled_state<R>(f: impl FnOnce(&mut ExecState) -> R) -> R {
     thread_local! {
         static STATE: std::cell::RefCell<ExecState> = std::cell::RefCell::new(ExecState::new());
     }
-    let prog = DecodedProgram::decode(func);
-    STATE.with(|state| prog.run(input, &mut state.borrow_mut(), on_event))
+    STATE.with(|state| f(&mut state.borrow_mut()))
 }
 
 #[cfg(test)]

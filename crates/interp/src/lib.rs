@@ -46,13 +46,14 @@ mod trap;
 
 pub use decode::{DecodedProgram, ExecState};
 pub use diff::{diff_test, DiffError};
-pub use exec::{run, run_events, run_traced, Input, Outcome, TraceEvent};
+pub use exec::{run, run_events, run_profile, run_traced, Input, Outcome, ProfileRun, TraceEvent};
 pub use trap::Trap;
 
 use std::sync::{Arc, OnceLock};
 
 /// Process-wide `interp.steps` counter: total operations fetched across
-/// all runs. Updated once per run (a single relaxed add), not per step.
+/// all runs, a trapping operation included. Updated once per run (a
+/// single relaxed add), not per step.
 pub(crate) fn obs_steps() -> &'static Arc<epic_obs::Counter> {
     static C: OnceLock<Arc<epic_obs::Counter>> = OnceLock::new();
     C.get_or_init(|| epic_obs::MetricsRegistry::global().counter("interp.steps"))

@@ -25,7 +25,7 @@
 //! oracle's saturating event accumulation converges to, so estimate ==
 //! replay holds even at the boundary.
 
-use epic_interp::{run, Input, Outcome, Trap};
+use epic_interp::{run_profile, Input, ProfileRun, Trap};
 use epic_ir::{BlockId, Function, Profile};
 use epic_machine::{Frontend, Machine};
 use epic_sched::{schedule_function, SchedOptions, ScheduledFunction};
@@ -151,7 +151,7 @@ pub struct OpCounts {
 ///
 /// Propagates any interpreter [`Trap`].
 pub fn profile_and_count(func: &Function, input: &Input) -> Result<(Profile, OpCounts), Trap> {
-    let Outcome { profile, dynamic_ops, dynamic_branches, .. } = run(func, input)?;
+    let ProfileRun { profile, dynamic_ops, dynamic_branches } = run_profile(func, input)?;
     let counts = OpCounts {
         static_ops: func.static_op_count(),
         static_branches: func.static_branch_count(),

@@ -1,9 +1,9 @@
 # Project task runner. `just --list` shows recipes.
 
 # Full pre-merge gate: release build, tests, clippy and rustdoc clean,
-# perfbench build, fuzz corpus, compile-server smoke, event-server load
+# perfbench build, interpreter oracle, fuzz corpus, compile-server smoke, event-server load
 # smoke, observability smoke, schedule validation, perf gate, examples.
-bench-check: fuzz-smoke riscfe-check serve-smoke serve-bench obs-smoke sched-check perf-check tune-smoke examples
+bench-check: interp-check fuzz-smoke riscfe-check serve-smoke serve-bench obs-smoke sched-check perf-check tune-smoke examples
     cargo build --release
     cargo test -q
     cargo clippy --all-targets -- -D warnings
@@ -26,6 +26,16 @@ examples:
     cargo run --release -q -p epic-bench --example quickstart > /dev/null
     cargo run --release -q -p epic-bench --example strcpy_walkthrough > /dev/null
     cargo run --release -q -p epic-bench --example machine_sweep > /dev/null
+
+# Interpreter oracle: the interp crate's unit and property tests (the
+# multi-block generator against the reference interpreter at every fuel
+# budget, `interp.steps` on every trap path), then the workload-scale
+# oracle in release: outcomes, profiles and event streams against the
+# reference on every workload and 2048 fuzz cases, and the fuel sweep
+# over the last 64 fetches of every workload run.
+interp-check:
+    cargo test --release -q -p epic-interp
+    FUZZ_CASES=2048 cargo test --release -q -p epic-bench --test oracle_properties -- --include-ignored
 
 # Schedule translation validation: the independent checker's negative
 # suite and mutation kill-rate harness, replay-vs-estimate cross-checks,

@@ -7,16 +7,25 @@
 //! functions; these tests compare them at workload scale — every paper
 //! workload in source, compiled-baseline, and compiled-optimized form, plus
 //! the deterministic fuzz corpus (`FUZZ_SEED`/`FUZZ_CASES` override, same
-//! defaults as `fuzz_smoke`).
+//! defaults as `fuzz_smoke`). The interpreter pair is compared on every
+//! observable, the `run_events` stream included, and at fuel budgets
+//! around both ends of each workload run.
 
 use epic_bench::{compile, PipelineConfig};
 use epic_fuzz::{env_u64, generate};
-use epic_interp::Input;
+use epic_interp::{Input, Outcome, Trap};
 use epic_ir::Function;
 
 fn assert_same_outcome(func: &Function, input: &Input, what: &str) {
-    let fast = epic_interp::run(func, input);
-    let slow = epic_interp::reference::run(func, input);
+    let (mut fast_events, mut slow_events) = (Vec::new(), Vec::new());
+    let fast = epic_interp::run_events(func, input, |e| fast_events.push(e));
+    let slow = epic_interp::reference::run_events(func, input, |e| slow_events.push(e));
+    assert_same_result(fast, slow, what);
+    // The schedule replay oracle consumes this stream.
+    assert!(fast_events == slow_events, "{what}: event streams diverged");
+}
+
+fn assert_same_result(fast: Result<Outcome, Trap>, slow: Result<Outcome, Trap>, what: &str) {
     match (fast, slow) {
         (Ok(a), Ok(b)) => {
             assert_eq!(a.memory, b.memory, "{what}: final memory diverged");
@@ -28,10 +37,40 @@ fn assert_same_outcome(func: &Function, input: &Input, what: &str) {
                 "{what}: dynamic branch counts diverged"
             );
         }
-        (Err(a), Err(b)) => {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: traps diverged")
-        }
+        (Err(a), Err(b)) => assert_eq!(a, b, "{what}: traps diverged"),
         (a, b) => panic!("{what}: one side trapped: fast {a:?} vs reference {b:?}"),
+    }
+}
+
+/// Fuel is checked once per block entry, with a bounded tail for a block
+/// longer than the fuel left; sweep it across both ends of a run: every
+/// budget in `0..=64`, and `n - near..=n + 1` where `n` is the run's
+/// dynamic op count. Each must give the reference's trap or outcome.
+fn assert_same_at_fuel_boundaries(func: &Function, input: &Input, near: u64, what: &str) {
+    let n = epic_interp::reference::run(func, input)
+        .unwrap_or_else(|t| panic!("{what}: {t}"))
+        .dynamic_ops;
+    for fuel in (0..=64).chain(n.saturating_sub(near)..=n + 1) {
+        let input = input.clone().fuel(fuel);
+        let fast = epic_interp::run(func, &input);
+        let slow = epic_interp::reference::run(func, &input);
+        assert_same_result(fast, slow, &format!("{what} at fuel {fuel} of {n}"));
+    }
+}
+
+/// Every `all()` workload's source and optimized function on its training
+/// input, swept by [`assert_same_at_fuel_boundaries`].
+fn sweep_workload_fuel_boundaries(near: u64) {
+    let cfg = PipelineConfig::default();
+    for w in epic_workloads::all() {
+        assert_same_at_fuel_boundaries(&w.func, &w.training, near, &format!("{} source", w.name));
+        let c = compile(&w, &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        assert_same_at_fuel_boundaries(
+            &c.optimized,
+            &w.training,
+            near,
+            &format!("{} optimized", w.name),
+        );
     }
 }
 
@@ -70,6 +109,22 @@ fn interp_matches_reference_on_compiled_workloads() {
             );
         }
     }
+}
+
+/// Near the end, only the budgets one short of, equal to and one past
+/// each run's length; the full sweep below is too slow for an
+/// unoptimized build.
+#[test]
+fn interp_matches_reference_at_fuel_boundaries() {
+    sweep_workload_fuel_boundaries(1);
+}
+
+/// The last 64 fetches of every run: 66 full runs per function and
+/// interpreter (`just interp-check` runs it in release).
+#[test]
+#[ignore]
+fn interp_matches_reference_at_every_fuel_near_the_end() {
+    sweep_workload_fuel_boundaries(64);
 }
 
 #[test]
