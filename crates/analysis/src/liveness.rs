@@ -44,7 +44,8 @@
 //! renames.
 //!
 //! Internally the global analysis runs on dense [`BitSet`]s indexed by
-//! register/predicate number and per-layout-position arrays — the public
+//! register/predicate number and per-layout-position arrays, with each
+//! block's position read from [`Function::position`] — the public
 //! [`FxHashMap`]/[`FxHashSet`] result shape is materialized once at the
 //! end. The pre-bitset implementation survives in
 //! [`reference`](mod@reference) as the differential oracle (only its map
@@ -138,8 +139,7 @@ impl GlobalLiveness {
     /// re-summarized blocks' `ret`s see the current ones.
     pub fn repair(&mut self, func: &Function, touched: &[BlockId]) {
         self.ret_regs = func.live_outs().iter().copied().collect();
-        let in_layout: FxHashSet<BlockId> = func.layout.iter().copied().collect();
-        self.summaries.retain(|b, _| in_layout.contains(b));
+        self.summaries.retain(|&b, _| func.position(b).is_some());
         for b in touched {
             self.summaries.remove(b);
         }
@@ -223,12 +223,10 @@ impl GlobalLiveness {
     ///
     /// Runs entirely on per-layout-position [`BitSet`]s; the CFG shape
     /// (successor/fallthrough positions, exit routing) is resolved to dense
-    /// indices once up front so each fixpoint pass is pure word-parallel set
-    /// arithmetic.
+    /// indices once up front, through [`Function::position`], so each
+    /// fixpoint pass is pure word-parallel set arithmetic.
     fn solve(&mut self, func: &Function) {
-        let n = func.layout.len();
-        let pos_of: FxHashMap<BlockId, usize> =
-            func.layout.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+        let n = func.layout().len();
 
         struct BlockPlan<'a> {
             summary: &'a BlockSummary,
@@ -242,27 +240,25 @@ impl GlobalLiveness {
         }
 
         let plans: Vec<BlockPlan> = func
-            .layout
+            .layout()
             .iter()
             .map(|&b| {
                 let summary = &self.summaries[&b];
                 let succs = func
                     .successors(b)
                     .into_iter()
-                    .filter_map(|s| pos_of.get(&s).copied())
+                    .filter_map(|s| func.position(s))
                     .collect();
                 let fallthrough = if func.block(b).ends_with_unconditional_exit() {
                     None
                 } else {
-                    func.fallthrough_of(b).and_then(|ft| pos_of.get(&ft).copied())
+                    func.fallthrough_of(b).and_then(|ft| func.position(ft))
                 };
                 let exits = summary
                     .exits
                     .iter()
                     .filter_map(|e| {
-                        pos_of
-                            .get(&e.target)
-                            .map(|&t| (t, &e.blocked_regs, &e.blocked_preds))
+                        func.position(e.target).map(|t| (t, &e.blocked_regs, &e.blocked_preds))
                     })
                     .collect();
                 BlockPlan { summary, succs, fallthrough, exits }
@@ -334,7 +330,7 @@ impl GlobalLiveness {
 
         let to_regs = |s: &BitSet| -> FxHashSet<Reg> { s.iter().map(Reg).collect() };
         let to_preds = |s: &BitSet| -> FxHashSet<PredReg> { s.iter().map(PredReg).collect() };
-        let layout = || func.layout.iter().copied();
+        let layout = || func.layout().iter().copied();
         self.live_in_regs = layout().zip(&in_r).map(|(b, s)| (b, to_regs(s))).collect();
         self.live_out_regs = layout().zip(&out_r).map(|(b, s)| (b, to_regs(s))).collect();
         self.live_in_preds = layout().zip(&in_p).map(|(b, s)| (b, to_preds(s))).collect();
@@ -679,7 +675,7 @@ pub mod reference {
         let mut live_out_regs: FxHashMap<BlockId, FxHashSet<Reg>> = FxHashMap::default();
         let mut live_in_preds: FxHashMap<BlockId, FxHashSet<PredReg>> = FxHashMap::default();
         let mut live_out_preds: FxHashMap<BlockId, FxHashSet<PredReg>> = FxHashMap::default();
-        for &b in &func.layout {
+        for &b in func.layout() {
             live_in_regs.insert(b, FxHashSet::default());
             live_out_regs.insert(b, FxHashSet::default());
             live_in_preds.insert(b, FxHashSet::default());
@@ -689,7 +685,7 @@ pub mod reference {
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in func.layout.iter().rev() {
+            for &b in func.layout().iter().rev() {
                 let summary = &summaries[&b];
                 let mut out_r: FxHashSet<Reg> = FxHashSet::default();
                 let mut out_p: FxHashSet<PredReg> = FxHashSet::default();

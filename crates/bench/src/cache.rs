@@ -534,22 +534,12 @@ impl CompileCache {
 // walk) because raw ids do not survive a print→parse round trip.
 // ---------------------------------------------------------------------------
 
-fn positions(f: &Function) -> (HashMap<BlockId, usize>, HashMap<OpId, usize>) {
-    let mut block_pos = HashMap::new();
-    let mut op_pos = HashMap::new();
-    let mut next_op = 0usize;
-    for (i, block) in f.blocks_in_layout().enumerate() {
-        block_pos.insert(f.layout[i], i);
-        for op in &block.ops {
-            op_pos.insert(op.id, next_op);
-            next_op += 1;
-        }
-    }
-    (block_pos, op_pos)
+fn op_positions(f: &Function) -> HashMap<OpId, usize> {
+    f.ops_in_layout().enumerate().map(|(i, (_, op))| (op.id, i)).collect()
 }
 
 fn ids_by_position(f: &Function) -> (Vec<BlockId>, Vec<OpId>) {
-    let blocks = f.layout.clone();
+    let blocks = f.layout().to_vec();
     let mut ops = Vec::new();
     for block in f.blocks_in_layout() {
         for op in &block.ops {
@@ -559,26 +549,25 @@ fn ids_by_position(f: &Function) -> (Vec<BlockId>, Vec<OpId>) {
     (blocks, ops)
 }
 
-fn sparse_counts_json<K>(counts: &HashMap<K, u64>, pos_of: &HashMap<K, usize>) -> String
-where
-    K: Copy + std::hash::Hash + Eq,
-{
-    let mut pairs: Vec<(usize, u64)> = counts
-        .iter()
-        .filter_map(|(k, &v)| pos_of.get(k).map(|&p| (p, v)))
-        .collect();
+fn sparse_counts_json<K: Copy>(
+    counts: &HashMap<K, u64>,
+    pos_of: impl Fn(K) -> Option<usize>,
+) -> String {
+    let mut pairs: Vec<(usize, u64)> =
+        counts.iter().filter_map(|(&k, &v)| pos_of(k).map(|p| (p, v))).collect();
     pairs.sort_unstable();
     let body: Vec<String> = pairs.iter().map(|(p, v)| format!("[{p},{v}]")).collect();
     format!("[{}]", body.join(","))
 }
 
 fn profile_to_json(f: &Function, p: &Profile) -> String {
-    let (block_pos, op_pos) = positions(f);
+    let op_pos = op_positions(f);
+    let op_at = |id: OpId| op_pos.get(&id).copied();
     format!(
         "{{\"blocks\":{},\"ops\":{},\"taken\":{}}}",
-        sparse_counts_json(&p.block_entries, &block_pos),
-        sparse_counts_json(&p.op_executed, &op_pos),
-        sparse_counts_json(&p.branch_taken, &op_pos)
+        sparse_counts_json(&p.block_entries, |b| f.position(b)),
+        sparse_counts_json(&p.op_executed, op_at),
+        sparse_counts_json(&p.branch_taken, op_at)
     )
 }
 

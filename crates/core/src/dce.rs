@@ -30,7 +30,7 @@ pub fn dce(func: &mut Function, live: &mut GlobalLiveness) -> usize {
 pub fn dce_pass(func: &mut Function, live: &mut GlobalLiveness) -> usize {
     let mut removed = 0;
     let mut changed = Vec::new();
-    let blocks: Vec<BlockId> = func.layout.clone();
+    let blocks: Vec<BlockId> = func.layout().to_vec();
     for b in blocks {
         let mut pruned = false;
         // Backward scan with running live sets seeded from the exact block

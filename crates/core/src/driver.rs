@@ -176,7 +176,7 @@ pub fn apply_icbm_observed<E>(
                 // Roll the restructure back: restore the hyperblock and
                 // detach the compensation block from the layout.
                 func.block_mut(hb).ops = saved_ops;
-                func.layout.retain(|&b| b != comp);
+                func.set_layout(func.layout().iter().copied().filter(|&b| b != comp).collect());
                 phase("icbm.liveness", || live.restore_summary(func, saved_summary));
                 after(IcbmPhase::Rollback(skip), func)?;
             }

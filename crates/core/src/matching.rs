@@ -28,7 +28,7 @@ use crate::config::CprConfig;
 pub(crate) fn hot_hyperblocks(func: &Function, profile: &Profile, cfg: &CprConfig) -> Vec<BlockId> {
     let conditional_branches =
         |b| func.block(b).ops.iter().filter(|o| o.opcode == Opcode::Branch && o.guard.is_some());
-    func.layout
+    func.layout()
         .iter()
         .copied()
         .filter(|&b| {

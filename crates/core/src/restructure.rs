@@ -482,7 +482,7 @@ mod tests {
         let (mut f, _a, sb) = chain();
         // Make one original predicate live in the exit block.
         let some_pred = f.block(sb).ops.iter().find(|o| o.is_cmpp()).unwrap().defs_preds().next().unwrap();
-        let exit = *f.layout.iter().find(|&&b| b != sb).unwrap();
+        let exit = *f.layout().iter().find(|&&b| b != sb).unwrap();
         let id = f.new_op_id();
         let d = f.new_reg();
         f.block_mut(exit).ops.insert(

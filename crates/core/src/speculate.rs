@@ -38,7 +38,7 @@ pub struct SpeculationStats {
 /// the blocks whose ops it changed; `live` is stale for exactly those until
 /// the caller [`repair`](GlobalLiveness::repair)s it.
 pub fn speculate(func: &mut Function, live: &GlobalLiveness) -> (SpeculationStats, Vec<BlockId>) {
-    let blocks: Vec<BlockId> = func.layout.clone();
+    let blocks: Vec<BlockId> = func.layout().to_vec();
     let mut stats = SpeculationStats::default();
     let mut changed = Vec::new();
     for b in blocks {

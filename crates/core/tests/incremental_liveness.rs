@@ -208,7 +208,8 @@ proptest! {
                 cache.repair(&f, &r.touched_blocks());
             } else {
                 f.block_mut(sb).ops = saved_ops;
-                f.layout.retain(|&b| b != r.comp);
+                let kept = f.layout().iter().copied().filter(|&b| b != r.comp).collect();
+                f.set_layout(kept);
                 cache.restore_summary(&f, saved_summary);
             }
             exact(&cache, &f, "off-trace motion or its rollback")?;

@@ -25,7 +25,7 @@ pub fn shrink_case(case: &GenCase, failure: &Failure) -> Function {
     let mut best = case.func.clone();
     loop {
         let mut improved = false;
-        for b in best.layout.clone() {
+        for b in best.layout().to_vec() {
             let mut i = 0;
             while i < best.block(b).ops.len() {
                 let mut cand = best.clone();

@@ -1,9 +1,10 @@
 //! Pre-decoded execution: the interpreter hot path.
 //!
 //! A [`Function`] is decoded once into a flat [`DecodedProgram`]: operation
-//! records in layout order, branch targets resolved to layout positions,
-//! and every operand, guard and destination lowered to a slot of one value
-//! file, a single `Vec<i64>` laid out as
+//! records in layout order, branch targets resolved to layout positions
+//! (read from [`Function::position`], so a block listed twice resolves to
+//! its first occurrence), and every operand, guard and destination lowered
+//! to a slot of one value file, a single `Vec<i64>` laid out as
 //!
 //! | slots | holds |
 //! |---|---|
@@ -118,19 +119,6 @@ impl DecodedProgram {
     /// operation count and is reported on the `interp.decode_ns` counter.
     pub fn decode(func: &Function) -> DecodedProgram {
         let start = Instant::now();
-        let mut layout_pos = vec![
-            NONE;
-            func.layout
-                .iter()
-                .map(|b| b.0 as usize + 1)
-                .max()
-                .unwrap_or(0)
-        ];
-        for (i, &b) in func.layout.iter().enumerate() {
-            layout_pos[b.index()] = i as u32;
-        }
-        let pos_of = |b: BlockId| layout_pos.get(b.index()).copied().unwrap_or(NONE);
-
         // Size the register and predicate parts to every index named.
         let (mut regs, mut preds) = (func.reg_count(), func.pred_count());
         for (_, op) in func.ops_in_layout() {
@@ -168,7 +156,7 @@ impl DecodedProgram {
         };
         let pred_slot = |p: epic_ir::PredReg| regs as u32 + p.0;
 
-        let mut blocks = Vec::with_capacity(func.layout.len());
+        let mut blocks = Vec::with_capacity(func.layout().len());
         let mut ops = Vec::with_capacity(func.static_op_count());
         let mut op_ids = Vec::with_capacity(func.static_op_count());
         let mut cmpp_writes = Vec::new();
@@ -213,7 +201,7 @@ impl DecodedProgram {
                         if let Some(t) = op.branch_target() {
                             d.target_id = t.0;
                             if op.opcode == Opcode::Branch {
-                                d.aux = pos_of(t);
+                                d.aux = func.position(t).map_or(NONE, |p| p as u32);
                             }
                         }
                     }

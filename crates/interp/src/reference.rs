@@ -65,7 +65,7 @@ pub fn run_events(
     let mut fuel = input.fuel_budget();
 
     let layout_pos: std::collections::HashMap<_, _> =
-        func.layout.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+        func.layout().iter().enumerate().map(|(i, &b)| (b, i)).collect();
 
     let mut block = func.entry();
     'outer: loop {
@@ -218,7 +218,7 @@ pub fn run_events(
         // successor. The verifier guarantees the last block cannot fall
         // through, so the successor exists.
         let pos = layout_pos[&block];
-        block = func.layout[pos + 1];
+        block = func.layout()[pos + 1];
     }
 }
 

@@ -28,7 +28,7 @@ use crate::opcode::{CmpCond, Opcode, PredAction};
 /// b.switch_to(done);
 /// b.ret();
 /// let f = b.finish();
-/// assert_eq!(f.layout.len(), 2);
+/// assert_eq!(f.layout().len(), 2);
 /// ```
 ///
 /// [`switch_to`]: FunctionBuilder::switch_to

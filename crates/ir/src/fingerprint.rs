@@ -16,8 +16,6 @@
 //! but is *not* cryptographic; collisions are astronomically unlikely for
 //! the program sizes involved, not impossible.
 
-use std::collections::HashMap;
-
 use crate::func::Function;
 use crate::op::{Dest, Op, Operand};
 use crate::opcode::{CmpCond, Opcode, PredAction, PredActionKind, PredSense};
@@ -184,7 +182,7 @@ fn action_tag(a: PredAction) -> u8 {
     k * 2 + s
 }
 
-fn hash_op(h: &mut Fnv64, f: &Function, op: &Op, block_pos: &HashMap<crate::BlockId, usize>) {
+fn hash_op(h: &mut Fnv64, f: &Function, op: &Op) {
     let (t0, t1) = opcode_tag(op.opcode);
     h.write_u8(t0);
     h.write_u8(t1);
@@ -221,7 +219,7 @@ fn hash_op(h: &mut Fnv64, f: &Function, op: &Op, block_pos: &HashMap<crate::Bloc
             // block renumbering (e.g. a print→parse round trip).
             Operand::Label(b) => {
                 h.write_u8(3);
-                h.write_u64(block_pos.get(&b).map(|&i| i as u64).unwrap_or(u64::MAX));
+                h.write_u64(f.position(b).map_or(u64::MAX, |i| i as u64));
             }
         }
     }
@@ -252,20 +250,18 @@ impl Function {
     /// are hashed as layout positions, so the fingerprint is invariant
     /// under the id renumbering a textual round trip performs.
     pub fn fingerprint(&self) -> u64 {
-        let block_pos: HashMap<crate::BlockId, usize> =
-            self.layout.iter().enumerate().map(|(i, &b)| (b, i)).collect();
         let mut h = Fnv64::new();
         h.write_str(&self.name);
         h.write_usize(self.live_outs().len());
         for r in self.live_outs() {
             h.write_u64(r.0 as u64);
         }
-        h.write_usize(self.layout.len());
+        h.write_usize(self.layout().len());
         for block in self.blocks_in_layout() {
             h.write_str(&block.name);
             h.write_usize(block.ops.len());
             for op in &block.ops {
-                hash_op(&mut h, self, op, &block_pos);
+                hash_op(&mut h, self, op);
             }
         }
         h.finish()

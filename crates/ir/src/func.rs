@@ -6,11 +6,26 @@ use crate::block::Block;
 use crate::ids::{BlockId, OpId, PredReg, Reg};
 use crate::op::Op;
 
+/// Marks a block that is not in the layout in [`Function`]'s position index.
+const NOT_IN_LAYOUT: u32 = u32::MAX;
+
 /// A function: a set of blocks with an explicit layout order.
 ///
 /// Control falls through from each block to the next block in
 /// [`Function::layout`] unless a branch takes; the final block in the layout
 /// must end in an unconditional exit (`ret` or an always-taken branch).
+///
+/// The function is the one owner of the layout and of each block's place in
+/// it: every layout writer keeps a `BlockId → position` index in step, so
+/// [`position`](Function::position) and
+/// [`fallthrough_of`](Function::fallthrough_of) are O(1) and
+/// [`successors`](Function::successors) is O(degree). A block listed twice
+/// (which [`verify`](fn@crate::verify) rejects) is indexed at its first
+/// occurrence. The writers and their costs: [`add_block`](Function::add_block),
+/// [`add_detached_block`](Function::add_detached_block) and
+/// [`append_to_layout`](Function::append_to_layout) are O(1);
+/// [`insert_in_layout_after`](Function::insert_in_layout_after) and
+/// [`set_layout`](Function::set_layout) reindex, in O(blocks).
 #[derive(Clone, Debug)]
 pub struct Function {
     /// Function name.
@@ -19,7 +34,10 @@ pub struct Function {
     /// the layout) but ids are never reused.
     blocks: Vec<Block>,
     /// Block order; the first entry is the entry block.
-    pub layout: Vec<BlockId>,
+    layout: Vec<BlockId>,
+    /// Layout position of each block by [`BlockId::index`] (its first
+    /// occurrence), or [`NOT_IN_LAYOUT`]; one entry per block.
+    pos: Vec<u32>,
     next_reg: u32,
     next_pred: u32,
     next_op: u32,
@@ -44,6 +62,7 @@ impl Function {
             name: name.into(),
             blocks: Vec::new(),
             layout: Vec::new(),
+            pos: Vec::new(),
             next_reg: 0,
             next_pred: 0,
             next_op: 0,
@@ -99,9 +118,8 @@ impl Function {
 
     /// Creates a new block appended to the end of the layout.
     pub fn add_block(&mut self, name: impl Into<String>) -> BlockId {
-        let id = BlockId(self.blocks.len() as u32);
-        self.blocks.push(Block::new(id, name));
-        self.layout.push(id);
+        let id = self.add_detached_block(name);
+        self.append_to_layout(id);
         id
     }
 
@@ -111,26 +129,65 @@ impl Function {
     pub fn add_detached_block(&mut self, name: impl Into<String>) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);
         self.blocks.push(Block::new(id, name));
+        self.pos.push(NOT_IN_LAYOUT);
         id
     }
 
-    /// Inserts `block` into the layout immediately after `after`.
+    /// Inserts `block` into the layout immediately after `after`. Reindexes
+    /// the layout: O(blocks).
     ///
     /// # Panics
     ///
     /// Panics if `after` is not in the layout.
     pub fn insert_in_layout_after(&mut self, block: BlockId, after: BlockId) {
-        let pos = self
-            .layout
-            .iter()
-            .position(|&b| b == after)
-            .expect("anchor block not in layout");
+        let pos = self.position(after).expect("anchor block not in layout");
         self.layout.insert(pos + 1, block);
+        self.reindex();
     }
 
-    /// Appends `block` at the end of the layout.
+    /// Appends `block` at the end of the layout. O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not one of this function's blocks.
     pub fn append_to_layout(&mut self, block: BlockId) {
+        if self.pos[block.index()] == NOT_IN_LAYOUT {
+            self.pos[block.index()] = self.layout.len() as u32;
+        }
         self.layout.push(block);
+    }
+
+    /// Replaces the whole layout (dropping, reordering or swapping blocks)
+    /// and reindexes it: O(blocks).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed block is not one of this function's blocks.
+    pub fn set_layout(&mut self, layout: Vec<BlockId>) {
+        self.layout = layout;
+        self.reindex();
+    }
+
+    /// Rebuilds the position index; walking the layout backwards leaves
+    /// each block at its first occurrence.
+    fn reindex(&mut self) {
+        self.pos.fill(NOT_IN_LAYOUT);
+        for (i, &b) in self.layout.iter().enumerate().rev() {
+            self.pos[b.index()] = i as u32;
+        }
+    }
+
+    /// The block order; the first entry is the entry block. Only the
+    /// writers listed on [`Function`] change it.
+    pub fn layout(&self) -> &[BlockId] {
+        &self.layout
+    }
+
+    /// Where `id` sits in the layout (its first occurrence), or `None` when
+    /// it is not in the layout. O(1).
+    pub fn position(&self, id: BlockId) -> Option<usize> {
+        let p = *self.pos.get(id.index())?;
+        (p != NOT_IN_LAYOUT).then_some(p as usize)
     }
 
     /// Returns a reference to a block.
@@ -163,10 +220,9 @@ impl Function {
         self.layout.iter().map(move |&id| self.block(id))
     }
 
-    /// The layout successor of `id` (the fall-through target), if any.
+    /// The layout successor of `id` (the fall-through target), if any. O(1).
     pub fn fallthrough_of(&self, id: BlockId) -> Option<BlockId> {
-        let pos = self.layout.iter().position(|&b| b == id)?;
-        self.layout.get(pos + 1).copied()
+        self.layout.get(self.position(id)? + 1).copied()
     }
 
     /// Iterates over all operations in layout order.
@@ -208,15 +264,16 @@ impl Function {
         succs
     }
 
-    /// Computes the predecessor map for the whole layout.
-    pub fn predecessors(&self) -> HashMap<BlockId, Vec<BlockId>> {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for &b in &self.layout {
-            preds.entry(b).or_default();
-        }
+    /// The CFG predecessors of every block, indexed by [`BlockId::index`]:
+    /// each list is in layout order and names each predecessor once. Blocks
+    /// outside the layout have only the predecessors that branch to them.
+    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
+        let mut preds = vec![Vec::new(); self.blocks.len()];
         for &b in &self.layout {
             for s in self.successors(b) {
-                preds.entry(s).or_default().push(b);
+                if let Some(list) = preds.get_mut(s.index()) {
+                    list.push(b);
+                }
             }
         }
         preds
@@ -307,7 +364,7 @@ mod tests {
         // b2 ends with ret (unconditional exit): no successors.
         assert_eq!(f.successors(b2), Vec::<BlockId>::new());
         let preds = f.predecessors();
-        assert_eq!(preds[&b2], vec![b0, b1]);
+        assert_eq!(preds[b2.index()], vec![b0, b1]);
     }
 
     #[test]
@@ -316,9 +373,11 @@ mod tests {
         let b0 = f.add_block("a");
         let b1 = f.add_block("b");
         let comp = f.add_detached_block("comp");
-        assert_eq!(f.layout, vec![b0, b1]);
+        assert_eq!(f.layout(), [b0, b1]);
+        assert_eq!(f.position(comp), None);
         f.insert_in_layout_after(comp, b0);
-        assert_eq!(f.layout, vec![b0, comp, b1]);
+        assert_eq!(f.layout(), [b0, comp, b1]);
+        assert_eq!(f.position(b1), Some(2));
     }
 
     #[test]

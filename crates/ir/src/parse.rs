@@ -450,7 +450,7 @@ exit:
         let g = parse_function(&text).unwrap();
         verify(&g).unwrap();
         // Same structure: block count, op count, opcodes in order.
-        assert_eq!(g.layout.len(), f.layout.len());
+        assert_eq!(g.layout().len(), f.layout().len());
         let fo: Vec<_> = f.ops_in_layout().map(|(_, o)| o.opcode).collect();
         let go: Vec<_> = g.ops_in_layout().map(|(_, o)| o.opcode).collect();
         assert_eq!(fo, go);

@@ -250,7 +250,7 @@ mod tests {
         b.switch_to(init);
         b.movi(0);
         let mut f = b.finish();
-        f.layout = vec![init, lp];
+        f.set_layout(vec![init, lp]);
         let text = f.to_string();
         assert!(text.contains("-> loop)"), "{text}");
         let g = crate::parse::parse_function(&text).unwrap();

@@ -62,16 +62,16 @@ impl Error for VerifyError {}
 /// Returns the first violation found; see [`VerifyError`] for the checks
 /// performed.
 pub fn verify(func: &Function) -> Result<(), VerifyError> {
-    if func.layout.is_empty() {
+    if func.layout().is_empty() {
         return Err(VerifyError::EmptyFunction);
     }
     let mut seen_blocks = HashSet::new();
-    for &b in &func.layout {
+    for &b in func.layout() {
         if !seen_blocks.insert(b) {
             return Err(VerifyError::DuplicateLayoutBlock(b));
         }
     }
-    let last = *func.layout.last().expect("layout non-empty");
+    let last = *func.layout().last().expect("layout non-empty");
     if !func.block(last).ends_with_unconditional_exit() {
         return Err(VerifyError::FallthroughOffEnd(last));
     }

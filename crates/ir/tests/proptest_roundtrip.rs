@@ -94,7 +94,7 @@ proptest! {
         epic_ir::verify(&g).map_err(|e| TestCaseError::fail(format!("{e}\n{text}")))?;
 
         // Structure: same layout, same opcodes, same guards, same operands.
-        prop_assert_eq!(g.layout.len(), f.layout.len());
+        prop_assert_eq!(g.layout().len(), f.layout().len());
         let fo: Vec<_> = f.ops_in_layout().map(|(_, o)| (o.opcode, o.guard, o.srcs.clone(), o.dests.clone())).collect();
         let go: Vec<_> = g.ops_in_layout().map(|(_, o)| (o.opcode, o.guard, o.srcs.clone(), o.dests.clone())).collect();
         prop_assert_eq!(fo, go);

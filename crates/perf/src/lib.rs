@@ -111,7 +111,7 @@ pub fn try_weighted_cycles(
     frontend: &Frontend,
 ) -> Result<u64, CycleOverflow> {
     let mut total = 0u64;
-    for &b in &func.layout {
+    for &b in func.layout() {
         let term = profile
             .entry_count(b)
             .checked_mul(block_cycles(func, sched, b, frontend))

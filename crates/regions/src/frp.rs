@@ -25,7 +25,7 @@ use epic_ir::{BlockId, Dest, Function, Opcode, PredReg};
 /// by converted compares upstream, so they already imply the block FRP — the
 /// general hyperblock input case of §4.1).
 pub fn frp_convert(func: &mut Function) -> usize {
-    let blocks: Vec<BlockId> = func.layout.clone();
+    let blocks: Vec<BlockId> = func.layout().to_vec();
     let mut converted = 0;
     for b in blocks {
         converted += frp_convert_block(func, b);

@@ -86,7 +86,7 @@ fn find_candidate(
             if side == join {
                 continue;
             }
-            if preds.get(&side).map(|p| p.as_slice()) != Some(&[block.id]) {
+            if preds.get(side.index()).map(Vec::as_slice) != Some(&[block.id]) {
                 continue;
             }
             let sblk = func.block(side);

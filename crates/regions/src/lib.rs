@@ -62,9 +62,10 @@ pub fn remove_unreachable(func: &mut Function) -> usize {
             work.push(s);
         }
     }
-    let before = func.layout.len();
-    func.layout.retain(|b| reachable.contains(b));
-    before - func.layout.len()
+    let before = func.layout().len();
+    let kept = func.layout().iter().copied().filter(|b| reachable.contains(b)).collect();
+    func.set_layout(kept);
+    before - func.layout().len()
 }
 
 #[cfg(test)]
@@ -86,7 +87,7 @@ mod tests {
         b.ret();
         let mut f = b.finish();
         assert_eq!(remove_unreachable(&mut f), 1);
-        assert_eq!(f.layout, vec![e, tail]);
+        assert_eq!(f.layout(), [e, tail]);
         let _ = dead;
         epic_ir::verify(&f).unwrap();
     }
@@ -102,6 +103,6 @@ mod tests {
         b.ret();
         let mut f = b.finish();
         assert_eq!(remove_unreachable(&mut f), 0);
-        assert_eq!(f.layout, vec![e, ft]);
+        assert_eq!(f.layout(), [e, ft]);
     }
 }

@@ -77,7 +77,7 @@ struct Candidate {
 /// jumps to.
 fn side_join(
     func: &Function,
-    preds: &std::collections::HashMap<BlockId, Vec<BlockId>>,
+    preds: &[Vec<BlockId>],
     from: BlockId,
     side: BlockId,
     max_ops: usize,
@@ -85,7 +85,7 @@ fn side_join(
     if side == func.entry() {
         return None;
     }
-    if preds.get(&side).map(|p| p.as_slice()) != Some(&[from]) {
+    if preds.get(side.index()).map(Vec::as_slice) != Some(&[from]) {
         return None;
     }
     let sblk = func.try_block(side)?;
@@ -257,7 +257,7 @@ mod tests {
         assert!(g
             .ops_in_layout()
             .all(|(_, o)| !(o.opcode == Opcode::Branch && o.guard.is_some())));
-        assert_eq!(g.layout.len(), 3);
+        assert_eq!(g.layout().len(), 3);
         diff_test(&f, &g, &input_hi).unwrap();
         diff_test(&f, &g, &input_lo).unwrap();
     }

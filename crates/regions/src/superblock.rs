@@ -46,7 +46,7 @@ pub fn form_superblocks(func: &Function, profile: &Profile, cfg: &TraceConfig) -
     };
 
     // Grow traces greedily from the hottest blocks.
-    let mut order: Vec<BlockId> = out.layout.clone();
+    let mut order: Vec<BlockId> = out.layout().to_vec();
     order.sort_by_key(|&b| std::cmp::Reverse(profile.entry_count(b)));
     let mut in_trace: HashSet<BlockId> = HashSet::new();
     let mut traces: Vec<Vec<BlockId>> = Vec::new();
@@ -137,8 +137,9 @@ pub fn form_superblocks(func: &Function, profile: &Profile, cfg: &TraceConfig) -
                 append_jump(&mut out, sb, g);
             }
         }
-        let head_pos = out.layout.iter().position(|&b| b == head).expect("head in layout");
-        out.layout[head_pos] = sb;
+        let mut layout = out.layout().to_vec();
+        layout[out.position(head).expect("head in layout")] = sb;
+        out.set_layout(layout);
         redirect.insert(head, sb);
     }
 
@@ -146,7 +147,7 @@ pub fn form_superblocks(func: &Function, profile: &Profile, cfg: &TraceConfig) -
     // A superblock is single-entry *at its top*, so entering at the head is
     // always legal; entrances into the middle of a trace keep targeting the
     // original interior blocks, which survive as duplicate tails.
-    let all_blocks: Vec<BlockId> = out.layout.clone();
+    let all_blocks: Vec<BlockId> = out.layout().to_vec();
     for b in all_blocks {
         for op in &mut out.block_mut(b).ops {
             if let Some(t) = op.branch_target() {
@@ -241,7 +242,7 @@ mod tests {
             &profile,
             &TraceConfig { min_count: 1_000_000, ..Default::default() },
         );
-        assert_eq!(sb.layout.len(), f.layout.len());
+        assert_eq!(sb.layout().len(), f.layout().len());
     }
 
     #[test]
@@ -254,7 +255,7 @@ mod tests {
             &TraceConfig { min_count: 1, max_ops: 3, ..Default::default() },
         );
         // Trace could not grow: layout unchanged.
-        assert_eq!(sb.layout.len(), f.layout.len());
+        assert_eq!(sb.layout().len(), f.layout().len());
     }
 
     #[test]
@@ -288,7 +289,7 @@ mod tests {
         let sb = form_superblocks(&f, &profile, &TraceConfig { min_count: 1, ..Default::default() });
         epic_ir::verify(&sb).unwrap();
         // join must still exist (side entrance from cold).
-        assert!(sb.layout.contains(&join), "join kept as duplicate tail:\n{sb}");
+        assert!(sb.layout().contains(&join), "join kept as duplicate tail:\n{sb}");
         diff_test(&f, &sb, &inp).unwrap();
         // Also equivalent on the cold path.
         let inp_cold = Input::new()
@@ -370,6 +371,6 @@ mod loop_tests {
         let profile2 = run(&once, &input).unwrap().profile;
         let twice = form_superblocks(&once, &profile2, &cfg);
         assert_eq!(once.static_op_count(), twice.static_op_count());
-        assert_eq!(once.layout.len(), twice.layout.len());
+        assert_eq!(once.layout().len(), twice.layout().len());
     }
 }

@@ -281,7 +281,7 @@ pub fn unroll_hot_loops(
     live: &mut GlobalLiveness,
 ) -> usize {
     let candidates: Vec<BlockId> = func
-        .layout
+        .layout()
         .iter()
         .copied()
         .filter(|&b| profile.entry_count(b) >= min_count)

@@ -181,7 +181,7 @@ loop:
         let f = translate(&p);
         epic_ir::verify(&f).expect("verifies");
         // Block structure: entry (li), loop body, post-branch tail.
-        assert_eq!(f.layout.len(), 3);
+        assert_eq!(f.layout().len(), 3);
         let input = Input::new()
             .memory_size(16)
             .with_memory(0, &[5, 6, 7])

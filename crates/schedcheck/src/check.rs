@@ -56,7 +56,7 @@ pub fn check_function(
     let mut violations = Vec::new();
 
     // Blocks the schedule names that the layout does not.
-    let layout: HashSet<BlockId> = func.layout.iter().copied().collect();
+    let layout: HashSet<BlockId> = func.layout().iter().copied().collect();
     let mut extras: Vec<BlockId> =
         sched.iter().map(|(b, _)| b).filter(|b| !layout.contains(b)).collect();
     extras.sort_by_key(|b| b.0);

@@ -134,7 +134,7 @@ impl ShapeTable {
             .map(|w| {
                 let shape = Shape {
                     ops: w.func.static_op_count(),
-                    branches: w.func.layout.len().saturating_sub(1),
+                    branches: w.func.layout().len().saturating_sub(1),
                 };
                 (w.name, (shape, w.func.fingerprint()))
             })

@@ -91,7 +91,7 @@ mod tests {
     fn corpus_sizes_span_the_large_tier() {
         let sizes: Vec<usize> = corpus()
             .iter()
-            .map(|w| w.func.layout.iter().map(|&b| w.func.block(b).ops.len()).sum())
+            .map(|w| w.func.layout().iter().map(|&b| w.func.block(b).ops.len()).sum())
             .collect();
         assert!(sizes.iter().any(|&s| s >= 10_000), "{sizes:?}");
         assert!(sizes.iter().any(|&s| s >= 5_000), "{sizes:?}");

@@ -1075,7 +1075,7 @@ fn init_regs(func: &mut Function, inits: &[(Reg, i64)]) {
         });
     }
     func.block_mut(entry).ops = ops;
-    func.layout.insert(0, entry);
+    func.set_layout(std::iter::once(entry).chain(func.layout().iter().copied()).collect());
 }
 
 #[cfg(test)]

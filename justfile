@@ -31,8 +31,10 @@ examples:
 # multi-block generator against the reference interpreter at every fuel
 # budget, `interp.steps` on every trap path), then the workload-scale
 # oracle in release: outcomes, profiles and event streams against the
-# reference on every workload and 2048 fuzz cases, and the fuel sweep
-# over the last 64 fetches of every workload run.
+# reference on every workload and 2048 fuzz cases, the fuel sweep over
+# the last 64 fetches of every workload run, and the corpus: liveness and
+# training-input outcomes of every corpus program's source, baseline and
+# optimized function against the references.
 interp-check:
     cargo test --release -q -p epic-interp
     FUZZ_CASES=2048 cargo test --release -q -p epic-bench --test oracle_properties -- --include-ignored

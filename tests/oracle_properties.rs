@@ -9,7 +9,9 @@
 //! the deterministic fuzz corpus (`FUZZ_SEED`/`FUZZ_CASES` override, same
 //! defaults as `fuzz_smoke`). The interpreter pair is compared on every
 //! observable, the `run_events` stream included, and at fuel budgets
-//! around both ends of each workload run.
+//! around both ends of each workload run. The `#[ignore]`d corpus tests
+//! compare both pairs on the large-tier programs, whose thousands of
+//! blocks are where a stale layout position would show.
 
 use epic_bench::{compile, PipelineConfig};
 use epic_fuzz::{env_u64, generate};
@@ -152,4 +154,28 @@ fn interp_and_liveness_match_reference_on_fuzz_corpus() {
             assert_same_outcome(&case.func, input, &format!("fuzz seed {s} input {i}"));
         }
     }
+}
+
+/// Every corpus program's source, default-config baseline and optimized
+/// function, with its training input.
+fn for_each_corpus_function(mut check: impl FnMut(&Function, &Input, &str)) {
+    let cfg = PipelineConfig::default();
+    for w in epic_workloads::corpus() {
+        check(&w.func, &w.training, &format!("{} source", w.name));
+        let c = compile(&w, &cfg).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        check(&c.baseline, &w.training, &format!("{} baseline", w.name));
+        check(&c.optimized, &w.training, &format!("{} optimized", w.name));
+    }
+}
+
+#[test]
+#[ignore]
+fn liveness_matches_reference_on_the_corpus() {
+    for_each_corpus_function(|func, _, what| assert_same_liveness(func, what));
+}
+
+#[test]
+#[ignore]
+fn interp_matches_reference_on_the_corpus() {
+    for_each_corpus_function(assert_same_outcome);
 }

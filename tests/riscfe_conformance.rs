@@ -80,7 +80,7 @@ fn corpus_small_tier_conforms_through_the_pipeline() {
 fn large_corpus_compiles_and_schedules_exactly() {
     let w = epic_workloads::by_name("corpus.chain.6k").expect("corpus workload registered");
     let cp = fixed_corpus().into_iter().find(|c| c.name == "corpus.chain.6k").unwrap();
-    let ops: usize = w.func.layout.iter().map(|&b| w.func.block(b).ops.len()).sum();
+    let ops: usize = w.func.layout().iter().map(|&b| w.func.block(b).ops.len()).sum();
     assert!(ops >= 5_000, "large-tier program shrank below the gate: {ops} ops");
 
     let c = compile(&w, &PipelineConfig::default()).unwrap_or_else(|e| panic!("{e}"));
