@@ -33,7 +33,7 @@ fn decompose(w: &Workload, cfg: &PipelineConfig, m: &Machine) -> (f64, f64, f64)
     // A baseline variant: FRP-converted, optionally transformed, cleaned
     // and re-profiled.
     let variant = |transform: &dyn Fn(&mut Function)| {
-        let mut f = c.baseline.clone();
+        let mut f = Function::clone(&c.baseline);
         frp_convert(&mut f);
         transform(&mut f);
         let mut live = GlobalLiveness::compute(&f);

@@ -14,13 +14,22 @@
 //! up to and including the baseline, because each stage's key hashes only
 //! the configuration that stage consumes.
 //!
+//! A hit copies nothing: an artifact's function and profile are `Arc`s
+//! that every [`crate::Compiled`] served from it shares (see
+//! [`StageArtifact`]; editing one means cloning it out). Each artifact also
+//! memoizes its function's fingerprint, which keys the stage after it, so
+//! a fully cached compile hashes only the source and the training input.
+//!
 //! The disk layer is best-effort: unreadable or corrupt entries are
 //! treated as misses, and it is enabled only when an explicit directory is
 //! given (`EPIC_CACHE_DIR` for [`CompileCache::from_env`]). Disk-reloaded
 //! functions are semantically identical to the originals but carry
 //! renumbered ids, which can legally perturb schedule tie-breaking — the
 //! in-memory layer, which the table drivers rely on for byte-identical
-//! output, returns the original artifacts unchanged.
+//! output, returns the original artifacts unchanged. They may also carry
+//! renamed blocks (the printer disambiguates duplicate names), so each
+//! record stores its artifact's fingerprint and a reloaded artifact keys
+//! the stages after it exactly as its writer did.
 //!
 //! The two finished sides (baseline and height-reduced) also carry a
 //! [`CycleMemo`]: their profile-weighted cycle estimate per machine, filled
@@ -32,7 +41,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use control_cpr::IcbmStats;
 use epic_ir::{BlockId, Function, OpId, Profile};
@@ -72,45 +81,70 @@ pub fn route_fingerprint(input_fp: u64, buckets: usize) -> usize {
     (h.finish() % buckets.max(1) as u64) as usize
 }
 
-/// One memoized stage output.
-#[derive(Clone, Debug)]
-pub enum StageArtifact {
-    /// A bare transformed function (if-convert, superblock stages).
-    Func(Function),
-    /// The finished baseline with its training profile and counts.
-    Baseline {
-        /// Superblock-formed, unrolled, DCE-cleaned baseline.
-        func: Function,
-        /// Training profile of `func`.
-        profile: Profile,
-        /// Operation counts of `func` on the training input.
-        counts: OpCounts,
-        /// Weighted cycles of `func` under `profile`, per machine.
-        cycles: Arc<CycleMemo>,
-    },
-    /// The finished height-reduced side with its profile and counts.
-    Optimized {
-        /// Baseline + FRP conversion + ICBM.
-        func: Function,
-        /// ICBM transformation statistics.
-        stats: IcbmStats,
-        /// Training profile of `func`.
-        profile: Profile,
-        /// Operation counts of `func` on the training input.
-        counts: OpCounts,
-        /// Weighted cycles of `func` under `profile`, per machine.
-        cycles: Arc<CycleMemo>,
-    },
+/// One memoized stage output: the stage's function, what the stage
+/// measured about it, and a memo of the function's fingerprint.
+///
+/// The payloads are shared, not copied: the cache, the stage that reads an
+/// artifact as its input and every [`crate::Compiled`] served from it hold
+/// `Arc`s of one function and one profile, so a cache hit copies nothing.
+/// They are never edited in place; a caller that wants to change one
+/// clones it out (`Function::clone(&c.baseline)`), which also keeps the
+/// side's [`CycleMemo`] true of the value it was computed for.
+#[derive(Debug)]
+pub struct StageArtifact {
+    /// The stage's output function.
+    pub func: Arc<Function>,
+    /// The stage's kind, with what a finished side measured.
+    pub kind: ArtifactKind,
+    /// `func.fingerprint()`, hashed at most once (see
+    /// [`StageArtifact::fingerprint`]).
+    fingerprint: OnceLock<u64>,
+}
+
+/// What kind of stage produced a [`StageArtifact`].
+#[derive(Debug)]
+pub enum ArtifactKind {
+    /// A bare transformed function (if-convert, meld, superblock stages).
+    Func,
+    /// The finished baseline: superblock-formed, unrolled, DCE-cleaned.
+    Baseline(Measured),
+    /// The finished height-reduced side (baseline + FRP conversion +
+    /// ICBM), with the ICBM transformation statistics.
+    Optimized(Measured, IcbmStats),
+}
+
+/// A finished side's measurements on the training input.
+#[derive(Debug)]
+pub struct Measured {
+    /// Training profile of the artifact's function.
+    pub profile: Arc<Profile>,
+    /// Operation counts of the function on the training input.
+    pub counts: OpCounts,
+    /// Weighted cycles of the function under `profile`, per machine.
+    pub cycles: Arc<CycleMemo>,
+}
+
+impl Measured {
+    /// A side measured as `profile` and `counts`, with an empty cycle memo.
+    pub fn new(profile: Profile, counts: OpCounts) -> Measured {
+        Measured { profile: Arc::new(profile), counts, cycles: Arc::default() }
+    }
 }
 
 impl StageArtifact {
-    /// The function payload of any variant.
-    pub fn function(&self) -> &Function {
-        match self {
-            StageArtifact::Func(f)
-            | StageArtifact::Baseline { func: f, .. }
-            | StageArtifact::Optimized { func: f, .. } => f,
-        }
+    /// An artifact of `kind` over `func`, its fingerprint not yet hashed.
+    pub fn new(func: Function, kind: ArtifactKind) -> StageArtifact {
+        StageArtifact { func: Arc::new(func), kind, fingerprint: OnceLock::new() }
+    }
+
+    /// The fingerprint the next stage keys itself from, hashed on the first
+    /// call and read back after: [`Function::fingerprint`] of the function
+    /// as the stage computed it. An artifact reloaded from disk reads the
+    /// value its writer stored, because the reloaded text may fingerprint
+    /// differently (the printer renames duplicate block names) and the
+    /// stages after it were stored under the writer's keys.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.func.fingerprint())
     }
 }
 
@@ -664,30 +698,31 @@ fn stats_from_json(j: &Json) -> Result<IcbmStats, String> {
 /// the wrong shape.
 pub const FORMAT_VERSION: u64 = 1;
 
-/// Serializes an artifact as one JSON document.
+/// Serializes an artifact as one JSON document. The record carries the
+/// artifact's fingerprint (`"fp"`, 16 hex digits), so a reloaded artifact
+/// keys the stages after it as its writer did.
 pub fn artifact_to_json(a: &StageArtifact) -> String {
-    let v = FORMAT_VERSION;
-    match a {
-        StageArtifact::Func(f) => {
-            format!("{{\"v\":{v},\"kind\":\"func\",\"ir\":{}}}", json_string(&f.to_string()))
-        }
-        StageArtifact::Baseline { func, profile, counts, .. } => format!(
-            "{{\"v\":{v},\"kind\":\"baseline\",\"ir\":{},\"profile\":{},\"counts\":{}}}",
-            json_string(&func.to_string()),
-            profile_to_json(func, profile),
-            counts_to_json(counts)
+    let (v, fp, ir) = (FORMAT_VERSION, a.fingerprint(), json_string(&a.func.to_string()));
+    let head = format!("{{\"v\":{v},\"fp\":\"{fp:016x}\"");
+    match &a.kind {
+        ArtifactKind::Func => format!("{head},\"kind\":\"func\",\"ir\":{ir}}}"),
+        ArtifactKind::Baseline(m) => format!(
+            "{head},\"kind\":\"baseline\",\"ir\":{ir},\"profile\":{},\"counts\":{}}}",
+            profile_to_json(&a.func, &m.profile),
+            counts_to_json(&m.counts)
         ),
-        StageArtifact::Optimized { func, stats, profile, counts, .. } => format!(
-            "{{\"v\":{v},\"kind\":\"optimized\",\"ir\":{},\"stats\":{},\"profile\":{},\"counts\":{}}}",
-            json_string(&func.to_string()),
+        ArtifactKind::Optimized(m, stats) => format!(
+            "{head},\"kind\":\"optimized\",\"ir\":{ir},\"stats\":{},\"profile\":{},\"counts\":{}}}",
             stats_to_json(stats),
-            profile_to_json(func, profile),
-            counts_to_json(counts)
+            profile_to_json(&a.func, &m.profile),
+            counts_to_json(&m.counts)
         ),
     }
 }
 
-/// Parses an artifact serialized by [`artifact_to_json`].
+/// Parses an artifact serialized by [`artifact_to_json`]. A record without
+/// `"fp"` (written before the field existed) fingerprints its function on
+/// first use instead.
 ///
 /// # Errors
 ///
@@ -701,23 +736,30 @@ pub fn artifact_from_json(text: &str) -> Result<StageArtifact, String> {
         Some(v) => return Err(format!("artifact format version {v} != {FORMAT_VERSION}")),
         None => return Err("artifact predates the format-version stamp".into()),
     }
+    let fingerprint = match j.get("fp") {
+        None => OnceLock::new(),
+        Some(fp) => {
+            let hex = fp.as_str().filter(|h| h.len() == 16).ok_or("bad fingerprint")?;
+            OnceLock::from(u64::from_str_radix(hex, 16).map_err(|e| e.to_string())?)
+        }
+    };
     let ir = j.get("ir").and_then(Json::as_str).ok_or("missing ir")?;
     let func = epic_ir::parse_function(ir).map_err(|e| e.to_string())?;
-    match j.get("kind").and_then(Json::as_str) {
-        Some("func") => Ok(StageArtifact::Func(func)),
-        Some("baseline") => {
-            let profile = profile_from_json(&func, j.get("profile").ok_or("missing profile")?)?;
-            let counts = counts_from_json(j.get("counts").ok_or("missing counts")?)?;
-            Ok(StageArtifact::Baseline { func, profile, counts, cycles: Arc::default() })
-        }
+    let measured = || -> Result<Measured, String> {
+        let profile = profile_from_json(&func, j.get("profile").ok_or("missing profile")?)?;
+        let counts = counts_from_json(j.get("counts").ok_or("missing counts")?)?;
+        Ok(Measured::new(profile, counts))
+    };
+    let kind = match j.get("kind").and_then(Json::as_str) {
+        Some("func") => ArtifactKind::Func,
+        Some("baseline") => ArtifactKind::Baseline(measured()?),
         Some("optimized") => {
             let stats = stats_from_json(j.get("stats").ok_or("missing stats")?)?;
-            let profile = profile_from_json(&func, j.get("profile").ok_or("missing profile")?)?;
-            let counts = counts_from_json(j.get("counts").ok_or("missing counts")?)?;
-            Ok(StageArtifact::Optimized { func, stats, profile, counts, cycles: Arc::default() })
+            ArtifactKind::Optimized(measured()?, stats)
         }
-        _ => Err("unknown artifact kind".into()),
-    }
+        _ => return Err("unknown artifact kind".into()),
+    };
+    Ok(StageArtifact { func: Arc::new(func), kind, fingerprint })
 }
 
 #[cfg(test)]
@@ -730,6 +772,10 @@ mod tests {
         epic_workloads::by_name("strcpy").unwrap().func
     }
 
+    fn bare() -> StageArtifact {
+        StageArtifact::new(sample_func(), ArtifactKind::Func)
+    }
+
     fn key(n: u64) -> CacheKey {
         CacheKey { input_fp: n, stage: stage::SUPERBLOCK, config: 7 }
     }
@@ -739,12 +785,12 @@ mod tests {
         let cache = CompileCache::new();
         let f = sample_func();
         let fp = f.fingerprint();
-        let make = || Ok::<_, CompileError>(StageArtifact::Func(sample_func()));
+        let make = || Ok::<_, CompileError>(bare());
         let first = cache.get_or_compute(key(1), make).unwrap();
         assert!(!first.hit);
         let second = cache.get_or_compute(key(1), make).unwrap();
         assert!(second.hit);
-        assert_eq!(second.artifact.function().fingerprint(), fp);
+        assert_eq!(second.artifact.func.fingerprint(), fp);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!(stats.to_json().contains("\"hits\":1"));
@@ -753,7 +799,7 @@ mod tests {
     #[test]
     fn distinct_stage_or_config_is_a_distinct_entry() {
         let cache = CompileCache::new();
-        let make = || Ok::<_, CompileError>(StageArtifact::Func(sample_func()));
+        let make = || Ok::<_, CompileError>(bare());
         cache.get_or_compute(key(1), make).unwrap();
         let other_cfg = CacheKey { config: 8, ..key(1) };
         assert!(!cache.get_or_compute(other_cfg, make).unwrap().hit);
@@ -766,7 +812,7 @@ mod tests {
     fn fifo_eviction_bounds_residency() {
         // One shard gives the exact global FIFO bound.
         let cache = CompileCache::with_capacity_and_shards(2, 1);
-        let make = || Ok::<_, CompileError>(StageArtifact::Func(sample_func()));
+        let make = || Ok::<_, CompileError>(bare());
         for n in 0..3 {
             cache.get_or_compute(key(n), make).unwrap();
         }
@@ -781,7 +827,7 @@ mod tests {
     #[test]
     fn sharded_eviction_bounds_total_residency() {
         let cache = CompileCache::with_capacity_and_shards(16, 4);
-        let make = || Ok::<_, CompileError>(StageArtifact::Func(sample_func()));
+        let make = || Ok::<_, CompileError>(bare());
         for n in 0..64 {
             cache.get_or_compute(key(n), make).unwrap();
         }
@@ -834,7 +880,7 @@ mod tests {
                         let fp = if n % 2 == 0 { n } else { t * 1000 + n };
                         let out = cache
                             .get_or_compute(key(fp), || {
-                                Ok::<_, CompileError>(StageArtifact::Func(sample_func()))
+                                Ok::<_, CompileError>(bare())
                             })
                             .unwrap();
                         assert!(StdArc::strong_count(&out.artifact) >= 1);
@@ -878,7 +924,7 @@ mod tests {
                                 spins += 1;
                                 assert!(spins < 1_000_000_000, "waiters never arrived");
                             }
-                            Ok::<_, CompileError>(StageArtifact::Func(sample_func()))
+                            Ok::<_, CompileError>(bare())
                         })
                         .unwrap();
                     assert!(Arc::strong_count(&out.artifact) >= 1);
@@ -917,7 +963,7 @@ mod tests {
         let waiter = {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
-                cache.get_or_compute(key(5), || Ok::<_, CompileError>(StageArtifact::Func(sample_func())))
+                cache.get_or_compute(key(5), || Ok::<_, CompileError>(bare()))
             })
         };
         // Release the leader once the waiter is blocked on the flight.
@@ -947,7 +993,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.entries), (1, 0));
         let ok = cache
-            .get_or_compute(key(9), || Ok::<_, CompileError>(StageArtifact::Func(sample_func())))
+            .get_or_compute(key(9), || Ok::<_, CompileError>(bare()))
             .unwrap();
         assert!(!ok.hit);
     }
@@ -956,24 +1002,22 @@ mod tests {
     fn artifacts_round_trip_through_json() {
         let w = epic_workloads::by_name("strcpy").unwrap();
         let (profile, counts) = epic_perf::profile_and_count(&w.func, &w.training).unwrap();
-        let artifact =
-            StageArtifact::Baseline { func: w.func.clone(), profile, counts, cycles: Arc::default() };
+        let measured = Measured::new(profile, counts);
+        let artifact = StageArtifact::new(w.func.clone(), ArtifactKind::Baseline(measured));
         let reloaded = artifact_from_json(&artifact_to_json(&artifact)).unwrap();
-        let StageArtifact::Baseline { func, profile, counts, .. } = &reloaded else {
+        let ArtifactKind::Baseline(m) = &reloaded.kind else {
             panic!("wrong kind");
         };
-        assert_eq!(func.fingerprint(), w.func.fingerprint());
-        let StageArtifact::Baseline { profile: orig_profile, counts: orig_counts, .. } =
-            &artifact
-        else {
+        assert_eq!(reloaded.func.fingerprint(), w.func.fingerprint());
+        let ArtifactKind::Baseline(orig) = &artifact.kind else {
             unreachable!()
         };
-        assert_eq!(counts, orig_counts);
+        assert_eq!(m.counts, orig.counts);
         // Ids may renumber, but totals are invariant.
         let total = |p: &Profile| p.block_entries.values().sum::<u64>();
-        assert_eq!(total(profile), total(orig_profile));
+        assert_eq!(total(&m.profile), total(&orig.profile));
         let executed = |p: &Profile| p.op_executed.values().sum::<u64>();
-        assert_eq!(executed(profile), executed(orig_profile));
+        assert_eq!(executed(&m.profile), executed(&orig.profile));
     }
 
     #[test]
@@ -988,24 +1032,56 @@ mod tests {
             demoted: 7,
             dce_removed: 8,
         };
-        let artifact = StageArtifact::Optimized {
-            func: sample_func(),
-            stats: s,
-            profile: Profile::new(),
-            counts: OpCounts {
-                static_ops: 0,
-                static_branches: 0,
-                dynamic_ops: 0,
-                dynamic_branches: 0,
-            },
-            cycles: Arc::default(),
-        };
-        let StageArtifact::Optimized { stats, .. } =
-            artifact_from_json(&artifact_to_json(&artifact)).unwrap()
-        else {
+        let counts =
+            OpCounts { static_ops: 0, static_branches: 0, dynamic_ops: 0, dynamic_branches: 0 };
+        let measured = Measured::new(Profile::new(), counts);
+        let artifact = StageArtifact::new(sample_func(), ArtifactKind::Optimized(measured, s));
+        let reloaded = artifact_from_json(&artifact_to_json(&artifact)).unwrap();
+        let ArtifactKind::Optimized(_, stats) = reloaded.kind else {
             panic!("wrong kind");
         };
         assert_eq!(stats, s);
+    }
+
+    /// A function whose two blocks share the name `L0`, which the printer
+    /// writes as `L0` and `L0.2`.
+    fn duplicate_names() -> Function {
+        let mut f = sample_func();
+        let second = f.layout()[1];
+        let first = f.layout()[0];
+        f.block_mut(second).name = f.block(first).name.clone();
+        f
+    }
+
+    #[test]
+    fn the_disk_record_keeps_the_writers_fingerprint() {
+        let f = duplicate_names();
+        let written = StageArtifact::new(f.clone(), ArtifactKind::Func);
+        let text = artifact_to_json(&written);
+        assert!(text.contains(&format!("\"fp\":\"{:016x}\"", f.fingerprint())), "{text:.80}");
+        let reloaded = artifact_from_json(&text).unwrap();
+        // The reloaded text renamed a block, so it hashes differently, but
+        // the artifact keys the next stage as the writer's did.
+        assert_ne!(reloaded.func.fingerprint(), f.fingerprint());
+        assert_eq!(reloaded.fingerprint(), f.fingerprint());
+        // A record without the field (as older writers left it) loads and
+        // fingerprints what it parsed.
+        let stamp = format!(",\"fp\":\"{:016x}\"", f.fingerprint());
+        let old = artifact_from_json(&text.replace(&stamp, "")).unwrap();
+        assert_eq!(old.fingerprint(), old.func.fingerprint());
+        // A malformed field is a corrupt record.
+        for bad in ["\"0\"", "12", "\"zzzzzzzzzzzzzzzz\""] {
+            let broken = text.replace(&stamp, &format!(",\"fp\":{bad}"));
+            assert!(artifact_from_json(&broken).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn the_fingerprint_is_hashed_once_and_matches_the_function() {
+        let a = bare();
+        assert!(a.fingerprint.get().is_none(), "a new artifact has hashed nothing");
+        assert_eq!(a.fingerprint(), sample_func().fingerprint());
+        assert_eq!(a.fingerprint.get(), Some(&sample_func().fingerprint()));
     }
 
     #[test]
@@ -1033,12 +1109,13 @@ mod tests {
         let cycles = Arc::new(CycleMemo::default());
         cycles.cycles(&w.func, &profile, &Machine::paper_suite());
         assert_eq!(cycles.len(), 5);
-        let artifact = StageArtifact::Baseline { func: w.func.clone(), profile, counts, cycles };
+        let measured = Measured { profile: Arc::new(profile), counts, cycles };
+        let artifact = StageArtifact::new(w.func.clone(), ArtifactKind::Baseline(measured));
         let text = artifact_to_json(&artifact);
-        let StageArtifact::Baseline { cycles, .. } = artifact_from_json(&text).unwrap() else {
+        let ArtifactKind::Baseline(m) = artifact_from_json(&text).unwrap().kind else {
             panic!("wrong kind");
         };
-        assert!(cycles.is_empty(), "the memo is not part of the disk format");
+        assert!(m.cycles.is_empty(), "the memo is not part of the disk format");
     }
 
     #[test]
@@ -1050,7 +1127,7 @@ mod tests {
 
     #[test]
     fn foreign_format_versions_are_rejected() {
-        let current = artifact_to_json(&StageArtifact::Func(sample_func()));
+        let current = artifact_to_json(&bare());
         let stamp = format!("\"v\":{FORMAT_VERSION}");
         assert!(current.contains(&stamp), "{current:.60}");
         assert!(artifact_from_json(&current).is_ok());

@@ -46,23 +46,29 @@ pub struct PipelineConfig {
 
 /// The compiled pair for one workload, with measured profiles and counts.
 ///
+/// The functions and profiles are `Arc`s of the stage artifacts' own
+/// values ([`crate::StageArtifact`]), on cached and uncached compiles
+/// alike, so a compile served from a [`CompileCache`] copies none of them.
+/// They are shared, never edited in place: a caller that wants to change
+/// one clones it out first (`Function::clone(&c.baseline)`).
+///
 /// Each side's weighted cycles per machine come from its [`CycleMemo`]
 /// ([`Compiled::base_cycles`], [`Compiled::opt_cycles`]). A compile served
 /// from a [`CompileCache`] shares the memo of the cached artifact, so once
 /// any request has scheduled a side on a machine, later requests read the
 /// number instead of scheduling again; an uncached compile starts with
-/// empty memos. The memos belong to the functions and profiles as
-/// compiled: a caller that edits them must not ask for cycles afterwards.
+/// empty memos. The memos belong to the shared functions and profiles,
+/// which is why an edited copy must not be paired with them.
 #[derive(Clone, Debug)]
 pub struct Compiled {
     /// Superblock-formed, unrolled baseline.
-    pub baseline: Function,
+    pub baseline: Arc<Function>,
     /// Baseline + FRP conversion + ICBM.
-    pub optimized: Function,
+    pub optimized: Arc<Function>,
     /// Training profile of the baseline (drives its schedule weighting).
-    pub base_profile: Profile,
+    pub base_profile: Arc<Profile>,
     /// Training profile of the height-reduced code.
-    pub opt_profile: Profile,
+    pub opt_profile: Arc<Profile>,
     /// Baseline operation counts on the training input.
     pub base_counts: OpCounts,
     /// Height-reduced operation counts on the training input.

@@ -21,7 +21,9 @@ pub mod schedules;
 pub mod tables;
 pub mod timing;
 
-pub use cache::{route_fingerprint, CacheKey, CacheStats, CompileCache, StageArtifact};
+pub use cache::{
+    route_fingerprint, ArtifactKind, CacheKey, CacheStats, CompileCache, Measured, StageArtifact,
+};
 pub use compile::{check_equivalence, compile, compile_cached, Compiled, PipelineConfig};
 pub use error::CompileError;
 pub use json::{Json, JsonError};

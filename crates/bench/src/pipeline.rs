@@ -18,7 +18,10 @@
 //! stage first consults the cache under
 //! `(input fingerprint, stage, stage-config hash)`; without a cache the
 //! stages compute directly, with bit-identical results, and no function or
-//! input is fingerprinted.
+//! input is fingerprinted. With one, the training input and the source are
+//! hashed once per compile, and every later stage keys itself from its
+//! input artifact's memoized [`StageArtifact::fingerprint`], so a fully
+//! cached compile hashes nothing else and copies nothing out of the cache.
 //!
 //! Stage keys hash only the configuration each stage consumes:
 //! [`PipelineConfig::stage_hash`] absorbs exactly the knobs whose row in the
@@ -55,7 +58,7 @@ use epic_perf::profile_and_count;
 use epic_regions::{form_superblocks, frp_convert, if_convert, meld, unroll_hot_loops};
 use epic_workloads::Workload;
 
-use crate::cache::{CacheKey, CompileCache, StageArtifact};
+use crate::cache::{ArtifactKind, CacheKey, CompileCache, Measured, StageArtifact};
 use crate::compile::{Compiled, PipelineConfig};
 use crate::error::CompileError;
 use crate::knobs::Settings;
@@ -199,8 +202,7 @@ impl<'a> Pipeline<'a> {
         let mut pre: Option<Arc<StageArtifact>> = None;
         if let Some(ic) = &cfg.if_convert {
             let stages = (stage::IF_CONVERT, stage::PROFILE_IF_CONVERT);
-            let src = pre.as_deref().map_or(self.func, StageArtifact::function);
-            pre = Some(self.transform(src, stages, &mut after, |f, p| {
+            pre = Some(self.transform(pre.as_deref(), stages, &mut after, |f, p| {
                 let mut out = f.clone();
                 if_convert(&mut out, p, ic);
                 out
@@ -208,26 +210,23 @@ impl<'a> Pipeline<'a> {
         }
         if let Some(mc) = &cfg.meld {
             let stages = (stage::MELD, stage::PROFILE_MELD);
-            let src = pre.as_deref().map_or(self.func, StageArtifact::function);
-            pre = Some(self.transform(src, stages, &mut after, |f, p| {
+            pre = Some(self.transform(pre.as_deref(), stages, &mut after, |f, p| {
                 let mut out = f.clone();
                 meld(&mut out, p, mc);
                 out
             })?);
         }
         let stages = (stage::SUPERBLOCK, stage::PROFILE_TRACE);
-        let src = pre.as_deref().map_or(self.func, StageArtifact::function);
-        let sb = self.transform(src, stages, &mut after, |f, p| {
+        let sb = self.transform(pre.as_deref(), stages, &mut after, |f, p| {
             form_superblocks(f, p, &cfg.trace)
         })?;
-        let sb = sb.function();
 
         // Unroll hot loops, clean with DCE and measure the finished
         // baseline on the training input.
         let (training, unroll) = (self.training, self.unroll);
         let config = cfg.stage_hash(stage::UNROLL, &[unroll as u64]);
-        let artifact = self.stage::<E>(stage::UNROLL, config, sb, |tm| {
-            let mut base = sb.clone();
+        let base = self.stage::<E>(stage::UNROLL, config, Some(&sb), |tm| {
+            let mut base = Function::clone(&sb.func);
             let n = base.static_op_count();
             let t0 = Instant::now();
             let (p1, _) = profile_and_count(&base, training)
@@ -248,15 +247,9 @@ impl<'a> Pipeline<'a> {
             let (profile, counts) = profile_and_count(&base, training)
                 .map_err(|t| CompileError::trap_at(stage::PROFILE_BASELINE, t))?;
             tm.push(stage::PROFILE_BASELINE, t0.elapsed(), n, n);
-            Ok(StageArtifact::Baseline { func: base, profile, counts, cycles: Arc::default() })
+            Ok(StageArtifact::new(base, ArtifactKind::Baseline(Measured::new(profile, counts))))
         })?;
-        let StageArtifact::Baseline {
-            func: base,
-            profile: base_profile,
-            counts: base_counts,
-            cycles: base_memo,
-        } = artifact.as_ref()
-        else {
+        let ArtifactKind::Baseline(base_side) = &base.kind else {
             unreachable!("unroll stage artifacts are always Baseline");
         };
 
@@ -269,8 +262,8 @@ impl<'a> Pipeline<'a> {
         // needs no FRP copy at all.
         let deadline = self.deadline;
         let config = cfg.stage_hash(stage::ICBM, &[]);
-        let artifact = self.stage::<E>(stage::ICBM, config, base, |tm| {
-            let mut opt = base.clone();
+        let opt = self.stage::<E>(stage::ICBM, config, Some(&base), |tm| {
+            let mut opt = Function::clone(&base.func);
             let n = opt.static_op_count();
             let t0 = Instant::now();
             frp_convert(&mut opt);
@@ -280,7 +273,7 @@ impl<'a> Pipeline<'a> {
             // baseline profile remains valid for the ICBM heuristics.
             let n = opt.static_op_count();
             let t0 = Instant::now();
-            let stats = apply_icbm_observed(&mut opt, base_profile, &cfg.cpr, |phase, f| {
+            let stats = apply_icbm_observed(&mut opt, &base_side.profile, &cfg.cpr, |phase, f| {
                 if deadline.is_some_and(|d| Instant::now() >= d) {
                     return Err(CompileError::Deadline { stage: stage::ICBM }.into());
                 }
@@ -292,43 +285,44 @@ impl<'a> Pipeline<'a> {
             let (profile, counts) = profile_and_count(&opt, training)
                 .map_err(|t| CompileError::trap_at(stage::PROFILE_OPTIMIZED, t))?;
             tm.push(stage::PROFILE_OPTIMIZED, t0.elapsed(), n, n);
-            Ok(StageArtifact::Optimized { func: opt, stats, profile, counts, cycles: Arc::default() })
+            let measured = Measured::new(profile, counts);
+            Ok(StageArtifact::new(opt, ArtifactKind::Optimized(measured, stats)))
         })?;
-        let StageArtifact::Optimized { func, stats, profile, counts, cycles: opt_memo } =
-            artifact.as_ref()
-        else {
+        let ArtifactKind::Optimized(opt_side, stats) = &opt.kind else {
             unreachable!("icbm stage artifacts are always Optimized");
         };
+        // Every payload is the artifact's own `Arc`, cached or not.
         Ok(Compiled {
-            baseline: base.clone(),
-            optimized: func.clone(),
-            base_profile: base_profile.clone(),
-            opt_profile: profile.clone(),
-            base_counts: *base_counts,
-            opt_counts: *counts,
+            baseline: Arc::clone(&base.func),
+            optimized: Arc::clone(&opt.func),
+            base_profile: Arc::clone(&base_side.profile),
+            opt_profile: Arc::clone(&opt_side.profile),
+            base_counts: base_side.counts,
+            opt_counts: opt_side.counts,
             stats: *stats,
             timings: self.timings,
             cache_hits: self.hits,
             cache_misses: self.misses,
-            base_memo: Arc::clone(base_memo),
-            opt_memo: Arc::clone(opt_memo),
+            base_memo: Arc::clone(&base_side.cycles),
+            opt_memo: Arc::clone(&opt_side.cycles),
         })
     }
 
-    /// A "profile, then transform" stage (if-convert, meld, superblock):
-    /// profiles `src` on the training input, timed as `profile_stage`,
-    /// then runs `pass` on it, timed as `name`, and shows the output to
-    /// `after`. Returns the stage's [`StageArtifact::Func`].
+    /// A "profile, then transform" stage (if-convert, meld, superblock)
+    /// over `from` (the source function when `None`): profiles its
+    /// function on the training input, timed as `profile_stage`, then runs
+    /// `pass` on it, timed as `name`, and shows the output to `after`.
+    /// Returns the stage's [`ArtifactKind::Func`] artifact.
     fn transform<E: From<CompileError>>(
         &mut self,
-        src: &Function,
+        from: Option<&StageArtifact>,
         (name, profile_stage): (&'static str, &'static str),
         after: &mut impl FnMut(Step, &Function) -> Result<(), E>,
         pass: impl FnOnce(&Function, &Profile) -> Function,
     ) -> Result<Arc<StageArtifact>, E> {
-        let training = self.training;
+        let (training, src) = (self.training, from.map_or(self.func, |a| &*a.func));
         let config = self.cfg.stage_hash(name, &[]);
-        self.stage::<E>(name, config, src, |tm| {
+        self.stage::<E>(name, config, from, |tm| {
             let n = src.static_op_count();
             let t0 = Instant::now();
             let (p, _) = profile_and_count(src, training)
@@ -338,21 +332,23 @@ impl<'a> Pipeline<'a> {
             let out = pass(src, &p);
             tm.push(name, t0.elapsed(), n, out.static_op_count());
             after(Step::Stage(name), &out)?;
-            Ok(StageArtifact::Func(out))
+            Ok(StageArtifact::new(out, ArtifactKind::Func))
         })
     }
 
     /// Consults the cache (when one is attached) under the key of stage
-    /// `name` with config hash `config` over `input`, running `compute` on
-    /// miss. Only a cached compile fingerprints `input`. On a hit, one
-    /// timing entry named after the stage records the lookup; on a miss
-    /// `compute` records its own (finer-grained) entries. Fails without
-    /// touching the cache once the deadline has passed.
+    /// `name` with config hash `config` over the artifact `from` (the
+    /// source function when `None`), running `compute` on miss. Only a
+    /// cached compile keys a stage: the source is hashed here, an earlier
+    /// artifact gives its memoized [`StageArtifact::fingerprint`]. On a
+    /// hit, one timing entry named after the stage records the lookup; on
+    /// a miss `compute` records its own (finer-grained) entries. Fails
+    /// without touching the cache once the deadline has passed.
     fn stage<E: From<CompileError>>(
         &mut self,
         name: &'static str,
         config: u64,
-        input: &Function,
+        from: Option<&StageArtifact>,
         compute: impl FnOnce(&mut PassTimings) -> Result<StageArtifact, E>,
     ) -> Result<Arc<StageArtifact>, E> {
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
@@ -361,7 +357,8 @@ impl<'a> Pipeline<'a> {
         let Some((cache, input_hash)) = self.cache else {
             return compute(&mut self.timings).map(Arc::new);
         };
-        let input_fp = combine_hashes(&[input.fingerprint(), input_hash]);
+        let fp = from.map_or_else(|| self.func.fingerprint(), StageArtifact::fingerprint);
+        let input_fp = combine_hashes(&[fp, input_hash]);
         let key = CacheKey { input_fp, stage: name, config };
         let t0 = Instant::now();
         let timings = &mut self.timings;
@@ -371,8 +368,8 @@ impl<'a> Pipeline<'a> {
             self.timings.push(
                 name,
                 t0.elapsed(),
-                input.static_op_count(),
-                outcome.artifact.function().static_op_count(),
+                from.map_or(self.func, |a| &*a.func).static_op_count(),
+                outcome.artifact.func.static_op_count(),
             );
         } else {
             self.misses += 1;

@@ -2,8 +2,8 @@
 
 # Full pre-merge gate: release build, tests, clippy and rustdoc clean,
 # perfbench build, interpreter oracle, fuzz corpus, compile-server smoke, event-server load
-# smoke, observability smoke, schedule validation, perf gate, examples.
-bench-check: interp-check fuzz-smoke riscfe-check serve-smoke serve-bench obs-smoke sched-check perf-check tune-smoke examples
+# smoke, observability smoke, schedule validation, cache keys, perf gate, examples.
+bench-check: interp-check fuzz-smoke riscfe-check serve-smoke serve-bench obs-smoke sched-check cache-check perf-check tune-smoke examples
     cargo build --release
     cargo test -q
     cargo clippy --all-targets -- -D warnings
@@ -52,6 +52,20 @@ sched-check:
     cargo test --release -q -p epic-bench --test dep_edges -- --include-ignored
     cargo test --release -q -p epic-bench --test cycle_memo -- --include-ignored
     cargo test --release -q -p epic-fuzz --test suite_workloads
+
+# Stage artifacts and their keys: warm compiles share the cached
+# functions and profiles, every artifact's memoized fingerprint equals a
+# fresh one (suite and corpus), and a duplicate-name function round-trips
+# through the disk layer with no miss. Then two `table2 --large` runs over
+# one fresh cache directory: the second must be served from disk alone
+# (the printer renames the corpus's duplicate block names, so this fails
+# if a reloaded artifact keys the stages after it by its reloaded text).
+cache-check:
+    cargo test --release -q -p epic-bench --test stage_fingerprints -- --include-ignored
+    rm -rf target/tmp/cache-check
+    EPIC_CACHE_DIR=target/tmp/cache-check cargo run --release -q -p epic-bench --bin table2 -- --large --cache-stats > /dev/null
+    EPIC_CACHE_DIR=target/tmp/cache-check cargo run --release -q -p epic-bench --bin table2 -- --large --cache-stats 2>&1 > /dev/null | tee /dev/stderr | grep -q '"misses":0,'
+    rm -rf target/tmp/cache-check
 
 # End-to-end smoke of the compile server: feeds a mixed batch twice
 # through the real binary's stdin and requires the second pass to be

@@ -118,7 +118,7 @@ fn full_cpr_correctness_across_suite() {
     for w in epic_workloads::all() {
         let cfg = PipelineConfig::default();
         let c = compile(&w, &cfg).unwrap();
-        let mut red = c.baseline.clone();
+        let mut red = epic_ir::Function::clone(&c.baseline);
         frp_convert(&mut red);
         let (bp, _) = profile_and_count(&c.baseline, &w.training).unwrap();
         apply_full_cpr(&mut red, &bp, &CprConfig::default());
